@@ -1,9 +1,15 @@
 """Exact character tables and character arithmetic.
 
 The table rows come from the modular engine in ``dixon``; this module owns
-the exact layer: canonical ordering, orthogonality validation, inner
-products, restriction, tensor products, kernels, extension tests and the
-Gallagher correspondence check.
+the exact layer: canonical ordering, validation, inner products,
+restriction, tensor products, kernels, extension tests and the Gallagher
+correspondence check.
+
+Inner products and table validation share one exact routine, ``_gram``,
+which computes a whole matrix of inner products in Q(zeta_e), e the group
+exponent.  A table is certified by one Gram check, rows against rows equal
+to the identity; since the table is square this implies the column
+relations too (see ``CharacterTable``).
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .perms import Permutation
 class Character:
     """One irreducible character: degree plus a CycValue per class."""
 
-    __slots__ = ("degree", "values", "kernel_classes", "_embedded")
+    __slots__ = ("degree", "values", "kernel_classes")
 
     def __init__(self, degree: int, values):
         self.degree = degree
@@ -34,13 +40,6 @@ class Character:
         identity_value = CycValue.from_rational(degree)
         self.kernel_classes = frozenset(
             j for j, v in enumerate(self.values) if v.value_eq(identity_value))
-        self._embedded = None
-
-    def embedded(self, exponent: int) -> tuple:
-        """Values as length-``exponent`` integer tuples (sort key)."""
-        if self._embedded is None:
-            self._embedded = tuple(v.embed(exponent).coeffs for v in self.values)
-        return self._embedded
 
     def __repr__(self):
         return f"<Character degree={self.degree}>"
@@ -50,9 +49,16 @@ class CharacterTable:
     """The exact table of a group, rows in canonical order.
 
     Canonical row order: degree ascending, then lexicographic on the values
-    embedded over the group exponent.  Construction validates #rows, the
-    degree sum of squares, degree divisibility, and exact row and column
+    embedded over the group exponent.  Construction validates #rows = #classes,
+    the degree sum of squares, degree divisibility, and exact row
     orthogonality; failures raise TableError.
+
+    Row orthogonality is one Gram check: with X the r x r value matrix and
+    D = diag(class sizes), X D X* = |G| I over Q(zeta_e), conjugation being
+    the field automorphism zeta -> zeta^-1.  X is square, so D X* / |G| is
+    a two-sided inverse of X, and X* X = |G| D^-1: the column relations, with
+    the centralizer orders on the diagonal.  Checking the rows therefore
+    certifies the columns as well.
     """
 
     def __init__(self, group: Group, classes: ClassData, chars,
@@ -62,47 +68,24 @@ class CharacterTable:
         self.exponent = exponent
         self.dixon_prime = prime
         self.primitive_root = root
-        self.chars = tuple(sorted(
-            chars, key=lambda c: (c.degree, c.embedded(exponent))))
-        self._np_rows = None
+        self.chars = tuple(sorted(chars, key=lambda c: (
+            c.degree, tuple(v.embed(exponent).coeffs for v in c.values))))
         if validate:
             self._validate()
 
-    # -- numpy embedding for the exact inner-product loop ------------------
-
-    def _rows(self) -> list[list[np.ndarray]]:
-        if self._np_rows is None:
-            e = self.exponent
-            self._np_rows = [
-                [_embed_np(v, e) for v in chi.values] for chi in self.chars]
-        return self._np_rows
-
     def _validate(self) -> None:
-        g, cd = self.group, self.classes
-        r = cd.num_classes
-        if len(self.chars) != r:
+        g = self.group
+        if len(self.chars) != self.classes.num_classes:
             raise TableError("character count differs from class count")
         if sum(c.degree ** 2 for c in self.chars) != g.order:
             raise TableError("degree squares do not sum to the group order")
         for c in self.chars:
             if g.order % c.degree:
                 raise TableError(f"degree {c.degree} does not divide |G|")
-        for i in range(len(self.chars)):
-            for j in range(i, len(self.chars)):
-                expected = Fraction(1 if i == j else 0)
-                if inner_product(self, self.chars[i], self.chars[j]) != expected:
+        for i, row in enumerate(_gram(self, self.chars, self.chars)):
+            for j, value in enumerate(row):
+                if value != int(i == j):
                     raise TableError(f"row orthogonality fails at ({i},{j})")
-        rows = self._rows()
-        for a in range(r):
-            for b in range(a, r):
-                total = np.zeros(self.exponent, dtype=np.int64)
-                for row in rows:
-                    total += _convolve_conj(row[a], row[b], self.exponent)
-                expected = cd.centralizer_order(a) if a == b else 0
-                coords = reduce_to_power_basis([int(x) for x in total],
-                                               self.exponent)
-                if any(coords[1:]) or coords[0] != expected:
-                    raise TableError(f"column orthogonality fails at ({a},{b})")
 
     def degrees(self) -> list[int]:
         return [c.degree for c in self.chars]
@@ -184,9 +167,7 @@ def character_table(group: Group, bound: int = DEFAULT_ELEMENT_BOUND,
     key = "character_table"
     if key not in group._cache:
         cd = conjugacy_classes(group, bound)
-        exponent = 1
-        for n in cd.orders:
-            exponent = exponent // gcd(exponent, n) * n
+        exponent = lcm(*cd.orders)
         p = dixon.dixon_prime(group.order, exponent)
         z = dixon.primitive_root(p)
         omegas = dixon.central_character_vectors(cd, p)
@@ -201,41 +182,71 @@ def character_table(group: Group, bound: int = DEFAULT_ELEMENT_BOUND,
 
 # -- class function arithmetic ---------------------------------------------
 
-def _embed_np(v: CycValue, exponent: int) -> np.ndarray:
-    out = np.zeros(exponent, dtype=np.int64)
-    step = exponent // v.n
-    for k, c in enumerate(v.coeffs):
-        if c:
-            out[k * step] += c
-    return out
-
-
-def _convolve_conj(a: np.ndarray, b: np.ndarray, exponent: int) -> np.ndarray:
-    """Cyclic convolution of a with the conjugate (index-reversal) of b."""
-    b_conj = np.roll(b[::-1], 1)
-    full = np.convolve(a, b_conj)
-    out = full[:exponent].copy()
-    out[: full.shape[0] - exponent] += full[exponent:]
-    return out
+# Most array elements one circulant gather in _gram may hold; a bucket with
+# many classes and a long root order is gathered in chunks to stay below it.
+_GATHER_ELEMENTS = 1 << 21
 
 
 def _values_of(f) -> tuple:
     return f.values if isinstance(f, Character) else tuple(f)
 
 
+def _gram(table: CharacterTable, fs, gs) -> list[list[Fraction]]:
+    """Exact inner products: entry (i, j) is (1/|G|) * sum over classes k of
+    size_k * fs[i](g_k) * conj(gs[j](g_k)).
+
+    Classes are bucketed by the lcm n of their values' root orders (the
+    element order, for table rows).  Per bucket, the products are formed in
+    Z[x]/(x^n - 1) by one integer einsum over a circulant gather, then
+    embedded into Z[x]/(x^e - 1), e the exponent; each entry is reduced to
+    the power basis of Q(zeta_e).  Raises TableError when a value lies
+    outside Q(zeta_e) or an entry is not rational.
+    """
+    fs = [_values_of(f) for f in fs]
+    gs = [_values_of(g) for g in gs]
+    cd, e = table.classes, table.exponent
+    buckets: dict[int, list[int]] = {}
+    bound = 0  # bounds every |coefficient| of the sums below
+    for k in range(cd.num_classes):
+        n = lcm(*(f[k].n for f in fs), *(g[k].n for g in gs))
+        if e % n:
+            raise TableError(f"a class function value needs the {n}-th roots "
+                             f"of unity, not in Q(zeta_{e})")
+        buckets.setdefault(n, []).append(k)
+        bound += (cd.sizes[k] * max(sum(map(abs, f[k].coeffs)) for f in fs)
+                  * max(sum(map(abs, g[k].coeffs)) for g in gs))
+    # int64 when provably overflow-free; Python objects (big ints, Fractions)
+    # otherwise
+    dtype = np.int64 if isinstance(bound, int) and bound < 2**63 else object
+    total = np.zeros((len(fs), len(gs), e), dtype=dtype)
+    for n, ks in buckets.items():
+        shift = (np.arange(n) - np.arange(n)[:, None]) % n  # [t, i] = i - t
+        step = max(1, _GATHER_ELEMENTS // (len(gs) * n * n))
+        for lo in range(0, len(ks), step):
+            chunk = ks[lo:lo + step]
+            a = _stack(fs, chunk, n, dtype) * np.array(
+                [cd.sizes[k] for k in chunk], dtype=dtype)[:, None]
+            b = _stack(gs, chunk, n, dtype)[:, :, shift]
+            total[:, :, ::e // n] += np.einsum("fki,gkti->fgt", a, b)
+    coords = [[reduce_to_power_basis(entry.tolist(), e) for entry in row]
+              for row in total]
+    if any(any(c[1:]) for row in coords for c in row):
+        raise TableError("inner product of class functions is not rational")
+    return [[Fraction(c[0], table.group.order) for c in row] for row in coords]
+
+
+def _stack(funcs, ks, n: int, dtype) -> np.ndarray:
+    """(len(funcs), len(ks), n) coefficients over the n-th roots of unity."""
+    out = np.zeros((len(funcs), len(ks), n), dtype=dtype)
+    for i, f in enumerate(funcs):
+        for j, k in enumerate(ks):
+            out[i, j, ::n // f[k].n] = f[k].coeffs
+    return out
+
+
 def inner_product(table: CharacterTable, a, b) -> Fraction:
     """(1/|G|) sum over classes of size * a(g) * conj(b(g)), exact."""
-    va, vb = _values_of(a), _values_of(b)
-    cd = table.classes
-    e = table.exponent
-    total = np.zeros(e, dtype=np.int64)
-    for k in range(cd.num_classes):
-        conv = _convolve_conj(_embed_np(va[k], e), _embed_np(vb[k], e), e)
-        total += cd.sizes[k] * conv
-    coords = reduce_to_power_basis([int(x) for x in total], e)
-    if any(coords[1:]):
-        raise TableError("inner product of class functions is not rational")
-    return Fraction(coords[0], table.group.order)
+    return _gram(table, [a], [b])[0][0]
 
 
 def tensor(a, b) -> list[CycValue]:

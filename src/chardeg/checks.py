@@ -15,13 +15,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .chars import (Character, character_table, extensions_of,
-                    gallagher_check, inner_product, kernel_classes_contain,
-                    restrict_character, tensor)
+                    gallagher_check, kernel_classes_contain, tensor)
 from .corpusio import Catalogue
 from .errors import ChardegError
 from .groups import Group, Subgroup, center, is_p_solvable, is_solvable
 from .invariants import (EVEN, DegreeFilter, acd, acd_over, acd_rel,
-                         format_rational, n_d, theorem_A_inequality_equiv)
+                         format_rational, lies_over, n_d,
+                         theorem_A_inequality_equiv)
 
 SCHEMA_VERSION = 1
 
@@ -123,17 +123,8 @@ def transport_character(target_table, target_group, lam: Character,
 
 
 def lying_over_flags(table, n, n_table, theta):
-    out = []
-    for chi in table.chars:
-        restricted = restrict_character(table.group, chi, n)
-        out.append(inner_product(n_table, restricted, theta) > 0)
-    return out
-
-
-def n_d_over(table, n, n_table, theta, d: int) -> int:
-    flags = lying_over_flags(table, n, n_table, theta)
-    return sum(1 for chi, f in zip(table.chars, flags)
-               if f and chi.degree == d)
+    return [lies_over(table.group, table, chi, n, n_table, theta)
+            for chi in table.chars]
 
 
 def _fmt(q: Fraction) -> str:

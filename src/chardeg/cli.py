@@ -16,6 +16,7 @@ Exit status: 0 on success, 1 if any check failed, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -23,8 +24,9 @@ from .chars import character_table, kernel_classes_contain
 from .checks import paper_check_suite, theorem_scan
 from .corpusio import (Catalogue, parse_group_file)
 from .errors import ChardegError, ParseError
-from .groups import Subgroup
-from .invariants import ALL, EVEN, DegreeFilter, acd, format_rational
+from .groups import Subgroup, _is_prime
+from .invariants import (ALL, EVEN, DegreeFilter, RationalAverage,
+                         format_rational)
 from .perms import parse_cycles
 
 
@@ -36,10 +38,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ChardegError as exc:
+    except (ChardegError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -125,39 +124,44 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _prime(value, what: str) -> int:
+    """value as a prime number, or a ParseError naming what it is for."""
+    try:
+        p = int(value)
+    except ValueError:
+        p = None
+    if p is None or not _is_prime(p):
+        raise ParseError(f"{what} needs a prime, got {value}")
+    return p
+
+
 def _cmd_acd(args) -> int:
-    g = _load_group(args)
-    t = character_table(g)
     filt = ALL
     if args.even:
         filt = EVEN
     elif args.div is not None:
-        filt = DegreeFilter("divisible", args.div)
+        filt = DegreeFilter("divisible", _prime(args.div, "--div"))
     elif args.coprime is not None:
-        filt = DegreeFilter("coprime", args.coprime)
-
-    if args.mod is None and args.rel is None:
-        value = acd(t, filt).value
-    else:
-        gens_text = args.mod if args.mod is not None else args.rel
-        gens = [parse_cycles(s.strip(), g.degree)
-                for s in gens_text.split(",") if s.strip()]
+        filt = DegreeFilter("coprime", _prime(args.coprime, "--coprime"))
+    g = _load_group(args)
+    n = None
+    gens_text = args.mod if args.mod is not None else args.rel
+    if gens_text is not None:
+        try:
+            gens = [parse_cycles(s.strip(), g.degree)
+                    for s in gens_text.split(",") if s.strip()]
+        except ValueError as exc:
+            raise ParseError(f"bad generators {gens_text!r}: {exc}") from exc
         n = Subgroup(g, gens)
         if not n.is_normal():
             raise ChardegError("the given subgroup is not normal")
-        if args.mod is not None:
-            selected = [c.degree for c in t.chars
-                        if kernel_classes_contain(t, c, n)
-                        and filt.accepts(c.degree)]
-        else:
-            selected = [c.degree for c in t.chars
-                        if not kernel_classes_contain(t, c, n)
-                        and filt.accepts(c.degree)]
-        from fractions import Fraction
-        value = (Fraction(sum(selected), len(selected))
-                 if selected else Fraction(0))
+    t = character_table(g)
+    value = RationalAverage.of(
+        c.degree for c in t.chars if filt.accepts(c.degree) and (
+            n is None
+            or kernel_classes_contain(t, c, n) == (args.mod is not None))
+    ).value
     if args.json:
-        import json
         print(json.dumps({"group": g.name, "acd": format_rational(value)}))
     else:
         print(format_rational(value))
@@ -175,7 +179,7 @@ def _cmd_scan(args) -> int:
     cat = Catalogue(args.corpus)
     check = args.check
     if check.startswith("question:"):
-        mode, p = "question", int(check.split(":", 1)[1])
+        mode, p = "question", _prime(check.split(":", 1)[1], "question:P")
     else:
         mode, p = check, None
     report = theorem_scan(cat, mode, p=p)

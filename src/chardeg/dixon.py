@@ -16,13 +16,11 @@ Fourier transform over F_p.
 
 from __future__ import annotations
 
-from math import isqrt
-
 import numpy as np
 
 from .cyclotomic import CycValue
 from .errors import TableError
-from .groups import ClassData
+from .groups import ClassData, _is_prime
 
 DEFAULT_PRIME_CEILING = 1_000_000
 
@@ -30,24 +28,12 @@ DEFAULT_PRIME_CEILING = 1_000_000
 def dixon_prime(order: int, exponent: int,
                 ceiling: int = DEFAULT_PRIME_CEILING) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*sqrt(order)."""
-    floor = 2 * isqrt(4 * order)  # p*p > 4*order, conservative start
     p = exponent + 1
     while p <= ceiling:
         if p * p > 4 * order and _is_prime(p):
             return p
         p += exponent
     raise TableError(f"no Dixon prime below {ceiling} for exponent {exponent}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def primitive_root(p: int) -> int:

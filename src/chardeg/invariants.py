@@ -13,7 +13,7 @@ from fractions import Fraction
 from .chars import (Character, CharacterTable, inner_product,
                     kernel_classes_contain, restrict_character)
 from .errors import ChardegError
-from .groups import Group
+from .groups import Group, _is_prime
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class DegreeFilter:
 
 ALL = DegreeFilter("all")
 EVEN = DegreeFilter("even")
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 @dataclass(frozen=True)

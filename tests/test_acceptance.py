@@ -11,7 +11,7 @@ from fractions import Fraction
 from chardeg import Catalogue
 from chardeg.chars import character_table, inner_product, kernel_classes_contain
 from chardeg.checks import nonprincipal_chars, paper_check_suite, theorem_scan
-from chardeg.cyclotomic import reduce_to_power_basis
+from chardeg.cyclotomic import CycValue
 from chardeg.groups import (Group, center, minimal_normal_subgroups,
                             quotient_group)
 from chardeg.invariants import EVEN, DegreeFilter, acd, acd_over, n_d
@@ -157,19 +157,15 @@ def test_criterion_9_property_suite(cat):
             for j in range(i, r):
                 expected = Fraction(1 if i == j else 0)
                 ok &= inner_product(t, t.chars[i], t.chars[j]) == expected
-        # exact column orthogonality via the embedded rows
-        from chardeg.chars import _convolve_conj
-        import numpy as np
-        rows = t._rows()
+        # exact column orthogonality, all pairs, in CycValue arithmetic
+        conjugates = [[v.conjugate() for v in chi.values] for chi in t.chars]
         for a in range(r):
             for b in range(a, r):
-                total = np.zeros(t.exponent, dtype=np.int64)
-                for row in rows:
-                    total += _convolve_conj(row[a], row[b], t.exponent)
-                coords = reduce_to_power_basis([int(x) for x in total],
-                                               t.exponent)
+                total = CycValue.from_rational(0)
+                for chi, bar in zip(t.chars, conjugates):
+                    total = total + chi.values[a] * bar[b]
                 expected = cd.centralizer_order(a) if a == b else 0
-                ok &= not any(coords[1:]) and coords[0] == expected
+                ok &= total.rational() == expected
         # Cauchy-Schwarz
         ok &= acd(t).value * sum(t.degrees()) <= g.order
         assert ok, f"property suite failed at {entry.name}"

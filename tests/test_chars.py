@@ -1,9 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
-from chardeg.chars import (character_table, extensions_of, gallagher_check,
-                           inner_product, kernel_classes_contain,
-                           kernel_subgroup, restrict_character, tensor)
+from chardeg import chars
+from chardeg.chars import (Character, CharacterTable, character_table,
+                           extensions_of, gallagher_check, inner_product,
+                           kernel_classes_contain, kernel_subgroup,
+                           restrict_character, tensor)
 from chardeg.checks import principal_character
+from chardeg.cyclotomic import CycValue
+from chardeg.errors import TableError
 from chardeg.groups import Group, Subgroup, center
 from chardeg.perms import parse_cycles
 
@@ -233,3 +239,57 @@ def test_quotient_degrees_consistency(cat):
     q = quotient_group(sl25, center(sl25))
     assert character_table(q.group).degrees() == \
         character_table(cat.group("A5")).degrees()
+
+
+def test_inner_product_rejects_value_outside_exponent(cat):
+    # A5 has exponent 30, so the 4th root of unity i is not in Q(zeta_30).
+    # f = i on one 5-class and -zeta_30^7 on the other, of equal size:
+    # <f, 1> is not rational, and reading i as zeta_30^(30 // 4) would
+    # silently cancel it to 0.
+    t = character_table(cat.group("A5"))
+    cd = t.classes
+    k, m = [j for j, o in enumerate(cd.orders) if o == 5]
+    f = [CycValue.from_rational(0)] * cd.num_classes
+    f[k] = CycValue.root_of_unity(4)
+    f[m] = CycValue.root_of_unity(30, 7).scale(-1)
+    with pytest.raises(TableError):
+        inner_product(t, f, principal_character(t))
+
+
+def test_table_rejects_corrupted_rows(cat):
+    t = character_table(cat.group("A5"))
+
+    def rebuild(chars):
+        return CharacterTable(t.group, t.classes, chars, t.exponent,
+                              t.dixon_prime, t.primitive_root)
+
+    assert rebuild(t.chars).degrees() == t.degrees()
+    # one degree-3 row replaced by a copy of the other
+    first, second = [c for c in t.chars if c.degree == 3]
+    with pytest.raises(TableError):
+        rebuild([first if c is second else c for c in t.chars])
+    # one nonzero value off the identity class negated
+    chi = t.chars[-1]
+    k = next(k for k, v in enumerate(chi.values)
+             if t.classes.orders[k] != 1 and not v.is_zero())
+    negated = Character(chi.degree, [v.scale(-1) if j == k else v
+                                     for j, v in enumerate(chi.values)])
+    with pytest.raises(TableError):
+        rebuild(t.chars[:-1] + (negated,))
+
+
+def test_inner_product_exact_beyond_int64(cat):
+    t = character_table(cat.group("A5"))
+    chi = t.chars[-1]
+    half = [v.scale(Fraction(1, 2)) for v in chi.values]
+    huge = [v.scale(10**20) for v in chi.values]
+    assert inner_product(t, half, chi) == Fraction(1, 2)
+    assert inner_product(t, huge, huge) == 10**40
+
+
+def test_gram_gather_in_chunks(cat, monkeypatch):
+    t = character_table(cat.group("SL2_5"))
+    monkeypatch.setattr(chars, "_GATHER_ELEMENTS", 1)  # one class per chunk
+    r = len(t.chars)
+    assert chars._gram(t, t.chars, t.chars) == [
+        [int(i == j) for j in range(r)] for i in range(r)]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chardeg.cli import main
 
 
@@ -116,6 +118,20 @@ def test_scan_failure_exit_code(capsys, tmp_path):
     # so check the argument error path instead
     code, _, err = run(capsys, "scan", "--check", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["acd", "A5", "--div", "4"],
+    ["acd", "A5", "--coprime", "1"],
+    ["acd", "A5", "--rel", "(1_2)"],
+    ["scan", "--check", "question:x"],
+    ["scan", "--check", "question:4"],
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_no_command_shows_help(capsys):
