@@ -7,6 +7,8 @@ with generators in list order, so equal input yields identical chains.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .perms import Permutation
 
 
@@ -134,20 +136,26 @@ class StabilizerChain:
             return []
         return list(self.level_gens[k])
 
-    def elements(self):
-        """Yield all group elements in a canonical, reproducible order."""
-        identity = Permutation.identity(self.degree)
-        if not self.base:
-            yield identity
-            return
+    def element_array(self) -> np.ndarray:
+        """All elements as a (|G|, degree) array of images, one row each.
 
-        def rec(i: int):
-            if i == len(self.base):
-                yield identity
-                return
-            level = [self.transversals[i][x] for x in sorted(self.transversals[i])]
-            for rest in rec(i + 1):
-                for t in level:
-                    yield rest * t
+        Row order is canonical: with transversals t_i taken in sorted point
+        order, element ``t_{k-1} * ... * t_1 * t_0`` precedes the next with
+        t_0 varying fastest.  Rows are uint8 up to degree 256, else uint16.
+        """
+        dtype = np.uint8 if self.degree <= 256 else np.uint16
+        rows = np.arange(self.degree, dtype=dtype)[None, :]
+        for trans in reversed(self.transversals):
+            level = np.array([trans[x].images for x in sorted(trans)],
+                             dtype=dtype)
+            prev = rows.astype(np.intp)
+            rows = np.empty((len(prev), len(level), self.degree), dtype=dtype)
+            for j, t in enumerate(level):
+                rows[:, j, :] = t[prev]  # (rest * t)[x] = t[rest[x]]
+            rows = rows.reshape(-1, self.degree)
+        return rows
 
-        yield from rec(0)
+    def elements(self) -> list[Permutation]:
+        """All group elements in the canonical order of element_array()."""
+        return [Permutation._trusted(tuple(row))
+                for row in self.element_array().tolist()]

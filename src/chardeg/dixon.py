@@ -61,21 +61,29 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+# Most rows one class_matrix gather may hold; reps are gathered in chunks
+# below it, several at once where classes are small.
+_GATHER_ROWS = 1 << 16
+
+
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     """Matrix A_i with A_i[j, k] = #{x in class i : x^-1 * rep_k in class j}.
 
     These are the structure constants of the class-sum algebra; the exact
-    integer matrix is returned (reduce mod p at the call site).
+    integer matrix is returned (reduce mod p at the call site).  The x^-1
+    run over the inverse class, so column k is a gather of rep_k over those
+    rows, a lookup and a bincount.
     """
-    r = cd.num_classes
-    a = np.zeros((r, r), dtype=np.int64)
-    reps = cd.reps
-    index = cd.element_index
-    for x in cd.members[i]:
-        xi = x.inverse()
-        for k in range(r):
-            j = index[xi * reps[k]]
-            a[j, k] += 1
+    r, n = cd.num_classes, cd.rows.shape[1]
+    x_inv = cd.rows[cd.element_index == cd.inverse_class[i]]
+    step = max(1, _GATHER_ROWS // len(x_inv))
+    a = np.empty((r, r), dtype=np.int64)
+    for k in range(0, r, step):
+        reps = cd.rep_rows[k:k + step]
+        classes = cd.element_index[cd.index(reps[:, x_inv].reshape(-1, n))]
+        classes += np.repeat(np.arange(len(reps)) * r, len(x_inv))
+        a[:, k:k + len(reps)] = np.bincount(
+            classes, minlength=len(reps) * r).reshape(-1, r).T
     return a
 
 

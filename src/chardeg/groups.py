@@ -8,7 +8,10 @@ orderings are canonical so repeated runs produce identical output.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from math import gcd
+
+import numpy as np
 
 from .bsgs import StabilizerChain
 from .errors import GroupTooLargeError, NotMemberError, NotNormalError
@@ -47,13 +50,25 @@ class Group:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> list[Permutation]:
-        """All elements in canonical order (cached)."""
+    def element_array(self, bound: int = DEFAULT_ELEMENT_BOUND) -> np.ndarray:
+        """All elements as rows of images, in canonical order (cached).
+
+        Raises GroupTooLargeError before anything is allocated when the
+        order exceeds ``bound``.
+        """
         if self.order > bound:
             raise GroupTooLargeError(
                 f"group order {self.order} exceeds element bound {bound}")
+        if "element_array" not in self._cache:
+            self._cache["element_array"] = self.chain.element_array()
+        return self._cache["element_array"]
+
+    def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> list[Permutation]:
+        """All elements in canonical order (cached)."""
+        rows = self.element_array(bound)
         if "elements" not in self._cache:
-            self._cache["elements"] = list(self.chain.elements())
+            self._cache["elements"] = [Permutation._trusted(tuple(row))
+                                       for row in rows.tolist()]
         return self._cache["elements"]
 
     def is_abelian(self) -> bool:
@@ -104,75 +119,115 @@ class ClassData:
     """Conjugacy classes of a group in canonical order.
 
     Classes are sorted by (element order, class size, lexicographically least
-    member); the representative of a class is its least member.  The
-    ``element_index`` map covers every group element.
+    member); the representative of a class is its least member.  Elements
+    are the rows of ``group.element_array()``: ``element_index[e]`` is the
+    class of element e, an integer array of length |G|, and ``members``
+    (Permutation lists, each sorted) is built only when first read.
+
+    Classes are the orbits of the conjugation action.  Each generator acts
+    as an index map on the element rows, and the orbits are the connected
+    components of those maps, found by min-label propagation.  Rows are
+    looked up by their big-endian byte keys, sorted once; key order is the
+    lexicographic order of image tuples.
     """
 
     def __init__(self, group: Group, bound: int = DEFAULT_ELEMENT_BOUND):
-        elements = group.elements(bound)
-        gens = group.generators
-        index = {}
-        raw_classes = []
-        for e in elements:  # canonical order makes discovery deterministic
-            if e in index:
-                continue
-            members = [e]
-            index[e] = len(raw_classes)
-            queue = [e]
-            while queue:
-                x = queue.pop()
-                for g in gens:
-                    y = x.conjugate(g)
-                    if y not in index:
-                        index[y] = len(raw_classes)
-                        members.append(y)
-                        queue.append(y)
-            raw_classes.append(members)
-
-        for members in raw_classes:
-            members.sort()
-        order_key = [(members[0].order() if not members[0].is_identity() else 1)
-                     for members in raw_classes]
-        # identity has order 1 and sorts first
-        ranking = sorted(range(len(raw_classes)),
-                         key=lambda i: (order_key[i], len(raw_classes[i]),
-                                        raw_classes[i][0].images))
+        rows = group.element_array(bound)
         self.group = group
-        self.members: list[list[Permutation]] = [raw_classes[i] for i in ranking]
-        self.reps: list[Permutation] = [m[0] for m in self.members]
-        self.sizes: list[int] = [len(m) for m in self.members]
-        self.orders: list[int] = [r.order() for r in self.reps]
-        self.element_index: dict[Permutation, int] = {}
-        for ci, members in enumerate(self.members):
-            for e in members:
-                self.element_index[e] = ci
-        self.inverse_class: list[int] = [
-            self.element_index[r.inverse()] for r in self.reps]
+        self.rows = rows
+        keys = _row_keys(rows)
+        self._lex = np.argsort(keys)  # element indices in lexicographic order
+        self._keys = keys[self._lex]
+
+        # label[e] converges to the least element index in e's class
+        maps = []
+        for g in group.generators:
+            g_row = np.array(g.images, dtype=rows.dtype)
+            maps.append(self.index(g_row[rows[:, np.argsort(g_row)]]))
+        label = np.arange(len(rows))
+        while True:
+            previous = label
+            for conj in maps:
+                label = np.minimum(label, label[conj])
+            label = label[label]
+            if np.array_equal(label, previous):
+                break
+        _, raw = np.unique(label, return_inverse=True)
+        raw_sizes = np.bincount(raw)
+        # lexicographic rank of each raw class's least member
+        _, least_rank = np.unique(raw[self._lex], return_index=True)
+        least = self._lex[least_rank]
+        raw_orders = [Permutation._trusted(tuple(row)).order()
+                      for row in rows[least].tolist()]
+        ranking = sorted(range(len(least)),
+                         key=lambda c: (raw_orders[c], raw_sizes[c],
+                                        least_rank[c]))
+        class_id = np.empty(len(ranking), dtype=np.intp)
+        class_id[ranking] = np.arange(len(ranking))
+        self.element_index: np.ndarray = class_id[raw]
+        self.rep_rows: np.ndarray = rows[least[ranking]]
+        self.reps: list[Permutation] = [Permutation._trusted(tuple(row))
+                                        for row in self.rep_rows.tolist()]
+        self.sizes: list[int] = [int(raw_sizes[c]) for c in ranking]
+        self.orders: list[int] = [raw_orders[c] for c in ranking]
+        self.inverse_class: list[int] = self.element_index[self.index(
+            np.argsort(self.rep_rows, axis=1).astype(rows.dtype))].tolist()
         # power_class[i][e] = class of reps[i]**e for e in 0..orders[i]-1
-        self.power_class: list[list[int]] = []
-        for i, r in enumerate(self.reps):
-            row = []
-            p = self.group.identity()
-            for _ in range(self.orders[i]):
-                row.append(self.element_index[p])
-                p = p * r
-            self.power_class.append(row)
+        self.power_class: list[list[int]] = [
+            self.element_index[self.index(_powers(row, n))].tolist()
+            for row, n in zip(self.rep_rows, self.orders)]
 
         assert sum(self.sizes) == group.order
         assert all(group.order % s == 0 for s in self.sizes)
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """Element indices of rows that are known to be group elements."""
+        return self._lex[np.searchsorted(self._keys, _row_keys(rows))]
+
+    @cached_property
+    def members(self) -> list[list[Permutation]]:
+        """The elements of each class, each list in lexicographic order."""
+        by_class = self._lex[np.argsort(self.element_index[self._lex],
+                                        kind="stable")]
+        perms = [Permutation._trusted(tuple(row))
+                 for row in self.rows[by_class].tolist()]
+        bounds = np.cumsum([0] + self.sizes).tolist()
+        return [perms[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @property
     def num_classes(self) -> int:
         return len(self.reps)
 
     def class_of(self, p: Permutation) -> int:
-        try:
-            return self.element_index[p]
-        except KeyError:
-            raise NotMemberError("element not in group (class lookup failed)")
+        if p.degree == self.group.degree:
+            key = _row_keys(np.array([p.images], dtype=self.rows.dtype))
+            pos = int(np.searchsorted(self._keys, key)[0])
+            if pos < len(self._keys) and self._keys[pos] == key[0]:
+                return int(self.element_index[self._lex[pos]])
+        raise NotMemberError("element not in group (class lookup failed)")
 
     def centralizer_order(self, i: int) -> int:
         return self.group.order // self.sizes[i]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row; keys sort in lexicographic image order.
+
+    The big-endian bytes of a row compare like its image tuple, for any
+    degree, where packing rows into integers would overflow.
+    """
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+
+
+def _powers(row: np.ndarray, n: int) -> np.ndarray:
+    """Rows of p**e for e in 0..n-1, where p has the images ``row``."""
+    powers = np.arange(len(row), dtype=row.dtype)[None, :]
+    step = row  # p**len(powers)
+    while len(powers) < n:
+        powers = np.concatenate([powers, step[powers]])
+        step = step[step]
+    return powers[:n]
 
 
 def conjugacy_classes(group: Group, bound: int = DEFAULT_ELEMENT_BOUND) -> ClassData:
@@ -280,7 +335,7 @@ def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
 
 
 def _subgroup_key(s: Group) -> tuple:
-    return (s.order, tuple(e.images for e in s.elements()))
+    return (s.order, _row_keys(s.element_array()).tobytes())
 
 
 def solvable_radical(group: Group) -> Subgroup:

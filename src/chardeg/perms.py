@@ -25,12 +25,23 @@ class Permutation:
             raise ValueError("images do not define a permutation")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation, unchecked.
+
+        For products, inverses and rows of an element array; anything read
+        from outside goes through the validating constructor.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree))
+        return Permutation._trusted(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(cycles, degree: int) -> "Permutation":
@@ -54,13 +65,15 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         q = other.images
-        return Permutation(tuple(q[i] for i in self.images))
+        if len(q) != len(self.images):
+            raise ValueError("degree mismatch in product")
+        return Permutation._trusted(tuple([q[i] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
