@@ -18,6 +18,11 @@ class StabilizerChain:
     ``base_prefix`` forces the given points to head the base (useful for
     computing kernels of coordinate projections); trivial levels this creates
     are kept so the prefix is honored literally.
+
+    Each level keeps the inverses of its transversal elements, filled lazily
+    by sifting and dropped when the transversal is rebuilt.  A transversal
+    is rebuilt only when its level has gained generators since the last
+    build; generator lists only grow, so the BFS would give the same dict.
     """
 
     def __init__(self, generators, degree: int, base_prefix=()):
@@ -32,6 +37,8 @@ class StabilizerChain:
         # level_gens[i] generates the stabilizer of base[:i]
         self.level_gens: list[list[Permutation]] = []
         self.transversals: list[dict[int, Permutation]] = []
+        self._inverses: list[dict[int, Permutation]] = []
+        self._built: list[int] = []  # len(level_gens[i]) at the last build
         for b in base_prefix:
             self._append_level(b)
         self._build(gens)
@@ -40,8 +47,13 @@ class StabilizerChain:
         self.base.append(point)
         self.level_gens.append([])
         self.transversals.append({point: Permutation.identity(self.degree)})
+        self._inverses.append({})
+        self._built.append(0)
 
     def _rebuild_transversal(self, i: int) -> None:
+        if self._built[i] == len(self.level_gens[i]):
+            return
+        self._built[i] = len(self.level_gens[i])
         b = self.base[i]
         trans = {b: Permutation.identity(self.degree)}
         queue = [b]
@@ -54,6 +66,7 @@ class StabilizerChain:
                     trans[y] = t * s
                     queue.append(y)
         self.transversals[i] = trans
+        self._inverses[i] = {}
 
     def _sift(self, g: Permutation, start: int):
         """Reduce g through levels >= start; return (residue, stuck level)."""
@@ -61,10 +74,13 @@ class StabilizerChain:
             x = g[self.base[j]]
             if x == self.base[j]:
                 continue
-            t = self.transversals[j].get(x)
-            if t is None:
-                return g, j
-            g = g * t.inverse()
+            t_inv = self._inverses[j].get(x)
+            if t_inv is None:
+                t = self.transversals[j].get(x)
+                if t is None:
+                    return g, j
+                t_inv = self._inverses[j][x] = t.inverse()
+            g = g * t_inv
         return g, len(self.base)
 
     def _add_generator(self, g: Permutation, level: int) -> None:
@@ -86,20 +102,20 @@ class StabilizerChain:
                 self._add_generator(residue, j)
         for i in range(len(self.base)):
             self._rebuild_transversal(i)
-        # bottom-up Schreier generator closure
+        # bottom-up Schreier generator closure; the Schreier generator
+        # t_x * s * t_y^-1 is trivial iff t_x * s == t_y, and otherwise
+        # sifting t_x * s from level i divides by t_y first
         i = len(self.base) - 1
         while i >= 0:
             self._rebuild_transversal(i)
             restart = False
-            points = list(self.transversals[i].keys())
-            for x in points:
-                t_x = self.transversals[i][x]
+            trans = self.transversals[i]
+            for x, t_x in trans.items():
                 for s in self.level_gens[i]:
-                    y = s[x]
-                    schreier = t_x * s * self.transversals[i][y].inverse()
-                    if schreier.is_identity():
+                    t_xs = t_x * s
+                    if t_xs == trans[s[x]]:
                         continue
-                    residue, j = self._sift(schreier, i + 1)
+                    residue, j = self._sift(t_xs, i)
                     if residue.is_identity():
                         continue
                     self._add_generator(residue, j)

@@ -37,9 +37,16 @@ class Character:
     def __init__(self, degree: int, values):
         self.degree = degree
         self.values = tuple(values)
-        identity_value = CycValue.from_rational(degree)
-        self.kernel_classes = frozenset(
-            j for j, v in enumerate(self.values) if v.value_eq(identity_value))
+        # the kernel is where chi(g) - chi(1) vanishes in Q(zeta_m), m the lcm
+        # of the root orders: all classes in one batched reduction
+        m = lcm(*(v.n for v in self.values))
+        ints = all(isinstance(c, int) and abs(c) < 2**62
+                   for v in self.values for c in v.coeffs)
+        diffs = _stack([self.values], range(len(self.values)), m,
+                       np.int64 if ints else object)[0]
+        diffs[:, 0] -= degree
+        nonzero = reduce_to_power_basis(diffs, m).astype(bool).any(axis=1)
+        self.kernel_classes = frozenset(np.flatnonzero(~nonzero).tolist())
 
     def __repr__(self):
         return f"<Character degree={self.degree}>"
@@ -198,9 +205,9 @@ def _gram(table: CharacterTable, fs, gs) -> list[list[Fraction]]:
     Classes are bucketed by the lcm n of their values' root orders (the
     element order, for table rows).  Per bucket, the products are formed in
     Z[x]/(x^n - 1) by one integer einsum over a circulant gather, then
-    embedded into Z[x]/(x^e - 1), e the exponent; each entry is reduced to
-    the power basis of Q(zeta_e).  Raises TableError when a value lies
-    outside Q(zeta_e) or an entry is not rational.
+    embedded into Z[x]/(x^e - 1), e the exponent; all entries are reduced
+    to the power basis of Q(zeta_e) in one batched call.  Raises TableError
+    when a value lies outside Q(zeta_e) or an entry is not rational.
     """
     fs = [_values_of(f) for f in fs]
     gs = [_values_of(g) for g in gs]
@@ -228,11 +235,11 @@ def _gram(table: CharacterTable, fs, gs) -> list[list[Fraction]]:
                 [cd.sizes[k] for k in chunk], dtype=dtype)[:, None]
             b = _stack(gs, chunk, n, dtype)[:, :, shift]
             total[:, :, ::e // n] += np.einsum("fki,gkti->fgt", a, b)
-    coords = [[reduce_to_power_basis(entry.tolist(), e) for entry in row]
-              for row in total]
-    if any(any(c[1:]) for row in coords for c in row):
+    coords = reduce_to_power_basis(total, e)
+    if coords[:, :, 1:].any():
         raise TableError("inner product of class functions is not rational")
-    return [[Fraction(c[0], table.group.order) for c in row] for row in coords]
+    return [[Fraction(c, table.group.order) for c in row]
+            for row in coords[:, :, 0].tolist()]
 
 
 def _stack(funcs, ks, n: int, dtype) -> np.ndarray:

@@ -8,7 +8,7 @@ is valid for arbitrary integer vectors.
 Exact questions (is this value zero / rational / equal to another) are
 answered by rewriting in the power basis of Q(zeta_n): the reduction of x^k
 modulo the n-th cyclotomic polynomial is precomputed once per n, making the
-rewrite an integer matrix-vector product.
+rewrite of one value, or of a whole batch, one integer matrix product.
 """
 
 from __future__ import annotations
@@ -22,70 +22,105 @@ import numpy as np
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, exact integers."""
-    if n == 1:
-        return (-1, 1)
-    # divide x^n - 1 by the product of Phi_d over proper divisors d of n
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
+    """Coefficients of Phi_n, ascending degree, exact integers.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n: the
+    factors with mu = +1 are multiplied out, then those with mu = -1 are
+    divided out exactly.
+    """
+    primes = _prime_factors(n)
+    numer, denom = [], []
+    for mask in range(1 << len(primes)):  # squarefree m | n, d = n / m
+        d, mu = n, 1
+        for bit, q in enumerate(primes):
+            if mask >> bit & 1:
+                d, mu = d // q, -mu
+        (numer if mu > 0 else denom).append(d)
+    poly = np.ones(1, dtype=object)  # Python ints: exact at any size
+    for d in numer:  # times (x^d - 1)
+        pad = np.zeros(d, dtype=object)
+        poly = np.concatenate([pad, poly]) - np.concatenate([poly, pad])
+    for d in denom:
+        # quot * (x^d - 1) = poly, so quot[m] = poly[m + d] + quot[m + d]:
+        # solved d coefficients at a time from the top, above which quot is 0
+        quot = np.zeros(len(poly), dtype=object)
+        for hi in range(len(poly) - d, 0, -d):
+            lo = max(hi - d, 0)
+            quot[lo:hi] = poly[lo + d:hi + d] + quot[lo + d:hi + d]
+        assert not (poly[:d] + quot[:d]).any(), "non-exact polynomial division"
+        poly = quot[:len(poly) - d]
+    return tuple(poly.tolist())
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
         if n % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (remainder must vanish)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    assert not any(num[: len(den) - 1]), "non-exact polynomial division"
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
 @lru_cache(maxsize=None)
-def _reduction_matrix(n: int):
-    """n x phi(n) integer matrix: row k holds x^k reduced mod Phi_n."""
+def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
+    """The n x phi(n) int64 matrix whose row k holds x^k reduced mod Phi_n,
+    and its largest |entry|.
+
+    Row k is x times row k-1, with x^phi(n) rewritten through Phi_n.  Raises
+    OverflowError if an entry could leave int64.
+    """
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows = []
-    current = [0] * deg
-    current[0] = 1 if deg > 0 else 0
-    if deg == 0:  # cannot happen (phi has positive degree for n >= 1)
-        raise ValueError(n)
-    for _ in range(n):
-        rows.append(tuple(current))
-        # multiply by x modulo Phi_n
-        lead = current[-1]
-        current = [0] + current[:-1]
+    low = np.array([-c for c in phi[:-1]], dtype=np.int64)
+    # x^deg = sum(low[j] * x^j) mod Phi_n; bound covers every |entry| so far
+    step, bound = int(np.abs(low).max()), 1
+    arr = np.zeros((n, deg), dtype=np.int64)
+    arr[:deg] = np.eye(deg, dtype=np.int64)
+    for k in range(deg, n):
+        prev = arr[k - 1]
+        arr[k, 1:] = prev[:-1]
+        lead = int(prev[-1])
         if lead:
-            for j in range(deg):
-                current[j] -= lead * phi[j]
-    max_entry = max((abs(e) for row in rows for e in row), default=0)
-    arr = np.array(rows, dtype=np.int64)
-    return rows, arr, max_entry, deg
+            arr[k] += lead * low
+            bound += abs(lead) * step
+    if bound >= 2**63:
+        raise OverflowError(f"reduction matrix for n = {n} exceeds int64")
+    return arr, int(np.abs(arr).max())
 
 
-def reduce_to_power_basis(coeffs, n: int) -> tuple:
-    """Coordinates of sum(coeffs[k] * zeta_n^k) in the power basis of
-    Q(zeta_n).  Exact; uses int64 when provably overflow-free."""
-    rows, arr, max_entry, deg = _reduction_matrix(n)
-    ints = all(isinstance(c, int) for c in coeffs)
-    if ints:
-        total = sum(abs(c) for c in coeffs)
-        if total * max(max_entry, 1) < 2**62:
-            vec = np.asarray(list(coeffs), dtype=np.int64)
-            return tuple(int(v) for v in vec @ arr)
-    out = [0] * deg
-    for k, c in enumerate(coeffs):
-        if c:
-            row = rows[k]
-            for j in range(deg):
-                out[j] += c * row[j]
-    return tuple(out)
+def reduce_to_power_basis(coeffs, n: int):
+    """Coordinates of sum(coeffs[..., k] * zeta_n^k) in the power basis of
+    Q(zeta_n), exact.
+
+    ``coeffs`` is one vector of length n, giving a tuple of phi(n) numbers,
+    or a batch of shape (..., n), giving an array of shape (..., phi(n)).
+    Columns that are zero in every entry are dropped; the rest meet the
+    reduction matrix in one matmul, in int64 when the largest L1 norm of an
+    entry times the largest matrix entry is provably below 2^63, and over
+    Python objects otherwise, so big ints and Fractions stay exact.
+    """
+    arr, max_entry = _reduction_matrix(n)
+    batch = np.asarray(coeffs)
+    if batch.dtype.kind not in "iub":  # Fractions, or ints beyond 64 bits
+        batch = np.asarray(coeffs, dtype=object)
+    flat = batch.reshape(-1, n)
+    cols = flat.any(axis=0).nonzero()[0]
+    flat, rows = flat[:, cols], arr[cols]
+    # the float L1 norm is within a factor 1 + n * 2^-53 of the exact one, so
+    # a float bound below 2^62 proves the exact one below 2^63
+    if batch.dtype != object and max_entry * float(
+            np.abs(flat, dtype=np.float64).sum(axis=1).max(initial=0)) < 2**62:
+        out = flat.astype(np.int64, copy=False) @ rows
+    else:
+        out = flat.astype(object) @ rows.astype(object)
+    out = out.reshape(batch.shape[:-1] + (arr.shape[1],))
+    return tuple(out.tolist()) if batch.ndim == 1 else out
 
 
 class CycValue:

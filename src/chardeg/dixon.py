@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import CycValue
+from .cyclotomic import CycValue, _prime_factors
 from .errors import TableError
 from .groups import ClassData, _is_prime
 
@@ -45,20 +45,6 @@ def primitive_root(p: int) -> int:
         if all(pow(z, (p - 1) // q, p) != 1 for q in factors):
             return z
     raise TableError(f"no primitive root found mod {p}")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # Most rows one class_matrix gather may hold; reps are gathered in chunks

@@ -335,7 +335,8 @@ def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
 
 
 def _subgroup_key(s: Group) -> tuple:
-    return (s.order, _row_keys(s.element_array()).tobytes())
+    """Equal for equal subgroups however generated: the sorted row keys."""
+    return (s.order, np.sort(_row_keys(s.element_array())).tobytes())
 
 
 def solvable_radical(group: Group) -> Subgroup:

@@ -7,6 +7,8 @@ group file format and the CLI) is 1-based.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from operator import itemgetter
 
 
 class Permutation:
@@ -67,7 +69,9 @@ class Permutation:
         q = other.images
         if len(q) != len(self.images):
             raise ValueError("degree mismatch in product")
-        return Permutation._trusted(tuple([q[i] for i in self.images]))
+        if len(q) < 2:  # the only permutation of degree 0 or 1
+            return other
+        return Permutation._trusted(itemgetter(*self.images)(q))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -92,7 +96,7 @@ class Permutation:
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
         n = 1
@@ -139,6 +143,11 @@ class Permutation:
 
     def __str__(self):
         return format_cycles(self)
+
+
+@lru_cache(maxsize=None)
+def _identity_images(degree: int) -> tuple:
+    return tuple(range(degree))
 
 
 def _lcm(a: int, b: int) -> int:

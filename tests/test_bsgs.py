@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chardeg.bsgs import StabilizerChain
@@ -91,3 +93,175 @@ def test_group_orbit_product_identity(cat):
         if g.order > 5000:
             continue
         assert len(brute_closure(list(g.generators), g.degree)) == g.order
+
+
+# -- reference Schreier-Sims --------------------------------------------------
+#
+# The construction as it stood before inverse transversals were cached and
+# Schreier generators were tested by comparison: plain Permutation
+# arithmetic, a fresh inverse at every sift level, every transversal rebuilt
+# on request.  StabilizerChain must build exactly the same chain.
+
+class ReferenceChain:
+    def __init__(self, generators, degree, base_prefix=()):
+        self.degree = degree
+        gens = []
+        for g in generators:
+            if not g.is_identity() and g not in gens:
+                gens.append(g)
+        self.base, self.level_gens, self.transversals = [], [], []
+        for b in base_prefix:
+            self._append_level(b)
+        self._build(gens)
+
+    def _append_level(self, point):
+        self.base.append(point)
+        self.level_gens.append([])
+        self.transversals.append({point: Permutation.identity(self.degree)})
+
+    def _rebuild_transversal(self, i):
+        b = self.base[i]
+        trans = {b: Permutation.identity(self.degree)}
+        queue = [b]
+        while queue:
+            x = queue.pop(0)
+            for s in self.level_gens[i]:
+                y = s[x]
+                if y not in trans:
+                    trans[y] = trans[x] * s
+                    queue.append(y)
+        self.transversals[i] = trans
+
+    def _sift(self, g, start):
+        for j in range(start, len(self.base)):
+            x = g[self.base[j]]
+            if x == self.base[j]:
+                continue
+            t = self.transversals[j].get(x)
+            if t is None:
+                return g, j
+            g = g * t.inverse()
+        return g, len(self.base)
+
+    def _add_generator(self, g, level):
+        if level == len(self.base):
+            for pt in range(self.degree):
+                if g[pt] != pt:
+                    self._append_level(pt)
+                    break
+        for l in range(level + 1):
+            if all(g[self.base[k]] == self.base[k] for k in range(l)):
+                if g not in self.level_gens[l]:
+                    self.level_gens[l].append(g)
+
+    def _build(self, gens):
+        for g in gens:
+            residue, j = self._sift(g, 0)
+            if not residue.is_identity():
+                self._add_generator(residue, j)
+        for i in range(len(self.base)):
+            self._rebuild_transversal(i)
+        i = len(self.base) - 1
+        while i >= 0:
+            self._rebuild_transversal(i)
+            restart = False
+            for x in list(self.transversals[i]):
+                t_x = self.transversals[i][x]
+                for s in self.level_gens[i]:
+                    schreier = t_x * s * self.transversals[i][s[x]].inverse()
+                    if schreier.is_identity():
+                        continue
+                    residue, j = self._sift(schreier, i + 1)
+                    if residue.is_identity():
+                        continue
+                    self._add_generator(residue, j)
+                    for l in range(i + 1, min(j + 1, len(self.base))):
+                        self._rebuild_transversal(l)
+                    if j < len(self.base):
+                        self._rebuild_transversal(j)
+                    i = min(j, len(self.base) - 1)
+                    restart = True
+                    break
+                if restart:
+                    break
+            if not restart:
+                i -= 1
+
+    def contains(self, g):
+        return self._sift(g, 0)[0].is_identity()
+
+
+def _regular_s5():
+    """S5 acting on its 120 elements by right multiplication."""
+    s5 = [parse_cycles("(1 2 3 4 5)", 5), parse_cycles("(1 2)", 5)]
+    elements = sorted(brute_closure(s5, 5))
+    index = {x: i for i, x in enumerate(elements)}
+    return [Permutation([index[x * g] for x in elements]) for g in s5], 120
+
+
+def _graph_s4_sign():
+    """The graph of sign: S4 -> S2 on 4 + 2 points, as kernels of
+    homomorphisms are computed: the target points head the base."""
+    gens = [Permutation([1, 2, 3, 0, 5, 4]), Permutation([1, 0, 2, 3, 5, 4])]
+    return gens, 6, (4, 5)
+
+
+def _cycles(degree, *gens):
+    return [parse_cycles(s, degree) for s in gens], degree
+
+
+REFERENCE_CASES = {
+    "trivial": ([], 1),
+    "A5": _cycles(5, "(1 2 3 4 5)", "(1 2 3)"),
+    "S5": _cycles(5, "(1 2 3 4 5)", "(1 2)"),
+    # transversal elements change on rebuild here, so stale inverses show
+    "A7": _cycles(8, "(1 8 2 4 3 5 6)", "(1 2 5 6 3)"),
+    "M11": _cycles(11, "(2 10)(4 11)(5 7)(8 9)", "(1 4 3 8)(2 5 6 9)"),
+    # x -> x + 1 and x -> 3x on Z/17, 3 a primitive root
+    "AGL(1,17)": ([Permutation([(x + 1) % 17 for x in range(17)]),
+                   Permutation([3 * x % 17 for x in range(17)])], 17),
+    "regular S5": _regular_s5(),
+}
+
+
+def _chain_data(chain):
+    return (chain.base,
+            [[g.images for g in gens] for gens in chain.level_gens],
+            [[(x, t.images) for x, t in trans.items()]
+             for trans in chain.transversals])
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES) + ["graph S4->S2"])
+def test_chain_identical_to_reference(name):
+    if name == "graph S4->S2":
+        gens, degree, prefix = _graph_s4_sign()
+    else:
+        (gens, degree), prefix = REFERENCE_CASES[name], ()
+    chain = StabilizerChain(gens, degree, base_prefix=prefix)
+    ref = ReferenceChain(gens, degree, base_prefix=prefix)
+    assert _chain_data(chain) == _chain_data(ref)
+    orders = {"A7": 2520, "M11": 7920, "regular S5": 120, "graph S4->S2": 24}
+    if name in orders:
+        assert chain.order() == orders[name]
+    if name == "graph S4->S2":  # the kernel of sign is A4
+        kernel = StabilizerChain(chain.stabilizer_generators(2), degree)
+        assert kernel.order() == 12
+
+
+def test_contains_agrees_with_reference_on_non_members():
+    rng = random.Random(5)
+    for name, (gens, degree) in sorted(REFERENCE_CASES.items()):
+        chain = StabilizerChain(gens, degree)
+        ref = ReferenceChain(gens, degree)
+        samples = []
+        for _ in range(40):
+            images = list(range(degree))
+            rng.shuffle(images)
+            samples.append(Permutation(images))
+        if degree >= 2:
+            samples.append(Permutation([1, 0] + list(range(2, degree))))
+        for p in samples:
+            assert chain.contains(p) == ref.contains(p)
+        if degree >= 2 and name != "S5":  # no other case holds a transposition
+            assert not chain.contains(samples[-1])
+        assert all(chain.contains(g) for g in gens)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chardeg import chars
@@ -8,7 +9,7 @@ from chardeg.chars import (Character, CharacterTable, character_table,
                            kernel_classes_contain, kernel_subgroup,
                            restrict_character, tensor)
 from chardeg.checks import principal_character
-from chardeg.cyclotomic import CycValue
+from chardeg.cyclotomic import CycValue, reduce_to_power_basis
 from chardeg.errors import TableError
 from chardeg.groups import Group, Subgroup, center
 from chardeg.perms import parse_cycles
@@ -293,3 +294,36 @@ def test_gram_gather_in_chunks(cat, monkeypatch):
     r = len(t.chars)
     assert chars._gram(t, t.chars, t.chars) == [
         [int(i == j) for j in range(r)] for i in range(r)]
+
+
+def test_gram_reduces_once(cat, monkeypatch):
+    # every entry of a Gram matrix goes through one batched reduction
+    t = character_table(cat.group("S5"))
+    calls = []
+
+    def counting(coeffs, n):
+        calls.append(np.shape(coeffs))
+        return reduce_to_power_basis(coeffs, n)
+
+    monkeypatch.setattr(chars, "reduce_to_power_basis", counting)
+    r = len(t.chars)
+    assert chars._gram(t, t.chars, t.chars) == [
+        [int(i == j) for j in range(r)] for i in range(r)]
+    assert calls == [(r, r, t.exponent)]
+
+
+def test_kernel_classes_exact_values():
+    # chi(g) = chi(1) = 2 is tested exactly for Fraction and big-int values
+    big = 2 ** 70
+    chi = Character(2, [
+        CycValue(1, (2,)),
+        CycValue(2, (Fraction(5, 2), Fraction(1, 2))),  # 5/2 - 1/2 = 2
+        CycValue(2, (Fraction(3, 2), Fraction(1, 2))),  # 1
+        CycValue(4, (big + 2, 0, big, 0)),  # 2
+        CycValue(4, (big + 2, 0, big - 1, 0)),  # 3
+        CycValue(6, (1, 0, 0, 0, 0, 1)),  # 1 + z6^5, not real
+        CycValue(3, (1, 1, 1)),  # 0
+        CycValue(6, (0, 1, 0, 0, 0, 1)),  # z6 + z6^5 = 1
+        CycValue(6, (0, 2, 0, 0, 0, 2)),  # 2
+    ])
+    assert chi.kernel_classes == frozenset({0, 1, 3, 8})

@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
-from chardeg.cyclotomic import (CycValue, cyclotomic_polynomial,
-                                reduce_to_power_basis)
+from chardeg.cyclotomic import (CycValue, _reduction_matrix,
+                                cyclotomic_polynomial, reduce_to_power_basis)
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -88,3 +93,83 @@ def test_scale_and_str():
     assert v.scale(2).coeffs == (2, 4, 0)
     assert "z3" in str(v)
     assert str(CycValue(4, (0,) * 4)) == "0"
+
+
+# -- plain references -------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def reference_phi(n):
+    """Phi_n by long division of x^n - 1 by Phi_d for every proper d | n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = reference_phi(d)
+            out = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(out) - 1, -1, -1):
+                out[i] = c = poly[i + len(den) - 1]
+                for j, e in enumerate(den):
+                    poly[i + j] -= c * e
+            assert not any(poly[:len(den) - 1])
+            poly = out
+    return tuple(poly)
+
+
+def reference_reduction(n):
+    """Rows x^k mod Phi_n for k < n, by repeated multiplication by x."""
+    phi = reference_phi(n)
+    deg = len(phi) - 1
+    rows, current = [], [1] + [0] * (deg - 1)
+    for _ in range(n):
+        rows.append(current)
+        lead = current[-1]
+        current = [0] + current[:-1]
+        if lead:
+            current = [c - lead * p for c, p in zip(current, phi)]
+    return rows
+
+
+@pytest.mark.parametrize("ns", [range(1, 200), range(200, 400),
+                                [840, 1320, 2520]])
+def test_phi_and_reduction_matrix_match_long_division(ns):
+    for n in ns:
+        assert cyclotomic_polynomial(n) == reference_phi(n), n
+        arr, max_entry = _reduction_matrix(n)
+        rows = reference_reduction(n)
+        assert arr.tolist() == rows, n
+        assert max_entry == max(abs(e) for row in rows for e in row)
+
+
+# -- batched reduction ------------------------------------------------------
+
+def test_batch_equals_row_by_row():
+    rng = random.Random(3)
+    for n in (1, 2, 12, 30, 840):
+        batch = np.array([[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
+                          for _ in range(6)], dtype=np.int64).reshape(2, 3, n)
+        out = reduce_to_power_basis(batch, n)
+        assert out.shape == (2, 3, len(cyclotomic_polynomial(n)) - 1)
+        for idx in np.ndindex(2, 3):
+            single = reduce_to_power_basis(tuple(batch[idx].tolist()), n)
+            assert isinstance(single, tuple)
+            assert all(type(c) is int for c in single)
+            assert tuple(out[idx].tolist()) == single
+
+
+def test_batch_beyond_int64_takes_exact_path():
+    # 1 + z3 = -z3^2 = 1 + z3 in the power basis, and so is -z3^2 alone;
+    # past 2^62 the sums no longer provably fit int64
+    big = 2 ** 62 + 1
+    batch = np.array([[big, big, 0], [0, 0, -big]], dtype=np.int64)
+    out = reduce_to_power_basis(batch, 3)
+    assert out.dtype == object
+    assert out.tolist() == [[big, big], [big, big]]
+    assert reduce_to_power_basis((2 ** 80, 0, 2 ** 80), 3) == (0, -2 ** 80)
+
+
+def test_batch_fractions_stay_exact():
+    half = Fraction(1, 2)
+    batch = np.array([[half, 0, Fraction(1, 3), 0],
+                      [0, Fraction(1, 7), 0, 0]], dtype=object)
+    out = reduce_to_power_basis(batch, 4)
+    assert out.tolist() == [[Fraction(1, 6), 0], [0, Fraction(1, 7)]]
+    assert reduce_to_power_basis((half, half), 2) == (0,)

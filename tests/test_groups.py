@@ -111,6 +111,18 @@ def test_minimal_normal_subgroups(s4):
     assert minimal_normal_subgroups(trivial) == []
 
 
+def test_minimal_normal_subgroups_without_duplicates(a5):
+    # closures of different classes give the same subgroup, generated
+    # differently; each subgroup is listed once
+    assert [m.order for m in minimal_normal_subgroups(a5)] == [60]
+    s8 = make(["(1 2 3 4 5 6 7 8)", "(1 2)"], 8)
+    assert [m.order for m in minimal_normal_subgroups(s8)] == [20160]
+    c2_3 = make(["(1 2)", "(3 4)", "(5 6)"], 6)
+    mins = minimal_normal_subgroups(c2_3)
+    assert [m.order for m in mins] == [2] * 7
+    assert len({m.generators for m in mins}) == 7
+
+
 def test_solvable_radical(s4, a5):
     assert solvable_radical(s4).order == 24
     assert solvable_radical(a5).order == 1
