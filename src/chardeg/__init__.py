@@ -15,7 +15,7 @@ from .chars import (Character, CharacterTable, TableData, character_table,
                     kernel_subgroup, kernel_classes_contain, extensions_of,
                     gallagher_check)
 from .invariants import (DegreeFilter, RationalAverage, ALL, EVEN,
-                         degrees, n_d, acd, acd_rel, acd_over,
+                         degrees, irr, irr_over, n_d, acd, acd_rel, acd_over,
                          theorem_A_inequality_equiv, format_rational)
 from .constructions import (FiniteField, MatrixGroupSpec, CentralProduct,
                             perm_from_matrix_group, direct_product,

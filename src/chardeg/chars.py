@@ -24,8 +24,8 @@ import numpy as np
 from . import dixon
 from .cyclotomic import CycValue, reduce_to_power_basis
 from .errors import TableError
-from .groups import (DEFAULT_ELEMENT_BOUND, ClassData, Group, Subgroup,
-                     class_fusion, conjugacy_classes)
+from .groups import (ClassData, Group, Subgroup, class_fusion,
+                     conjugacy_classes)
 from .perms import Permutation
 
 
@@ -69,7 +69,7 @@ class CharacterTable:
     """
 
     def __init__(self, group: Group, classes: ClassData, chars,
-                 exponent: int, prime: int, root: int, validate: bool = True):
+                 exponent: int, prime: int, root: int):
         self.group = group
         self.classes = classes
         self.exponent = exponent
@@ -77,8 +77,7 @@ class CharacterTable:
         self.primitive_root = root
         self.chars = tuple(sorted(chars, key=lambda c: (
             c.degree, tuple(v.embed(exponent).coeffs for v in c.values))))
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         g = self.group
@@ -168,12 +167,11 @@ class TableData:
         )
 
 
-def character_table(group: Group, bound: int = DEFAULT_ELEMENT_BOUND,
-                    validate: bool = True) -> CharacterTable:
+def character_table(group: Group) -> CharacterTable:
     """Exact character table via the modular engine (cached per group)."""
     key = "character_table"
     if key not in group._cache:
-        cd = conjugacy_classes(group, bound)
+        cd = conjugacy_classes(group)
         exponent = lcm(*cd.orders)
         p = dixon.dixon_prime(group.order, exponent)
         z = dixon.primitive_root(p)
@@ -182,8 +180,7 @@ def character_table(group: Group, bound: int = DEFAULT_ELEMENT_BOUND,
         for w in omegas:
             d = dixon.character_degree(w, cd, p)
             chars.append(Character(d, dixon.lift_character(w, d, cd, p, z)))
-        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z,
-                                           validate=validate)
+        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
     return group._cache[key]
 
 

@@ -20,13 +20,14 @@ import json
 import sys
 from pathlib import Path
 
-from .chars import character_table, kernel_classes_contain
+from .chars import character_table
 from .checks import paper_check_suite, theorem_scan
-from .corpusio import (Catalogue, parse_group_file)
+from .corpusio import Catalogue, parse_group_file
+from .cyclotomic import _is_prime
 from .errors import ChardegError, ParseError
-from .groups import Subgroup, _is_prime
+from .groups import Subgroup
 from .invariants import (ALL, EVEN, DegreeFilter, RationalAverage,
-                         format_rational)
+                         format_rational, irr)
 from .perms import parse_cycles
 
 
@@ -90,19 +91,15 @@ def _build_parser():
 
 
 def _load_group(args):
+    """The named catalogue group, or the group a .grp file defines, built and
+    checked against its expect lines like a catalogue entry (product
+    expressions resolve their references against the corpus)."""
     name = args.group
+    cat = Catalogue(args.corpus)
     path = Path(name)
     if name.endswith(".grp") or path.is_file():
-        spec = parse_group_file(path.read_text())
-        if spec.kind == "perm":
-            from .groups import Group
-            return Group(spec.perm_gens, spec.degree, name=spec.name)
-        if spec.kind == "mat":
-            from .constructions import perm_from_matrix_group
-            return perm_from_matrix_group(Catalogue._mat_spec(spec))
-        # product expressions resolve their references against the corpus
-        return Catalogue(args.corpus).build_spec(spec).group
-    return Catalogue(args.corpus).group(name)
+        return cat.build_spec(parse_group_file(path.read_text())).group
+    return cat.group(name)
 
 
 def _cmd_table(args) -> int:
@@ -144,7 +141,7 @@ def _cmd_acd(args) -> int:
     elif args.coprime is not None:
         filt = DegreeFilter("coprime", _prime(args.coprime, "--coprime"))
     g = _load_group(args)
-    n = None
+    n = mode = None
     gens_text = args.mod if args.mod is not None else args.rel
     if gens_text is not None:
         try:
@@ -155,12 +152,10 @@ def _cmd_acd(args) -> int:
         n = Subgroup(g, gens)
         if not n.is_normal():
             raise ChardegError("the given subgroup is not normal")
+        mode = "quotient" if args.mod is not None else "relative"
     t = character_table(g)
     value = RationalAverage.of(
-        c.degree for c in t.chars if filt.accepts(c.degree) and (
-            n is None
-            or kernel_classes_contain(t, c, n) == (args.mod is not None))
-    ).value
+        c.degree for c in irr(t, filt, modulo=n, mode=mode)).value
     if args.json:
         print(json.dumps({"group": g.name, "acd": format_rational(value)}))
     else:

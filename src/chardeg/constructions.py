@@ -12,10 +12,9 @@ search through the common quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
 
 from .errors import ChardegError, NotMemberError
-from .groups import Group, Quotient, Subgroup, quotient_group
+from .groups import Group, Quotient, Subgroup, quotient_group, word_table
 from .perms import Permutation
 
 # monic irreducible polynomials (ascending coefficients, leading 1) used
@@ -340,16 +339,7 @@ def fiber_product(a: Group, b: Group, pa_images, pb_images, q: Group,
     if Group(pb_images, q.degree).order != q.order:
         raise ChardegError("second epimorphism images do not generate the quotient")
 
-    # word table: element of q -> evaluation of the same word in b
-    table = {q.identity(): b.identity()}
-    queue = deque([q.identity()])
-    while queue:
-        x = queue.popleft()
-        for img, gen in zip(pb_images, b.generators):
-            y = x * img
-            if y not in table:
-                table[y] = table[x] * gen
-                queue.append(y)
+    table = word_table(q, pb_images, b)
     if len(table) != q.order:
         raise ChardegError("word search did not reach the whole quotient")
 

@@ -67,6 +67,10 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _is_prime(p: int) -> bool:
+    return _prime_factors(p) == [p]
+
+
 @lru_cache(maxsize=None)
 def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
     """The n x phi(n) int64 matrix whose row k holds x^k reduced mod Phi_n,

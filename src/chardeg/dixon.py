@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import CycValue, _prime_factors
+from .cyclotomic import CycValue, _is_prime, _prime_factors
 from .errors import TableError
-from .groups import ClassData, _is_prime
+from .groups import ClassData
 
 DEFAULT_PRIME_CEILING = 1_000_000
 

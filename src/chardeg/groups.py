@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from .bsgs import StabilizerChain
+from .cyclotomic import _is_prime
 from .errors import GroupTooLargeError, NotMemberError, NotNormalError
 from .perms import Permutation
 
@@ -82,11 +83,7 @@ class Group:
         return Subgroup(self, generators, name=name)
 
     def exponent(self) -> int:
-        cd = conjugacy_classes(self)
-        e = 1
-        for n in cd.orders:
-            e = e // gcd(e, n) * n
-        return e
+        return lcm(*conjugacy_classes(self).orders)
 
     def __repr__(self):
         label = self.name or "Group"
@@ -386,20 +383,29 @@ class Quotient:
                 raise NotMemberError("element is not in the quotient's image")
             return q
         if self._word_table is None:
-            table = {self.group.identity(): self.source.identity()}
-            queue = deque([self.group.identity()])
-            while queue:
-                x = queue.popleft()
-                for img, src in zip(self.gen_images, self.source.generators):
-                    y = x * img
-                    if y not in table:
-                        table[y] = table[x] * src
-                        queue.append(y)
-            self._word_table = table
+            self._word_table = word_table(self.group, self.gen_images,
+                                          self.source)
         try:
             return self._word_table[q]
         except KeyError:
             raise NotMemberError("element is not in the quotient's image")
+
+
+def word_table(target: Group, images, source: Group) -> dict:
+    """Map each element of ``target`` reached by words in ``images`` to the
+    same word evaluated in ``source.generators`` (images[i] pairs with
+    generator i).  BFS from the identity, so every word is a shortest one.
+    """
+    table = {target.identity(): source.identity()}
+    queue = deque([target.identity()])
+    while queue:
+        x = queue.popleft()
+        for img, gen in zip(images, source.generators):
+            y = x * img
+            if y not in table:
+                table[y] = table[x] * gen
+                queue.append(y)
+    return table
 
 
 def quotient_group(group: Group, n: Group,
@@ -513,17 +519,6 @@ def _p_solvable_rec(group: Group, p: int) -> bool:
         return False
     q = quotient_group(group, n)
     return _p_solvable_rec(q.group, p)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def class_fusion(group: Group, h: Group) -> list[int]:

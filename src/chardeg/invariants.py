@@ -1,7 +1,10 @@
 """Average character degree invariants and degree-counting functions.
 
-Everything returns exact rationals.  The average of an empty set of degrees
-is 0 by convention, uniformly across all filters.
+Every average and count is taken over a subset of Irr(G) chosen by one of
+two selectors: ``irr`` (a degree filter, optionally Irr(G/N) or Irr(G|N))
+and ``irr_over`` (the characters lying over a character of a normal
+subgroup).  Averages are exact rationals; the average of an empty set of
+degrees is 0 by convention, uniformly across all filters.
 """
 
 from __future__ import annotations
@@ -10,10 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chars import (Character, CharacterTable, inner_product,
-                    kernel_classes_contain, restrict_character)
+from .chars import (Character, CharacterTable, _gram,
+                    kernel_classes_contain)
+from .cyclotomic import _is_prime
 from .errors import ChardegError
-from .groups import Group, _is_prime
+from .groups import Group, class_fusion
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,41 @@ def degrees(table: CharacterTable) -> Counter:
     return Counter(table.degrees())
 
 
+def irr(table: CharacterTable, filt: DegreeFilter = ALL,
+        modulo: Group | None = None,
+        mode: str | None = None) -> list[Character]:
+    """The characters of Irr(G) whose degree passes the filter, in table order.
+
+    With a normal subgroup N as ``modulo``, mode "quotient" keeps Irr(G/N),
+    the characters with N inside the kernel, and mode "relative" keeps
+    Irr(G|N), the rest.
+    """
+    if modulo is None:
+        return [c for c in table.chars if filt.accepts(c.degree)]
+    if mode not in ("quotient", "relative"):
+        raise ValueError("mode must be 'quotient' or 'relative' with a subgroup")
+    want_in_kernel = mode == "quotient"
+    return [c for c in table.chars if filt.accepts(c.degree)
+            and kernel_classes_contain(table, c, modulo) == want_in_kernel]
+
+
+def irr_over(table: CharacterTable, n: Group, n_table: CharacterTable,
+             theta) -> list[Character]:
+    """Irr(G|theta): the characters whose restriction to n has theta as a
+    constituent, in table order.
+
+    Every row is restricted through one class fusion, and one Gram call
+    gives all the multiplicities <chi_N, theta> together with <theta, theta>,
+    which must be 1.
+    """
+    fusion = class_fusion(table.group, n)
+    restrictions = [[c.values[k] for k in fusion] for c in table.chars]
+    *mults, norm = _gram(n_table, restrictions + [theta], [theta])
+    if norm != [1]:
+        raise ChardegError("theta is not an irreducible character of n")
+    return [c for c, (m,) in zip(table.chars, mults) if m > 0]
+
+
 def n_d(table: CharacterTable, d: int, modulo: Group | None = None,
         mode: str | None = None) -> int:
     """Number of degree-d characters, optionally split by a normal subgroup.
@@ -78,21 +117,13 @@ def n_d(table: CharacterTable, d: int, modulo: Group | None = None,
     mode "quotient" counts characters with N inside the kernel (n_d(G/N));
     mode "relative" counts the rest (n_d(G|N)); the two add up to n_d(G).
     """
-    if modulo is None:
-        return sum(1 for c in table.chars if c.degree == d)
-    if mode not in ("quotient", "relative"):
-        raise ValueError("mode must be 'quotient' or 'relative' with a subgroup")
-    want_in_kernel = mode == "quotient"
-    return sum(
-        1 for c in table.chars
-        if c.degree == d
-        and kernel_classes_contain(table, c, modulo) == want_in_kernel)
+    return sum(1 for c in irr(table, modulo=modulo, mode=mode)
+               if c.degree == d)
 
 
 def acd(table: CharacterTable, filt: DegreeFilter = ALL) -> RationalAverage:
     """Average degree over the characters passing the filter."""
-    return RationalAverage.of(
-        c.degree for c in table.chars if filt.accepts(c.degree))
+    return RationalAverage.of(c.degree for c in irr(table, filt))
 
 
 def acd_rel(table: CharacterTable, n: Group, warn=None) -> RationalAverage:
@@ -104,25 +135,14 @@ def acd_rel(table: CharacterTable, n: Group, warn=None) -> RationalAverage:
     if n.order == 1 and warn is not None:
         warn("acd_rel with trivial subgroup: Irr(G|1) is empty, average is 0")
     return RationalAverage.of(
-        c.degree for c in table.chars
-        if not kernel_classes_contain(table, c, n))
-
-
-def lies_over(group: Group, table: CharacterTable, chi: Character,
-              n: Group, n_table: CharacterTable, theta: Character) -> bool:
-    """True iff theta is a constituent of the restriction of chi to n."""
-    restricted = restrict_character(group, chi, n)
-    return inner_product(n_table, restricted, theta) > 0
+        c.degree for c in irr(table, modulo=n, mode="relative"))
 
 
 def acd_over(table: CharacterTable, n: Group, n_table: CharacterTable,
              theta: Character) -> RationalAverage:
     """Average degree over Irr(G|theta), the characters lying over theta."""
-    if inner_product(n_table, theta, theta) != 1:
-        raise ChardegError("theta is not an irreducible character of n")
     return RationalAverage.of(
-        c.degree for c in table.chars
-        if lies_over(table.group, table, c, n, n_table, theta))
+        c.degree for c in irr_over(table, n, n_table, theta))
 
 
 def theorem_A_inequality_equiv(table: CharacterTable) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter
 
 
@@ -110,7 +111,7 @@ class Permutation:
                 seen.add(j)
                 length += 1
                 j = self.images[j]
-            n = _lcm(n, length)
+            n = lcm(n, length)
         return n
 
     def cycles(self):
@@ -148,12 +149,6 @@ class Permutation:
 @lru_cache(maxsize=None)
 def _identity_images(degree: int) -> tuple:
     return tuple(range(degree))
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")

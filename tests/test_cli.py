@@ -150,3 +150,13 @@ def test_corpus_flag(capsys, tmp_path):
                        "--corpus", str(tmp_path))
     assert code == 0
     assert "1/1 checks passed" in out
+
+
+def test_perm_file_expect_lines_are_checked(capsys, tmp_path):
+    f = tmp_path / "W3.grp"
+    f.write_text("name W3\nperm 3\ngen (1 2 3)\nexpect order 7\n")
+    code, out, err = run(capsys, "acd", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert "expected 7" in err
