@@ -176,10 +176,8 @@ def character_table(group: Group) -> CharacterTable:
         p = dixon.dixon_prime(group.order, exponent)
         z = dixon.primitive_root(p)
         omegas = dixon.central_character_vectors(cd, p)
-        chars = []
-        for w in omegas:
-            d = dixon.character_degree(w, cd, p)
-            chars.append(Character(d, dixon.lift_character(w, d, cd, p, z)))
+        chars = [Character(d, values)
+                 for d, values in dixon.lift_character(omegas, cd, p, z)]
         group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
     return group._cache[key]
 
@@ -330,23 +328,25 @@ def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
             f"precondition failed: restriction has norm {norm}, not 1"])
     betas = [chi for chi in g_table.chars
              if kernel_classes_contain(g_table, chi, n)]
-    products = []
-    for beta in betas:
-        prod = tensor(beta, psi)
-        norm = inner_product(g_table, prod, prod)
-        if norm != 1:
+    # one Gram matrix: norms on the diagonal; two products of norm 1 coincide
+    # exactly when their inner product is 1
+    products = [tensor(beta, psi) for beta in betas]
+    gram = _gram(g_table, products, products)
+    irreducible = []
+    for i, beta in enumerate(betas):
+        if gram[i][i] != 1:
             details.append(
                 f"product with degree-{beta.degree} character is reducible "
-                f"(norm {norm})")
-            continue
-        products.append(prod)
+                f"(norm {gram[i][i]})")
+        else:
+            irreducible.append(i)
     distinct = True
-    for i in range(len(products)):
-        for j in range(i + 1, len(products)):
-            if all(x.value_eq(y) for x, y in zip(products[i], products[j])):
+    for a, i in enumerate(irreducible):
+        for b, j in enumerate(irreducible[a + 1:], a + 1):
+            if gram[i][j] == 1:
                 distinct = False
-                details.append(f"products {i} and {j} coincide")
-    passed = distinct and len(products) == len(betas)
+                details.append(f"products {a} and {b} coincide")
+    passed = distinct and len(irreducible) == len(betas)
     if passed:
         details.append(
             f"{len(betas)} products, all irreducible and distinct")

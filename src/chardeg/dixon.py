@@ -6,12 +6,13 @@ and p > 2*sqrt(|G|) makes every eigenvalue land in F_p and keeps all the
 lifted integer quantities (degrees, root-of-unity multiplicities) below p,
 so the finite-field computation determines the exact table.
 
-Steps: build class matrices one at a time, split F_p^r into common
-eigenspaces (eigenvalues found by scanning all of F_p with a batched
-singularity test), normalize each 1-dimensional common eigenvector into a
-vector of central character values, recover degrees, then lift each
-character value to eigenvalue multiplicities via the inverse discrete
-Fourier transform over F_p.
+Steps (Dixon 1967): take class matrices smallest class first (Schneider
+1990) and split F_p^r into common eigenspaces, leaving a subspace whole
+where a matrix acts on it as a scalar and otherwise taking the roots of the
+characteristic polynomial of its action (Hessenberg form, one Horner pass
+over F_p); normalize each 1-dimensional common eigenvector into central
+character values; then lift all characters at once: degrees from one sum
+mod p, values by one inverse discrete Fourier transform per element order.
 """
 
 from __future__ import annotations
@@ -106,72 +107,75 @@ def rref_mod(a: np.ndarray, p: int, inv: np.ndarray):
     return a[:row], pivots
 
 
-def nullspace_mod(a: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    """Canonical basis (RREF rows) of the right nullspace of a mod p."""
+def nullspace_mod(a: np.ndarray, p: int,
+                  inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Basis of the right nullspace of a mod p, from one RREF: one row per
+    free column, the identity on the free columns.  Returns (basis, free)."""
     reduced, pivots = rref_mod(a, p, inv)
     ncols = a.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return np.zeros((0, ncols), dtype=np.int64)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, c in enumerate(pivots):
-            basis[bi, c] = (-int(reduced[ri, f])) % p
-    reduced_basis, _ = rref_mod(basis, p, inv)
-    return reduced_basis
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -reduced[:, free].T % p
+    return basis, free
 
 
-def batched_singular_values(m: np.ndarray, p: int, inv: np.ndarray) -> list[int]:
-    """All t in F_p with det(m - t*I) = 0, via one batched elimination."""
-    size = m.shape[0]
-    ts = np.arange(p, dtype=np.int64)
-    a = np.broadcast_to(m % p, (p, size, size)).copy()
-    diag = np.arange(size)
-    a[:, diag, diag] = (a[:, diag, diag] - ts[:, None]) % p
-    singular = np.zeros(p, dtype=bool)
-    for col in range(size):
-        sub = a[:, col:, col]
-        nonzero = sub != 0
-        has_pivot = nonzero.any(axis=1)
-        singular |= ~has_pivot
-        idx = np.where(has_pivot & ~singular)[0]
-        if idx.size == 0:
+def charpoly_mod(a: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
+    """Coefficients of det(x*I - a) mod p, constant term first: a similar
+    Hessenberg form, then the recurrence for the characteristic polynomials
+    of its leading blocks, O(m^3) (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, Algorithm 2.2.9)."""
+    h = a % p
+    m = h.shape[0]
+    for k in range(1, m - 1):
+        nz = np.flatnonzero(h[k:, k - 1])
+        if nz.size == 0:
             continue
-        pivot_rows = col + np.argmax(nonzero[idx], axis=1)
-        swap_needed = pivot_rows != col
-        sw = idx[swap_needed]
-        if sw.size:
-            pr = pivot_rows[swap_needed]
-            tmp = a[sw, pr, :].copy()
-            a[sw, pr, :] = a[sw, col, :]
-            a[sw, col, :] = tmp
-        if col + 1 < size:
-            piv_inv = inv[a[idx, col, col]]
-            below = a[idx, col + 1:, col]
-            factors = below * piv_inv[:, None] % p
-            a[idx, col + 1:, :] = (
-                a[idx, col + 1:, :] - factors[:, :, None] * a[idx, None, col, :]
-            ) % p
-    return [int(t) for t in np.where(singular)[0]]
+        i = k + int(nz[0])
+        h[[k, i]] = h[[i, k]]
+        h[:, [k, i]] = h[:, [i, k]]
+        u = h[k + 1:, k - 1] * inv[h[k, k - 1]] % p
+        h[k + 1:] = (h[k + 1:] - u[:, None] * h[k]) % p
+        h[:, k] = (h[:, k] + h[:, k + 1:] @ u) % p
+    # polys[k]: characteristic polynomial of the leading k x k block;
+    # t[i - 1] = h[k-1, k-2] * h[k-2, k-3] * ... (i subdiagonal entries)
+    polys = np.zeros((m + 1, m + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    t = np.zeros(0, dtype=np.int64)
+    for k in range(1, m + 1):
+        poly = (np.concatenate(([0], polys[k - 1, :-1]))
+                - h[k - 1, k - 1] * polys[k - 1])
+        if k > 1:
+            t = np.concatenate(([1], t)) * h[k - 1, k - 2] % p
+            poly -= t * h[k - 2::-1, k - 1] % p @ polys[k - 2::-1]
+        polys[k] = poly % p
+    return polys[m]
+
+
+def eigenvalues_mod(a: np.ndarray, p: int, inv: np.ndarray) -> list[int]:
+    """All t in F_p with det(a - t*I) = 0: the characteristic polynomial
+    evaluated at every point of F_p by one vectorised Horner pass."""
+    ts = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in charpoly_mod(a, p, inv)[::-1]:
+        acc = (acc * ts + c) % p
+    return np.flatnonzero(acc == 0).tolist()
 
 
 # -- the splitting ----------------------------------------------------------
 
-def central_character_vectors(cd: ClassData, p: int) -> list[np.ndarray]:
-    """All r common eigenvectors of the class matrices, normalized so the
-    identity-class coordinate is 1.  Each vector lists the central character
-    values (omega_k mod p) of one irreducible character."""
+def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
+    """All r common eigenvectors of the class matrices, one per row,
+    normalized so the identity-class coordinate is 1.  Each row lists the
+    central character values (omega_k mod p) of one irreducible character."""
     r = cd.num_classes
     inv = _inverse_table(p)
-    identity = np.eye(r, dtype=np.int64)
-    subspaces: list[tuple[np.ndarray, list[int]]] = [(identity, list(range(r)))]
-    matrix_index = 1
-    while any(b.shape[0] > 1 for b, _ in subspaces):
-        if matrix_index >= r:
-            raise TableError("class matrices exhausted before eigenspaces "
-                             "fully split (implementation bug)")
-        a = class_matrix(cd, matrix_index) % p
+    # each subspace: a basis and the columns on which that basis is I
+    subspaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    for i in sorted(range(1, r), key=lambda i: (cd.sizes[i], i)):
+        if all(b.shape[0] == 1 for b, _ in subspaces):
+            break
+        a = class_matrix(cd, i) % p
         new_subspaces = []
         for basis, pivots in subspaces:
             m = basis.shape[0]
@@ -182,81 +186,75 @@ def central_character_vectors(cd: ClassData, p: int) -> list[np.ndarray]:
             action = image[:, pivots]
             if not np.array_equal(action @ basis % p, image):
                 raise TableError("subspace not invariant (implementation bug)")
-            eigenvalues = batched_singular_values(action, p, inv)
+            eye = np.eye(m, dtype=np.int64)
+            if np.array_equal(action, action[0, 0] * eye):
+                new_subspaces.append((basis, pivots))
+                continue
             split_dim = 0
-            for t in eigenvalues:
-                shifted = (action.T - t * np.eye(m, dtype=np.int64)) % p
-                coords = nullspace_mod(shifted, p, inv)
+            for t in eigenvalues_mod(action, p, inv):
+                coords, free = nullspace_mod((action.T - t * eye) % p, p, inv)
                 if coords.shape[0] == 0:
                     raise TableError("singular value without nullspace "
                                      "(implementation bug)")
-                vectors = coords @ basis % p
-                reduced, piv = rref_mod(vectors, p, inv)
-                new_subspaces.append((reduced, piv))
-                split_dim += reduced.shape[0]
+                new_subspaces.append((coords @ basis % p,
+                                      [pivots[f] for f in free]))
+                split_dim += coords.shape[0]
             if split_dim != m:
                 raise TableError("eigenspace dimensions do not sum "
                                  "(implementation bug)")
         subspaces = new_subspaces
-        matrix_index += 1
-    vectors = []
-    for basis, _ in subspaces:
-        w = basis[0]
-        if w[0] == 0:
-            raise TableError("central character vanishes at the identity "
-                             "(implementation bug)")
-        vectors.append(w * inv[w[0]] % p)
-    return vectors
+    if any(b.shape[0] > 1 for b, _ in subspaces):
+        raise TableError("class matrices exhausted before eigenspaces "
+                         "fully split (implementation bug)")
+    w = np.concatenate([b for b, _ in subspaces])
+    if not w[:, 0].all():
+        raise TableError("central character vanishes at the identity "
+                         "(implementation bug)")
+    return w * inv[w[:, 0]][:, None] % p
 
 
-def character_degree(w: np.ndarray, cd: ClassData, p: int) -> int:
-    """Recover chi(1) from the central character values mod p.
+# Most array elements one lift_character gather may hold.
+_LIFT_ELEMENTS = 1 << 21
 
-    d^2 = |G| / sum_k omega_k * conj(omega_k) / h_k, computed mod p; the true
-    degree is the representative of the square root in (0, p/2).
+
+def lift_character(w: np.ndarray, cd: ClassData, p: int,
+                   z: int) -> list[tuple[int, list[CycValue]]]:
+    """Exact (degree, values) of every character, from the rows of w.
+
+    d^2 = |G| / sum_k omega_k * conj(omega_k) / h_k mod p, and the degree is
+    the square root in (0, p/2).  chi(g) mod p is d * omega / classsize; the
+    multiplicity of zeta_n^j among the eigenvalues of a representing matrix
+    at g (n the order of g) is the inverse discrete Fourier transform of chi
+    along the power map of g, and lifts exactly because it is below p.  The
+    matmuls stay in int64: their sums are below n * p^2 < p^3 <= 10^18.
     """
-    order = cd.group.order
-    r = cd.num_classes
-    total = 0
-    for k in range(r):
-        h_inv = pow(cd.sizes[k], p - 2, p)
-        total = (total + int(w[k]) * int(w[cd.inverse_class[k]]) * h_inv) % p
-    if total == 0:
+    h_inv = np.array([pow(h, p - 2, p) for h in cd.sizes], dtype=np.int64)
+    total = (w * w[:, cd.inverse_class] % p * h_inv % p).sum(axis=1) % p
+    if not total.all():
         raise TableError("degree denominator vanished (implementation bug)")
-    d_squared = order % p * pow(total, p - 2, p) % p
-    for d in range(1, p // 2 + 1):
-        if d * d % p == d_squared:
-            return d
-    raise TableError("no square root for degree found (implementation bug)")
-
-
-def lift_character(w: np.ndarray, degree: int, cd: ClassData, p: int,
-                   z: int) -> list[CycValue]:
-    """Exact character values from the mod-p data.
-
-    chi(g) mod p is degree * omega / classsize; the multiplicity of zeta_n^j
-    among the eigenvalues of a representing matrix at g (n the order of g)
-    is recovered by Fourier inversion over F_p using the power map, and each
-    multiplicity lifts exactly because it is below p.
-    """
-    r = cd.num_classes
-    chi_p = [degree * int(w[k]) % p * pow(cd.sizes[k], p - 2, p) % p
-             for k in range(r)]
-    values = []
-    for k in range(r):
-        n = cd.orders[k]
-        theta = pow(z, (p - 1) // n, p)
-        theta_inv = pow(theta, p - 2, p)
-        n_inv = pow(n, p - 2, p)
-        powers = [pow(theta_inv, e, p) for e in range(n)]
-        mult = []
-        for j in range(n):
-            s = 0
-            for l in range(n):
-                s += chi_p[cd.power_class[k][l]] * powers[j * l % n]
-            mult.append(s % p * n_inv % p)
-        if sum(mult) != degree:
-            raise TableError("multiplicities do not sum to the degree "
-                             "(implementation bug)")
-        values.append(CycValue(n, mult))
-    return values
+    d_squared = [cd.group.order * pow(int(t), p - 2, p) % p for t in total]
+    roots = np.zeros(p, dtype=np.int64)
+    d = np.arange(1, p // 2 + 1, dtype=np.int64)
+    roots[d * d % p] = d
+    degrees = roots[d_squared]
+    if not degrees.all():
+        raise TableError("no square root for degree found "
+                         "(implementation bug)")
+    chi = degrees[:, None] * w % p * h_inv % p
+    values = [[None] * cd.num_classes for _ in degrees]
+    for n in set(cd.orders):
+        ks = [k for k, order in enumerate(cd.orders) if order == n]
+        powers = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
+        e = np.arange(n)
+        dft = powers[-np.outer(e, e) % n] * pow(n, p - 2, p) % p
+        step = max(1, _LIFT_ELEMENTS // (len(degrees) * n))
+        for lo in range(0, len(ks), step):
+            chunk = ks[lo:lo + step]
+            mult = chi[:, [cd.power_class[k] for k in chunk]] @ dft % p
+            if (mult.sum(axis=2) != degrees[:, None]).any():
+                raise TableError("multiplicities do not sum to the degree "
+                                 "(implementation bug)")
+            for row, coeffs in zip(values, mult):
+                for k, c in zip(chunk, coeffs.tolist()):
+                    row[k] = CycValue(n, c)
+    return list(zip(degrees.tolist(), values))

@@ -1,9 +1,13 @@
 """Record the SHA-256 of the CLI's table and report output.
 
-Writes two files:
+Writes three files:
 
 * tests/golden_tables.json: `chardeg table <g> --json` for every corpus
   group, compared by tests/test_golden_tables.py;
+* tests/golden_scale_tables.json: the table JSON export (what `table --json`
+  prints, without the final newline, as perfbench/workloads.py hashes it)
+  of groups beyond the corpus, built from the generators in SCALE_GROUPS,
+  compared by tests/test_golden_scale_tables.py;
 * tests/golden_reports.json: `verify paper` (text and --json), the corpus
   scans (--json) and the README's `acd` examples, each with its arguments,
   compared by tests/test_golden_reports.py.
@@ -22,11 +26,27 @@ from pathlib import Path
 
 sys.path.insert(0, "src")
 
+from chardeg.chars import character_table
 from chardeg.cli import main
 from chardeg.corpusio import Catalogue
+from chardeg.groups import Group
+from chardeg.perms import parse_cycles
 
 OUT = Path("tests/golden_tables.json")
 REPORTS_OUT = Path("tests/golden_reports.json")
+SCALE_OUT = Path("tests/golden_scale_tables.json")
+
+# name -> (degree, generators in 1-based cycle notation).  S8, M12, C2^6 and
+# C3^4 are the benchmark's table groups at seed 0 (perfbench/workloads.py);
+# C2^7 extends the C2^k pattern.
+SCALE_GROUPS = {
+    "S8": (8, ["(1 2 3 4 5 6 7 8)", "(1 2)"]),
+    "M12": (12, ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
+                 "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"]),
+    "C2^6": (12, [f"({2 * i + 1} {2 * i + 2})" for i in range(6)]),
+    "C3^4": (12, [f"({3 * i + 1} {3 * i + 2} {3 * i + 3})" for i in range(4)]),
+    "C2^7": (14, [f"({2 * i + 1} {2 * i + 2})" for i in range(7)]),
+}
 
 # the center of SL2_5, as in the README's `acd --rel` example
 Z_SL25 = ("(1 4)(2 3)(5 20)(6 24)(7 23)(8 22)(9 21)(10 15)(11 19)(12 18)"
@@ -61,6 +81,17 @@ def cli_digest(argv: list[str]) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def scale_group(name: str) -> Group:
+    degree, cycles = SCALE_GROUPS[name]
+    return Group([parse_cycles(c, degree) for c in cycles], degree, name=name)
+
+
+def table_digest(group: Group) -> str:
+    """SHA-256 of the group's table JSON export."""
+    text = character_table(group).to_data().to_json()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _write(path: Path, digests: dict) -> None:
     path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {path}")
@@ -71,3 +102,5 @@ if __name__ == "__main__":
                  for name in Catalogue().names()})
     _write(REPORTS_OUT, {label: {"argv": argv, "sha256": cli_digest(argv)}
                          for label, argv in REPORTS.items()})
+    _write(SCALE_OUT, {name: table_digest(scale_group(name))
+                       for name in SCALE_GROUPS})
