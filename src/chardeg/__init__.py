@@ -22,7 +22,7 @@ from .constructions import (FiniteField, MatrixGroupSpec, CentralProduct,
                             central_product, fiber_product)
 from .corpusio import (GroupSpec, Catalogue, CatalogueEntry,
                        parse_group_file, serialize_group_spec,
-                       load_catalogue, default_corpus_path, CORPUS_ENV_VAR)
+                       default_corpus_path, CORPUS_ENV_VAR)
 from .checks import (Check, Report, paper_check_suite, theorem_scan,
                      principal_character)
 from .oracle import oracle_table

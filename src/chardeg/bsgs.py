@@ -1,15 +1,22 @@
 """Deterministic Schreier-Sims: base and strong generating set construction.
 
-The chain supports exact order, membership tests, and canonical element
-enumeration.  Everything is deterministic: orbits are explored in BFS order
-with generators in list order, so equal input yields identical chains.
+The chain supports exact order, membership tests, canonical element
+enumeration and its inverse, the rank of an element from its base images.
+Everything is deterministic: orbits are explored in BFS order with
+generators in list order, so equal input yields identical chains.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from math import prod
+
 import numpy as np
 
 from .perms import Permutation
+
+# Most rows one rank pass gathers at a time; longer inputs go in chunks.
+_RANK_ROWS = 1 << 14
 
 
 class StabilizerChain:
@@ -27,6 +34,7 @@ class StabilizerChain:
 
     def __init__(self, generators, degree: int, base_prefix=()):
         self.degree = degree
+        self.dtype = np.dtype(np.uint8 if degree <= 256 else np.uint16)
         gens = []
         for g in generators:
             if g.degree != degree:
@@ -143,14 +151,37 @@ class StabilizerChain:
         residue, _ = self._sift(g, 0)
         return residue.is_identity()
 
-    def strong_generators(self) -> list[Permutation]:
-        return list(self.level_gens[0]) if self.base else []
-
     def stabilizer_generators(self, k: int) -> list[Permutation]:
         """Generators of the pointwise stabilizer of base[:k]."""
         if k >= len(self.base):
             return []
         return list(self.level_gens[k])
+
+    @cached_property
+    def _levels(self) -> list[np.ndarray]:
+        """Each transversal as an array of images, rows in point order."""
+        return [np.array([trans[x].images for x in sorted(trans)],
+                         dtype=self.dtype) for trans in self.transversals]
+
+    @cached_property
+    def _rank_tables(self) -> list[tuple]:
+        """(i, offset, start, inverse) per level i with more than one
+        transversal element t.  Indexed by x = t[base[i]], offset is t's
+        position times the level's stride (level 0 has stride 1) and start
+        is where t's inverse begins in ``inverse``, the flattened inverse
+        images of the level."""
+        tables, stride = [], 1
+        for i, level in enumerate(self._levels):
+            if len(level) > 1:
+                position = np.zeros(self.degree, dtype=np.int64)
+                position[level[:, self.base[i]]] = np.arange(len(level))
+                inverse = np.empty_like(level)
+                for row, t in zip(inverse, level):  # row by row: no int64 temp
+                    row[t] = np.arange(self.degree, dtype=self.dtype)
+                tables.append((i, position * stride, position * self.degree,
+                               inverse.ravel()))
+            stride *= len(level)
+        return tables
 
     def element_array(self) -> np.ndarray:
         """All elements as a (|G|, degree) array of images, one row each.
@@ -159,17 +190,35 @@ class StabilizerChain:
         order, element ``t_{k-1} * ... * t_1 * t_0`` precedes the next with
         t_0 varying fastest.  Rows are uint8 up to degree 256, else uint16.
         """
-        dtype = np.uint8 if self.degree <= 256 else np.uint16
-        rows = np.arange(self.degree, dtype=dtype)[None, :]
-        for trans in reversed(self.transversals):
-            level = np.array([trans[x].images for x in sorted(trans)],
-                             dtype=dtype)
+        rows = np.arange(self.degree, dtype=self.dtype)[None, :]
+        for level in reversed(self._levels):
             prev = rows.astype(np.intp)
-            rows = np.empty((len(prev), len(level), self.degree), dtype=dtype)
+            rows = np.empty((len(prev), len(level), self.degree), self.dtype)
             for j, t in enumerate(level):
                 rows[:, j, :] = t[prev]  # (rest * t)[x] = t[rest[x]]
             rows = rows.reshape(-1, self.degree)
         return rows
+
+    def rank(self, images: np.ndarray) -> np.ndarray:
+        """Rows in element_array() of the group elements with the given
+        images of the base points, shape (..., len(base)), not checked.
+
+        The image of base[0] fixes t_0; dividing t_0 out of the other base
+        images leaves those of ``t_{k-1} * ... * t_1``, one gather a level.
+        """
+        shape = images.shape[:-1]
+        columns = images.reshape(prod(shape), len(self.base)).T
+        index = np.zeros(columns.shape[1], dtype=np.int64)
+        for lo in range(0, len(index), _RANK_ROWS):
+            # rest[j]: the image of base[j] under what is left to divide out
+            rest = columns[:, lo:lo + _RANK_ROWS].copy()
+            out = index[lo:lo + _RANK_ROWS]
+            for i, offset, start, inverse in self._rank_tables:
+                points = rest[i]
+                out += offset[points]
+                if i + 1 < len(rest):
+                    rest[i + 1:] = inverse[rest[i + 1:] + start[points]]
+        return index.reshape(shape)
 
     def elements(self) -> list[Permutation]:
         """All group elements in the canonical order of element_array()."""

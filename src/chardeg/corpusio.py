@@ -353,7 +353,3 @@ def _validate_entry(entry: CatalogueEntry) -> None:
 
 def default_corpus_path() -> Path:
     return Path(__file__).parent / "corpus"
-
-
-def load_catalogue(path=None) -> Catalogue:
-    return Catalogue(path)

@@ -58,19 +58,19 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
 
     These are the structure constants of the class-sum algebra; the exact
     integer matrix is returned (reduce mod p at the call site).  The x^-1
-    run over the inverse class, so column k is a gather of rep_k over those
-    rows, a lookup and a bincount.
+    run over the inverse class, so column k is a gather of rep_k at their
+    images of the base points, a rank lookup and a bincount.
     """
-    r, n = cd.num_classes, cd.rows.shape[1]
-    x_inv = cd.rows[cd.element_index == cd.inverse_class[i]]
+    r = cd.num_classes
+    x_inv = cd.rows[cd.element_index == cd.inverse_class[i]][:, cd.base]
     step = max(1, _GATHER_ROWS // len(x_inv))
     a = np.empty((r, r), dtype=np.int64)
     for k in range(0, r, step):
         reps = cd.rep_rows[k:k + step]
-        classes = cd.element_index[cd.index(reps[:, x_inv].reshape(-1, n))]
-        classes += np.repeat(np.arange(len(reps)) * r, len(x_inv))
+        classes = cd.element_index[cd.index(reps[:, x_inv])]
+        classes += np.arange(len(reps))[:, None] * r
         a[:, k:k + len(reps)] = np.bincount(
-            classes, minlength=len(reps) * r).reshape(-1, r).T
+            classes.ravel(), minlength=len(reps) * r).reshape(-1, r).T
     return a
 
 
@@ -164,6 +164,10 @@ def eigenvalues_mod(a: np.ndarray, p: int, inv: np.ndarray) -> list[int]:
 
 # -- the splitting ----------------------------------------------------------
 
+# Most array elements one image gather in the split may hold.
+_IMAGE_ELEMENTS = 1 << 21
+
+
 def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
     """All r common eigenvectors of the class matrices, one per row,
     normalized so the identity-class coordinate is 1.  Each row lists the
@@ -176,20 +180,33 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
         if all(b.shape[0] == 1 for b, _ in subspaces):
             break
         a = class_matrix(cd, i) % p
+        # image = basis @ a.T as a gather and sum over each row's nonzeros
+        # (a has at most |C_i| per column), padded with zero entries of a
+        width = max(1, (a != 0).sum(axis=1).max())
+        gather = np.argpartition(a == 0, width - 1, axis=1)[:, :width]
+        weights = np.take_along_axis(a, gather, axis=1)
+        step = max(1, _IMAGE_ELEMENTS // gather.size)
         new_subspaces = []
         for basis, pivots in subspaces:
             m = basis.shape[0]
             if m == 1:
                 new_subspaces.append((basis, pivots))
                 continue
-            image = basis @ a.T % p
-            action = image[:, pivots]
-            if not np.array_equal(action @ basis % p, image):
-                raise TableError("subspace not invariant (implementation bug)")
-            eye = np.eye(m, dtype=np.int64)
-            if np.array_equal(action, action[0, 0] * eye):
+            image = np.empty_like(basis)
+            for lo in range(0, m, step):
+                image[lo:lo + step] = (basis[lo:lo + step, gather]
+                                       * weights).sum(axis=2) % p
+            # a scalar action c*I on an invariant subspace is image = c*basis
+            if np.array_equal(image, image[0, pivots[0]] * basis % p):
                 new_subspaces.append((basis, pivots))
                 continue
+            # image = action @ basis holds on the pivots, where basis is I
+            action = image[:, pivots]
+            rest = np.ones(r, dtype=bool)
+            rest[pivots] = False
+            if not np.array_equal(action @ basis[:, rest] % p, image[:, rest]):
+                raise TableError("subspace not invariant (implementation bug)")
+            eye = np.eye(m, dtype=np.int64)
             split_dim = 0
             for t in eigenvalues_mod(action, p, inv):
                 coords, free = nullspace_mod((action.T - t * eye) % p, p, inv)

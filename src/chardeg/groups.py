@@ -76,9 +76,6 @@ class Group:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i:])
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def subgroup(self, generators, name=None) -> "Subgroup":
         return Subgroup(self, generators, name=name)
 
@@ -123,24 +120,27 @@ class ClassData:
 
     Classes are the orbits of the conjugation action.  Each generator acts
     as an index map on the element rows, and the orbits are the connected
-    components of those maps, found by min-label propagation.  Rows are
-    looked up by their big-endian byte keys, sorted once; key order is the
-    lexicographic order of image tuples.
+    components of those maps, found by min-label propagation.  An element
+    is fixed by its images of the base points, which the chain ranks to a
+    row index (``StabilizerChain.rank``), so lookups gather base columns
+    only and the element rows are never sorted or searched; least members
+    are found column by column, and only the representatives are sorted.
     """
 
     def __init__(self, group: Group, bound: int = DEFAULT_ELEMENT_BOUND):
         rows = group.element_array(bound)
         self.group = group
         self.rows = rows
-        keys = _row_keys(rows)
-        self._lex = np.argsort(keys)  # element indices in lexicographic order
-        self._keys = keys[self._lex]
+        self.base = np.array(group.chain.base, dtype=np.intp)
 
+        # conj[j, e]: the base images of g^-1 * e * g, g the j-th generator;
         # label[e] converges to the least element index in e's class
-        maps = []
-        for g in group.generators:
+        conj = np.empty((len(group.generators), len(rows), len(self.base)),
+                        dtype=rows.dtype)
+        for j, g in enumerate(group.generators):
             g_row = np.array(g.images, dtype=rows.dtype)
-            maps.append(self.index(g_row[rows[:, np.argsort(g_row)]]))
+            conj[j] = g_row[rows[:, np.argsort(g_row)[self.base]]]
+        maps = self.index(conj)
         label = np.arange(len(rows))
         while True:
             previous = label
@@ -149,11 +149,21 @@ class ClassData:
             label = label[label]
             if np.array_equal(label, previous):
                 break
-        _, raw = np.unique(label, return_inverse=True)
+        # raw classes, numbered in the order of their least element index
+        raw = (np.cumsum(label == np.arange(len(rows))) - 1)[label]
         raw_sizes = np.bincount(raw)
-        # lexicographic rank of each raw class's least member
-        _, least_rank = np.unique(raw[self._lex], return_index=True)
-        least = self._lex[least_rank]
+        # each raw class's lexicographically least member: keep the members
+        # at their class's least image, one column at a time
+        least = np.arange(len(rows))
+        for column in rows.T:
+            if len(least) == len(raw_sizes):
+                break
+            images, ids = column[least], raw[least]
+            low = np.full(len(raw_sizes), images.max(), rows.dtype)
+            np.minimum.at(low, ids, images)
+            least = least[images == low[ids]]
+        least = least[np.argsort(raw[least])]
+        least_rank = np.argsort(np.lexsort(rows[least].T[::-1]))
         raw_orders = [Permutation._trusted(tuple(row)).order()
                       for row in rows[least].tolist()]
         ranking = sorted(range(len(least)),
@@ -167,25 +177,27 @@ class ClassData:
                                         for row in self.rep_rows.tolist()]
         self.sizes: list[int] = [int(raw_sizes[c]) for c in ranking]
         self.orders: list[int] = [raw_orders[c] for c in ranking]
-        self.inverse_class: list[int] = self.element_index[self.index(
-            np.argsort(self.rep_rows, axis=1).astype(rows.dtype))].tolist()
         # power_class[i][e] = class of reps[i]**e for e in 0..orders[i]-1
+        powers = np.concatenate([_powers(row, n)[:, self.base] for row, n
+                                 in zip(self.rep_rows, self.orders)])
+        classes = self.element_index[self.index(powers)].tolist()
+        bounds = np.cumsum([0] + self.orders).tolist()
         self.power_class: list[list[int]] = [
-            self.element_index[self.index(_powers(row, n))].tolist()
-            for row, n in zip(self.rep_rows, self.orders)]
+            classes[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.inverse_class: list[int] = [c[-1] for c in self.power_class]
 
         assert sum(self.sizes) == group.order
         assert all(group.order % s == 0 for s in self.sizes)
 
-    def index(self, rows: np.ndarray) -> np.ndarray:
-        """Element indices of rows that are known to be group elements."""
-        return self._lex[np.searchsorted(self._keys, _row_keys(rows))]
+    def index(self, images: np.ndarray) -> np.ndarray:
+        """Element indices of group elements from their images of the base
+        points, ``rows[..., base]`` (not checked), by the chain's rank."""
+        return self.group.chain.rank(images)
 
     @cached_property
     def members(self) -> list[list[Permutation]]:
         """The elements of each class, each list in lexicographic order."""
-        by_class = self._lex[np.argsort(self.element_index[self._lex],
-                                        kind="stable")]
+        by_class = np.lexsort((*self.rows.T[::-1], self.element_index))
         perms = [Permutation._trusted(tuple(row))
                  for row in self.rows[by_class].tolist()]
         bounds = np.cumsum([0] + self.sizes).tolist()
@@ -196,12 +208,10 @@ class ClassData:
         return len(self.reps)
 
     def class_of(self, p: Permutation) -> int:
-        if p.degree == self.group.degree:
-            key = _row_keys(np.array([p.images], dtype=self.rows.dtype))
-            pos = int(np.searchsorted(self._keys, key)[0])
-            if pos < len(self._keys) and self._keys[pos] == key[0]:
-                return int(self.element_index[self._lex[pos]])
-        raise NotMemberError("element not in group (class lookup failed)")
+        if p not in self.group:
+            raise NotMemberError("element not in group (class lookup failed)")
+        images = np.array(p.images, dtype=self.rows.dtype)[self.base]
+        return int(self.element_index[self.index(images)])
 
     def centralizer_order(self, i: int) -> int:
         return self.group.order // self.sizes[i]
