@@ -201,7 +201,8 @@ class StabilizerChain:
 
     def rank(self, images: np.ndarray) -> np.ndarray:
         """Rows in element_array() of the group elements with the given
-        images of the base points, shape (..., len(base)), not checked.
+        images of the base points, shape (..., len(base)), not checked:
+        any images give some row in range(|G|).
 
         The image of base[0] fixes t_0; dividing t_0 out of the other base
         images leaves those of ``t_{k-1} * ... * t_1``, one gather a level.

@@ -67,7 +67,7 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     a = np.empty((r, r), dtype=np.int64)
     for k in range(0, r, step):
         reps = cd.rep_rows[k:k + step]
-        classes = cd.element_index[cd.index(reps[:, x_inv])]
+        classes = cd.element_index[cd.group.chain.rank(reps[:, x_inv])]
         classes += np.arange(len(reps))[:, None] * r
         a[:, k:k + len(reps)] = np.bincount(
             classes.ravel(), minlength=len(reps) * r).reshape(-1, r).T
@@ -164,8 +164,11 @@ def eigenvalues_mod(a: np.ndarray, p: int, inv: np.ndarray) -> list[int]:
 
 # -- the splitting ----------------------------------------------------------
 
-# Most array elements one image gather in the split may hold.
+# Most array elements one image gather in the split may hold.  The gather
+# replaces the dense product where a row's nonzeros are at most r / 16: at
+# r = 128 a dense product costs as much as a gather over 12 per row.
 _IMAGE_ELEMENTS = 1 << 21
+_SPARSE_RATIO = 16
 
 
 def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
@@ -180,22 +183,24 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
         if all(b.shape[0] == 1 for b, _ in subspaces):
             break
         a = class_matrix(cd, i) % p
-        # image = basis @ a.T as a gather and sum over each row's nonzeros
-        # (a has at most |C_i| per column), padded with zero entries of a
+        # a row of a has at most |C_i| nonzeros; where they are few against
+        # r, image = basis @ a.T is a gather and sum over each row's
+        # nonzeros, padded with zero entries of a, else a dense product
         width = max(1, (a != 0).sum(axis=1).max())
-        gather = np.argpartition(a == 0, width - 1, axis=1)[:, :width]
-        weights = np.take_along_axis(a, gather, axis=1)
-        step = max(1, _IMAGE_ELEMENTS // gather.size)
+        sparse = width * _SPARSE_RATIO <= r
+        if sparse:
+            gather = np.argpartition(a == 0, width - 1, axis=1)[:, :width]
+            weights = np.take_along_axis(a, gather, axis=1)
+            step = max(1, _IMAGE_ELEMENTS // gather.size)
         new_subspaces = []
         for basis, pivots in subspaces:
             m = basis.shape[0]
             if m == 1:
                 new_subspaces.append((basis, pivots))
                 continue
-            image = np.empty_like(basis)
-            for lo in range(0, m, step):
-                image[lo:lo + step] = (basis[lo:lo + step, gather]
-                                       * weights).sum(axis=2) % p
+            image = basis @ a.T % p if not sparse else np.concatenate([
+                (basis[lo:lo + step, gather] * weights).sum(axis=2) % p
+                for lo in range(0, m, step)])
             # a scalar action c*I on an invariant subspace is image = c*basis
             if np.array_equal(image, image[0, pivots[0]] * basis % p):
                 new_subspaces.append((basis, pivots))

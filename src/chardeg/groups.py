@@ -140,7 +140,7 @@ class ClassData:
         for j, g in enumerate(group.generators):
             g_row = np.array(g.images, dtype=rows.dtype)
             conj[j] = g_row[rows[:, np.argsort(g_row)[self.base]]]
-        maps = self.index(conj)
+        maps = group.chain.rank(conj)
         label = np.arange(len(rows))
         while True:
             previous = label
@@ -180,7 +180,7 @@ class ClassData:
         # power_class[i][e] = class of reps[i]**e for e in 0..orders[i]-1
         powers = np.concatenate([_powers(row, n)[:, self.base] for row, n
                                  in zip(self.rep_rows, self.orders)])
-        classes = self.element_index[self.index(powers)].tolist()
+        classes = self.element_index[group.chain.rank(powers)].tolist()
         bounds = np.cumsum([0] + self.orders).tolist()
         self.power_class: list[list[int]] = [
             classes[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -188,11 +188,6 @@ class ClassData:
 
         assert sum(self.sizes) == group.order
         assert all(group.order % s == 0 for s in self.sizes)
-
-    def index(self, images: np.ndarray) -> np.ndarray:
-        """Element indices of group elements from their images of the base
-        points, ``rows[..., base]`` (not checked), by the chain's rank."""
-        return self.group.chain.rank(images)
 
     @cached_property
     def members(self) -> list[list[Permutation]]:
@@ -208,10 +203,13 @@ class ClassData:
         return len(self.reps)
 
     def class_of(self, p: Permutation) -> int:
-        if p not in self.group:
-            raise NotMemberError("element not in group (class lookup failed)")
-        images = np.array(p.images, dtype=self.rows.dtype)[self.base]
-        return int(self.element_index[self.index(images)])
+        # the rank of any base images is a row; p is that row or no member
+        if p.degree == self.group.degree:
+            images = np.array(p.images, dtype=self.rows.dtype)
+            e = self.group.chain.rank(images[self.base])
+            if np.array_equal(self.rows[e], images):
+                return int(self.element_index[e])
+        raise NotMemberError("element not in group (class lookup failed)")
 
     def centralizer_order(self, i: int) -> int:
         return self.group.order // self.sizes[i]

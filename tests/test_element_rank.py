@@ -3,6 +3,8 @@ order of element_array(), and the class data built on it against a
 reference that sorts Permutation objects with sorted().
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,20 @@ def test_class_of_rejects_non_members():
     with pytest.raises(NotMemberError):
         conjugacy_classes(GROUPS["trivial"]()).class_of(
             parse_cycles("(1 2)", 4))
+
+
+
+@pytest.mark.parametrize("name", ["A5", "S4 prefix"])
+def test_class_of_decides_membership_over_the_symmetric_group(name):
+    # base images outside a level's orbit still rank to some row, which
+    # the lookup must then reject
+    group = GROUPS[name]()
+    cd = conjugacy_classes(group)
+    class_of = dict(zip(group.elements(), cd.element_index.tolist()))
+    for images in itertools.permutations(range(group.degree)):
+        x = Permutation(images)
+        if x in class_of:
+            assert cd.class_of(x) == class_of[x]
+        else:
+            with pytest.raises(NotMemberError):
+                cd.class_of(x)

@@ -4,7 +4,7 @@
 
 Each ``--tree LABEL=PATH`` names a chardeg checkout (a directory holding
 ``src/chardeg``); the default is this checkout, labelled ``change``.  Every
-group of GROUPS is built ``--repeat`` times per tree, each time in a fresh
+group of GROUPS is built REPEAT times per tree, each time in a fresh
 process that imports chardeg from that tree's ``src``, and the JSON written
 to ``--out`` holds the median seconds of each stage, the peak RSS reached
 by the end of each stage (the largest over the repeats), and the SHA-256 of
@@ -55,6 +55,7 @@ GROUPS = {
 }
 STAGES = ("chain", "elements", "classes", "class_matrices", "split", "lift",
           "validate")
+REPEAT = 5  # builds per group and tree; the JSON holds their medians
 
 
 def _peak_rss_mb() -> float:
@@ -157,15 +158,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--tree", action="append", default=[],
                         metavar="LABEL=PATH")
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--worker", choices=list(GROUPS),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         print(json.dumps(measure(args.worker)))
         return 0
-    if args.out is None or args.repeat < 1:
-        parser.error("--out is required and --repeat must be at least 1")
+    if args.out is None:
+        parser.error("--out is required")
     trees = {}
     for spec in args.tree or [f"change={Path(__file__).parent.parent}"]:
         label, sep, path = spec.partition("=")
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
                for label, tree in trees.items()}
     for name in GROUPS:
         runs = {label: [] for label in trees}
-        for repeat in range(args.repeat):
+        for repeat in range(REPEAT):
             # alternate which tree runs first, so drift hits each alike
             for label, tree in list(trees.items())[::(-1) ** repeat]:
                 runs[label].append(run_worker(tree, name))
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     payload = {
         "tool": "tools/bench.py",
         "stages": list(STAGES),
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "statistic": "median seconds over the repeats; peak RSS is the "
                      "process high-water mark at the end of each stage, "
                      "the largest over the repeats",
