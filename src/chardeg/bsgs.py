@@ -169,17 +169,22 @@ class StabilizerChain:
         transversal element t.  Indexed by x = t[base[i]], offset is t's
         position times the level's stride (level 0 has stride 1) and start
         is where t's inverse begins in ``inverse``, the flattened inverse
-        images of the level."""
+        images of the level, None where each t fixes what is left to divide:
+        later base points and the points their stabilizer moves (C2^k)."""
         tables, stride = [], 1
         for i, level in enumerate(self._levels):
             if len(level) > 1:
                 position = np.zeros(self.degree, dtype=np.int64)
                 position[level[:, self.base[i]]] = np.arange(len(level))
+                later = sorted({*self.base[i + 1:], *(
+                    x for s in self.stabilizer_generators(i + 1)
+                    for x, y in enumerate(s.images) if x != y)})
                 inverse = np.empty_like(level)
                 for row, t in zip(inverse, level):  # row by row: no int64 temp
                     row[t] = np.arange(self.degree, dtype=self.dtype)
+                fixed = not (level[:, later] != later).any()
                 tables.append((i, position * stride, position * self.degree,
-                               inverse.ravel()))
+                               None if fixed else inverse.ravel()))
             stride *= len(level)
         return tables
 
@@ -217,7 +222,7 @@ class StabilizerChain:
             for i, offset, start, inverse in self._rank_tables:
                 points = rest[i]
                 out += offset[points]
-                if i + 1 < len(rest):
+                if inverse is not None:
                     rest[i + 1:] = inverse[rest[i + 1:] + start[points]]
         return index.reshape(shape)
 

@@ -3,13 +3,13 @@
 The table rows come from the modular engine in ``dixon``; this module owns
 the exact layer: canonical ordering, validation, inner products,
 restriction, tensor products, kernels, extension tests and the Gallagher
-correspondence check.
+correspondence check, on stacks: class functions as one coefficient array.
 
-Inner products and table validation share one exact routine, ``_gram``,
-which computes a whole matrix of inner products in Q(zeta_e), e the group
-exponent.  A table is certified by one Gram check, rows against rows equal
-to the identity; since the table is square this implies the column
-relations too (see ``CharacterTable``).
+Inner products and table validation share one exact routine,
+``_inner_products``, a whole matrix of inner products of two stacks in
+Q(zeta_e), e the group exponent.  A table is certified by one Gram check,
+rows against rows equal to the identity; since the table is square this
+implies the column relations too (see ``CharacterTable``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import lcm
 import numpy as np
 
 from . import dixon
-from .cyclotomic import CycValue, reduce_to_power_basis
+from .cyclotomic import CycValue, _reduction_matrix, reduce_to_power_basis
 from .errors import TableError
 from .groups import (ClassData, Group, Subgroup, class_fusion,
                      conjugacy_classes)
@@ -34,19 +34,12 @@ class Character:
 
     __slots__ = ("degree", "values", "kernel_classes")
 
-    def __init__(self, degree: int, values):
+    def __init__(self, degree: int, values, kernel_classes=None):
         self.degree = degree
         self.values = tuple(values)
-        # the kernel is where chi(g) - chi(1) vanishes in Q(zeta_m), m the lcm
-        # of the root orders: all classes in one batched reduction
-        m = lcm(*(v.n for v in self.values))
-        ints = all(isinstance(c, int) and abs(c) < 2**62
-                   for v in self.values for c in v.coeffs)
-        diffs = _stack([self.values], range(len(self.values)), m,
-                       np.int64 if ints else object)[0]
-        diffs[:, 0] -= degree
-        nonzero = reduce_to_power_basis(diffs, m).astype(bool).any(axis=1)
-        self.kernel_classes = frozenset(np.flatnonzero(~nonzero).tolist())
+        if kernel_classes is None:
+            (kernel_classes,) = _kernels(*_stack([self.values]), [degree])
+        self.kernel_classes = kernel_classes
 
     def __repr__(self):
         return f"<Character degree={self.degree}>"
@@ -55,10 +48,12 @@ class Character:
 class CharacterTable:
     """The exact table of a group, rows in canonical order.
 
-    Canonical row order: degree ascending, then lexicographic on the values
-    embedded over the group exponent.  Construction validates #rows = #classes,
-    the degree sum of squares, degree divisibility, and exact row
-    orthogonality; failures raise TableError.
+    Canonical row order: degree ascending, then lexicographic on the stack
+    rows (the values embedded over the exponent compare alike: embedding
+    puts zeros at the same places in every row).  Hand-built ``chars`` are
+    stacked here, the lift passes its ``stack``.  Construction validates
+    #rows = #classes, the degree sum of squares, degree divisibility, and
+    exact row orthogonality; failures raise TableError.
 
     Row orthogonality is one Gram check: with X the r x r value matrix and
     D = diag(class sizes), X D X* = |G| I over Q(zeta_e), conjugation being
@@ -69,38 +64,40 @@ class CharacterTable:
     """
 
     def __init__(self, group: Group, classes: ClassData, chars,
-                 exponent: int, prime: int, root: int):
+                 exponent: int, prime: int, root: int, stack=None):
         self.group = group
         self.classes = classes
         self.exponent = exponent
         self.dixon_prime = prime
         self.primitive_root = root
-        self.chars = tuple(sorted(chars, key=lambda c: (
-            c.degree, tuple(v.embed(exponent).coeffs for v in c.values))))
-        self._validate()
-
-    def _validate(self) -> None:
-        g = self.group
-        if len(self.chars) != self.classes.num_classes:
+        chars = list(chars)
+        if len(chars) != classes.num_classes:
             raise TableError("character count differs from class count")
+        orders, rows = stack or _stack(chars)
+        rank = [i for *_, i in sorted(zip(
+            [c.degree for c in chars], rows.tolist(), range(len(chars))))]
+        self.chars = tuple(chars[i] for i in rank)
+        self._validate(orders, rows, rank)
+
+    def _validate(self, orders, rows: np.ndarray, rank: list[int]) -> None:
+        g = self.group
         if sum(c.degree ** 2 for c in self.chars) != g.order:
             raise TableError("degree squares do not sum to the group order")
         for c in self.chars:
             if g.order % c.degree:
                 raise TableError(f"degree {c.degree} does not divide |G|")
-        for i, row in enumerate(_gram(self, self.chars, self.chars)):
-            for j, value in enumerate(row):
-                if value != int(i == j):
-                    raise TableError(f"row orthogonality fails at ({i},{j})")
+        gram = _inner_products(self, orders, rows, rows)[np.ix_(rank, rank)]
+        identity = g.order * np.eye(len(gram), dtype=int)
+        for i, j in np.argwhere(gram != identity)[:1].tolist():
+            raise TableError(f"row orthogonality fails at ({i},{j})")
 
     def degrees(self) -> list[int]:
         return [c.degree for c in self.chars]
 
     def principal(self) -> Character:
         """The all-ones row (not necessarily row 0 in canonical order)."""
-        one = Fraction(1)
         for c in self.chars:
-            if c.degree == 1 and all(v.rational() == one for v in c.values):
+            if c.degree == 1 and len(c.kernel_classes) == len(c.values):
                 return c
         raise TableError("no principal character found (table corrupt)")
 
@@ -176,74 +173,106 @@ def character_table(group: Group) -> CharacterTable:
         p = dixon.dixon_prime(group.order, exponent)
         z = dixon.primitive_root(p)
         omegas = dixon.central_character_vectors(cd, p)
-        chars = [Character(d, values)
-                 for d, values in dixon.lift_character(omegas, cd, p, z)]
-        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
+        lifted = dixon.lift_character(omegas, cd, p, z)
+        kernels = _kernels(cd.orders, lifted.mult, lifted.degrees)
+        chars = [Character(d, values, kernel)
+                 for (d, values), kernel in zip(lifted, kernels)]
+        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z,
+                                           (cd.orders, lifted.mult))
     return group._cache[key]
 
 
 # -- class function arithmetic ---------------------------------------------
 
-# Most array elements one circulant gather in _gram may hold; a bucket with
-# many classes and a long root order is gathered in chunks to stay below it.
-_GATHER_ELEMENTS = 1 << 21
-
-
 def _values_of(f) -> tuple:
     return f.values if isinstance(f, Character) else tuple(f)
 
 
-def _gram(table: CharacterTable, fs, gs) -> list[list[Fraction]]:
-    """Exact inner products: entry (i, j) is (1/|G|) * sum over classes k of
-    size_k * fs[i](g_k) * conj(gs[j](g_k)).
+def _stack(funcs) -> tuple[list[int], np.ndarray]:
+    """(orders, coefficients): class k's values over the orders[k]-th roots
+    of unity; int64 if every coefficient is an int of size < 2^62."""
+    funcs = [_values_of(f) for f in funcs]
+    orders = np.lcm.reduce([[v.n for v in f] for f in funcs]).tolist()
+    flat = [c for f in funcs for v, n in zip(f, orders)
+            for c in v.embed(n).coeffs]
+    coeffs = np.array(flat)
+    if coeffs.dtype != np.int64 or not (
+            -2**62 < coeffs.min() and coeffs.max() < 2**62):
+        coeffs = np.array(flat, dtype=object)
+    return orders, coeffs.reshape(len(funcs), -1)
 
-    Classes are bucketed by the lcm n of their values' root orders (the
-    element order, for table rows).  Per bucket, the products are formed in
-    Z[x]/(x^n - 1) by one integer einsum over a circulant gather, then
-    embedded into Z[x]/(x^e - 1), e the exponent; all entries are reduced
-    to the power basis of Q(zeta_e) in one batched call.  Raises TableError
-    when a value lies outside Q(zeta_e) or an entry is not rational.
+
+def _buckets(orders):
+    """(n, classes, their columns) for each root order n of a stack."""
+    starts = np.cumsum(orders) - orders
+    for n in sorted(set(orders)):
+        ks = np.flatnonzero(np.equal(orders, n))
+        yield n, ks, starts[ks][:, None] + np.arange(n)
+
+
+def _kernels(orders, coeffs: np.ndarray, degrees) -> list[frozenset]:
+    """Kernel classes of each stack row, where chi(g) - chi(1) vanishes:
+    all rows and classes of one root order n in one reduction."""
+    kernel = np.empty((len(coeffs), len(orders)), dtype=bool)
+    for n, ks, cols in _buckets(orders):
+        diff = coeffs[:, cols]
+        diff[:, :, 0] -= np.array(degrees, dtype=coeffs.dtype)[:, None]
+        kernel[:, ks] = ~reduce_to_power_basis(diff, n).astype(bool).any(2)
+    return [frozenset(np.flatnonzero(row).tolist()) for row in kernel]
+
+
+# Most array elements one circulant gather in _inner_products may hold; a
+# bucket with many classes and a long root order is gathered in chunks.
+_GATHER_ELEMENTS = 1 << 21
+
+
+def _inner_products(table: CharacterTable, orders, f: np.ndarray,
+                    g: np.ndarray) -> np.ndarray:
+    """|G| <f_i, g_j> for the rows of two stacks over the same orders, exact.
+
+    Per root order n, one matmul against a circulant gather in Z[x]/(x^n-1),
+    embedded into Z[x]/(x^e-1), then one reduction to Q(zeta_e)'s power
+    basis; int64 where sum_k size_k |f_k|_1 |g_k|_1 (row maxima, in floats,
+    far within the factor 2) is below 2^62.  Raises TableError when a value
+    lies outside Q(zeta_e) or an entry is not rational.
     """
-    fs = [_values_of(f) for f in fs]
-    gs = [_values_of(g) for g in gs]
     cd, e = table.classes, table.exponent
-    buckets: dict[int, list[int]] = {}
-    bound = 0  # bounds every |coefficient| of the sums below
-    for k in range(cd.num_classes):
-        n = lcm(*(f[k].n for f in fs), *(g[k].n for g in gs))
+    dtype = object
+    if f.dtype == g.dtype == np.int64 and np.prod([np.add.reduceat(
+            np.abs(x, dtype=np.float64), np.cumsum(orders) - orders,
+            axis=1).max(axis=0) for x in (f, g)], axis=0) @ cd.sizes < 2**62:
+        dtype = np.int64
+    sizes = np.array(cd.sizes, dtype=dtype)
+    _reduction_matrix(e)  # cached: built before the sums below are live
+    total = np.zeros((len(f), len(g), e), dtype=dtype)
+    for n, ks, cols in _buckets(orders):
         if e % n:
             raise TableError(f"a class function value needs the {n}-th roots "
                              f"of unity, not in Q(zeta_{e})")
-        buckets.setdefault(n, []).append(k)
-        bound += (cd.sizes[k] * max(sum(map(abs, f[k].coeffs)) for f in fs)
-                  * max(sum(map(abs, g[k].coeffs)) for g in gs))
-    # int64 when provably overflow-free; Python objects (big ints, Fractions)
-    # otherwise
-    dtype = np.int64 if isinstance(bound, int) and bound < 2**63 else object
-    total = np.zeros((len(fs), len(gs), e), dtype=dtype)
-    for n, ks in buckets.items():
-        shift = (np.arange(n) - np.arange(n)[:, None]) % n  # [t, i] = i - t
-        step = max(1, _GATHER_ELEMENTS // (len(gs) * n * n))
+        shift = (np.arange(n)[:, None] - np.arange(n)) % n  # [i, t] = i - t
+        step = max(1, _GATHER_ELEMENTS // (len(g) * n * n))
         for lo in range(0, len(ks), step):
-            chunk = ks[lo:lo + step]
-            a = _stack(fs, chunk, n, dtype) * np.array(
-                [cd.sizes[k] for k in chunk], dtype=dtype)[:, None]
-            b = _stack(gs, chunk, n, dtype)[:, :, shift]
-            total[:, :, ::e // n] += np.einsum("fki,gkti->fgt", a, b)
+            chunk = cols[lo:lo + step]
+            a = f[:, chunk].astype(dtype, copy=False)
+            a *= sizes[ks[lo:lo + step], None]
+            # b[k, i, j, t] = g_j[k][i - t], in the layout of the matmul
+            b = g[np.arange(len(g))[:, None], (chunk[:, :1, None] + shift)[
+                :, :, None, :]].astype(dtype, copy=False)
+            total[:, :, ::e // n] += (a.reshape(len(f), -1) @ b.reshape(
+                -1, len(g) * n)).reshape(len(f), len(g), n)
     coords = reduce_to_power_basis(total, e)
     if coords[:, :, 1:].any():
         raise TableError("inner product of class functions is not rational")
+    return coords[:, :, 0]
+
+
+def _gram(table: CharacterTable, fs, gs) -> list[list[Fraction]]:
+    """Exact inner products <fs[i], gs[j]>, from one stack of both lists."""
+    fs = list(fs)
+    orders, coeffs = _stack(fs + list(gs))
+    gram = _inner_products(table, orders, coeffs[:len(fs)], coeffs[len(fs):])
     return [[Fraction(c, table.group.order) for c in row]
-            for row in coords[:, :, 0].tolist()]
-
-
-def _stack(funcs, ks, n: int, dtype) -> np.ndarray:
-    """(len(funcs), len(ks), n) coefficients over the n-th roots of unity."""
-    out = np.zeros((len(funcs), len(ks), n), dtype=dtype)
-    for i, f in enumerate(funcs):
-        for j, k in enumerate(ks):
-            out[i, j, ::n // f[k].n] = f[k].coeffs
-    return out
+            for row in gram.tolist()]
 
 
 def inner_product(table: CharacterTable, a, b) -> Fraction:

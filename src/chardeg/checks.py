@@ -107,18 +107,13 @@ def transport_character(target_table, target_group, lam: Character,
     isomorphism onto the target."""
     t_cd = target_table.classes
     s_cd = source_table.classes
-    elems = source_group.elements()
+    # each element's target class once; the values meet only on the
+    # distinct (source class, target class) pairs
+    pairs = sorted({(k, t_cd.class_of(element_map(s))) for s, k in zip(
+        source_group.elements(), s_cd.element_index.tolist())})
     for mu in source_table.chars:
-        if mu.degree != lam.degree:
-            continue
-        ok = True
-        for s in elems:
-            vs = mu.values[s_cd.class_of(s)]
-            vt = lam.values[t_cd.class_of(element_map(s))]
-            if not vs.value_eq(vt):
-                ok = False
-                break
-        if ok:
+        if mu.degree == lam.degree and all(
+                mu.values[a].value_eq(lam.values[b]) for a, b in pairs):
             return mu
     raise ChardegError("no matching character under the identification")
 
@@ -382,7 +377,7 @@ def _central_product_checks(cat: Catalogue, name: str, report: Report):
             vg == vm * vc, f"{_fmt(vg)} = {_fmt(vm)} * {_fmt(vc)}"))
 
         # counting refinement over each nonprincipal lambda
-        if lam.degree == 1 and all(v.rational() == 1 for v in lam.values):
+        if lam.degree == 1 and len(lam.kernel_classes) == len(lam.values):
             continue
         rhs = {d: sum(k * n_c[d // d1] for d1, k in n_m.items() if d % d1 == 0)
                for d in sorted(n_g)}

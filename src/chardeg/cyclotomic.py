@@ -95,7 +95,7 @@ def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
             bound += abs(lead) * step
     if bound >= 2**63:
         raise OverflowError(f"reduction matrix for n = {n} exceeds int64")
-    return arr, int(np.abs(arr).max())
+    return arr, int(max(arr.max(), -arr.min()))  # no |arr| temporary
 
 
 def reduce_to_power_basis(coeffs, n: int):

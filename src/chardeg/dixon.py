@@ -239,8 +239,19 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
 _LIFT_ELEMENTS = 1 << 21
 
 
-def lift_character(w: np.ndarray, cd: ClassData, p: int,
-                   z: int) -> list[tuple[int, list[CycValue]]]:
+class Lift(list):
+    """(degree, values) per character, held as arrays too: ``degrees``, and
+    ``mult`` with character j's multiplicity vectors in row j, class order."""
+
+    def __init__(self, degrees: list[int], orders: list[int], mult):
+        at = np.cumsum([0, *orders]).tolist()
+        super().__init__(
+            (d, tuple(CycValue(n, row[a:a + n]) for n, a in zip(orders, at)))
+            for d, row in zip(degrees, map(np.ndarray.tolist, mult)))
+        self.degrees, self.mult = degrees, mult
+
+
+def lift_character(w: np.ndarray, cd: ClassData, p: int, z: int) -> Lift:
     """Exact (degree, values) of every character, from the rows of w.
 
     d^2 = |G| / sum_k omega_k * conj(omega_k) / h_k mod p, and the degree is
@@ -263,7 +274,8 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
         raise TableError("no square root for degree found "
                          "(implementation bug)")
     chi = degrees[:, None] * w % p * h_inv % p
-    values = [[None] * cd.num_classes for _ in degrees]
+    starts = np.cumsum(cd.orders) - cd.orders
+    mult = np.empty((len(degrees), sum(cd.orders)), dtype=np.int64)
     for n in set(cd.orders):
         ks = [k for k, order in enumerate(cd.orders) if order == n]
         powers = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
@@ -272,11 +284,10 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
         step = max(1, _LIFT_ELEMENTS // (len(degrees) * n))
         for lo in range(0, len(ks), step):
             chunk = ks[lo:lo + step]
-            mult = chi[:, [cd.power_class[k] for k in chunk]] @ dft % p
-            if (mult.sum(axis=2) != degrees[:, None]).any():
+            block = chi[:, [cd.power_class[k] for k in chunk]] @ dft % p
+            if (block.sum(axis=2) != degrees[:, None]).any():
                 raise TableError("multiplicities do not sum to the degree "
                                  "(implementation bug)")
-            for row, coeffs in zip(values, mult):
-                for k, c in zip(chunk, coeffs.tolist()):
-                    row[k] = CycValue(n, c)
-    return list(zip(degrees.tolist(), values))
+            mult[:, (starts[chunk][:, None] + e).ravel()] = block.reshape(
+                len(degrees), -1)
+    return Lift(degrees.tolist(), cd.orders, mult)

@@ -1,0 +1,241 @@
+"""The table build on stacks: the block Gram routine against a per-pair
+CycValue reference, the batched kernels against the one-row ones, the
+canonical row order against the old embedded sort key, and the element
+rank where levels skip their inverse gather.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from chardeg import chars
+from chardeg.chars import Character, CharacterTable, character_table
+from chardeg.cyclotomic import CycValue
+from chardeg.errors import TableError
+from chardeg.groups import Group
+from chardeg.perms import Permutation, parse_cycles
+
+
+def make(gens, degree):
+    return Group([parse_cycles(s, degree) for s in gens], degree)
+
+
+SMALL = {
+    "A5": lambda: make(["(1 2 3 4 5)", "(1 2 3)"], 5),
+    "M11": lambda: make(["(1 2 3 4 5 6 7 8 9 10 11)",
+                         "(3 7 11 8)(4 10 5 6)"], 11),
+    "C3^4": lambda: make([f"({3 * i + 1} {3 * i + 2} {3 * i + 3})"
+                          for i in range(4)], 12),
+}
+SCALE = {
+    "S8": lambda: make(["(1 2 3 4 5 6 7 8)", "(1 2)"], 8),
+    "M12": lambda: make(["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
+                         "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"], 12),
+    "C2^6": lambda: make([f"({2 * i + 1} {2 * i + 2})" for i in range(6)], 12),
+    "C2^7": lambda: make([f"({2 * i + 1} {2 * i + 2})" for i in range(7)], 14),
+    "C3^4": SMALL["C3^4"],
+}
+
+
+# -- the block Gram routine ---------------------------------------------------
+
+def reference_inner_product(table, f, g):
+    """<f, g> one pair at a time in CycValue arithmetic; None if irrational."""
+    total = CycValue.from_rational(0)
+    for size, x, y in zip(table.classes.sizes, f, g):
+        total = total + (x * y.conjugate()).scale(size)
+    value = total.rational()
+    return None if value is None else value / table.group.order
+
+
+def combination(rng, table, scale):
+    """sum_i a_i chi_i over a few rows, a_i random multiples of scale, with
+    some values rewritten over twice their root order where Q(zeta_e)
+    allows: equal as numbers, different as vectors."""
+    picks = rng.sample(range(len(table.chars)), min(4, len(table.chars)))
+    coeffs = {i: rng.randint(-3, 3) * scale for i in picks}
+    values = []
+    for k in range(table.classes.num_classes):
+        value = CycValue.from_rational(0, table.classes.orders[k])
+        for i, a in coeffs.items():
+            value = value + table.chars[i].values[k].scale(a)
+        if table.exponent % (2 * value.n) == 0 and rng.random() < 0.5:
+            value = value.embed(2 * value.n)
+        values.append(value)
+    return coeffs, values
+
+
+SCALES = {
+    "int": 1,
+    "fraction": Fraction(2, 7),
+    "bound above 2^62": 2**40,  # int64 stack, object Gram
+    "above 2^63": 2**64 + 1,  # object stack
+}
+
+
+@pytest.mark.parametrize("scale", list(SCALES))
+@pytest.mark.parametrize("name", list(SMALL))
+def test_block_gram_matches_per_pair_reference(name, scale):
+    table = character_table(SMALL[name]())
+    rng = random.Random(f"{name} {scale}")
+    fs = [combination(rng, table, SCALES[scale]) for _ in range(3)]
+    gs = [combination(rng, table, SCALES[scale]) for _ in range(2)]
+    gram = chars._gram(table, [f for _, f in fs], [g for _, g in gs])
+    for i, (a, f) in enumerate(fs):
+        for j, (b, g) in enumerate(gs):
+            expected = sum(a[k] * b[k] for k in a.keys() & b.keys())
+            assert gram[i][j] == expected
+            assert reference_inner_product(table, f, g) == expected
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_block_gram_rejects_what_the_reference_finds_irrational(name):
+    table = character_table(SMALL[name]())
+    rng = random.Random(name)
+    orders = table.classes.orders
+    for _ in range(5):
+        f = [CycValue(n, [rng.randint(-5, 5) for _ in range(n)])
+             for n in orders]
+        g = table.chars[-1].values
+        if reference_inner_product(table, f, g) is None:
+            with pytest.raises(TableError):
+                chars._gram(table, [f], [g])
+        else:
+            assert chars._gram(table, [f], [g])[0][0] == \
+                reference_inner_product(table, f, g)
+
+
+def test_stack_dtype():
+    one = [CycValue(2, (1, 2))]
+    assert chars._stack([one])[1].dtype == np.int64
+    for big in (2**62, -2**62, 2**70, Fraction(1, 2)):
+        assert chars._stack([[CycValue(2, (1, big))]])[1].dtype == object
+    orders, coeffs = chars._stack([[CycValue(1, (3,)), CycValue(2, (1, 2))],
+                                   [CycValue(2, (4, 5)), CycValue(4, (6,) * 4)]])
+    assert orders == [2, 4]
+    assert coeffs.tolist() == [[3, 0, 1, 0, 2, 0], [4, 5, 6, 6, 6, 6]]
+
+
+# -- kernels and row order ----------------------------------------------------
+
+def tables(cat):
+    for name in cat.names():
+        yield name, character_table(cat.group(name))
+
+
+@pytest.fixture(scope="module")
+def scale_tables():
+    return {name: character_table(build()) for name, build in SCALE.items()}
+
+
+def assert_kernels(table):
+    for chi in table.chars:
+        assert Character(chi.degree, chi.values).kernel_classes == \
+            chi.kernel_classes
+        # for a character, chi(g) = chi(1) iff every eigenvalue is 1
+        assert chi.kernel_classes == {
+            k for k, v in enumerate(chi.values) if v.coeffs[0] == chi.degree}
+
+
+def test_batched_kernels_equal_one_row_kernels_on_the_corpus(cat):
+    for _, table in tables(cat):
+        assert_kernels(table)
+
+
+@pytest.mark.parametrize("name", list(SCALE))
+def test_batched_kernels_equal_one_row_kernels_at_scale(scale_tables, name):
+    assert_kernels(scale_tables[name])
+
+
+def embedded_key(table):
+    return lambda c: (c.degree, tuple(v.embed(table.exponent).coeffs
+                                      for v in c.values))
+
+
+def test_row_order_equals_embedded_sort_on_the_corpus(cat):
+    for _, table in tables(cat):
+        assert list(table.chars) == sorted(table.chars,
+                                           key=embedded_key(table))
+        assert table.principal().degree == 1
+        assert all(v.rational() == 1 for v in table.principal().values)
+
+
+@pytest.mark.parametrize("name", ["A5", "M11", "C3^4"])
+def test_hand_built_rows_sort_like_the_lift(name):
+    # rows given in reverse and without a stack end in the same canonical
+    # order, also where the largest row writes its degree as -d * zeta_2
+    # (first coefficient 0, so only the degree in the key keeps it last)
+    # and some value over twice its root order
+    table = character_table(SMALL[name]())
+    rows = list(table.chars[::-1])
+    if table.exponent % 2 == 0:
+        chi = rows[0]
+        k = next(k for k, n in enumerate(table.classes.orders)
+                 if table.exponent % (2 * n) == 0 and n > 1)
+        rows[0] = Character(chi.degree, [CycValue(2, (0, -chi.degree))] + [
+            v.embed(2 * v.n) if j == k else v
+            for j, v in enumerate(chi.values) if j])
+    rebuilt = CharacterTable(table.group, table.classes, rows, table.exponent,
+                             table.dixon_prime, table.primitive_root)
+    assert [c.kernel_classes for c in rebuilt.chars] == \
+        [c.kernel_classes for c in table.chars]
+    assert sorted(rows, key=embedded_key(table)) == list(rebuilt.chars)
+    assert rebuilt.chars[-1] is rows[0]
+
+
+# -- the element rank ---------------------------------------------------------
+
+def direct_power(p, k):
+    return make([f"({' '.join(str(p * i + j + 1) for j in range(p))})"
+                 for i in range(k)], p * k)
+
+
+@pytest.mark.parametrize("p, k", [(2, 6), (3, 4)])
+def test_rank_skips_every_inverse_gather_of_an_elementary_abelian_group(p, k):
+    group = direct_power(p, k)
+    assert all(inverse is None for *_, inverse in group.chain._rank_tables)
+    rows = group.element_array()
+    assert np.array_equal(group.chain.rank(rows[:, group.chain.base]),
+                          np.arange(group.order))
+
+
+def test_rank_divides_where_a_later_orbit_moves():
+    # level 0's transversal element (0 2)(1 3) fixes base point 1 but moves
+    # 3, which base point 1's stabilizer orbit reaches: its inverse must be
+    # gathered, or the rank of half the elements comes out wrong
+    group = Group([Permutation([2, 3, 0, 1, 4]), Permutation([2, 1, 0, 4, 3])],
+                  5)
+    chain = group.chain
+    assert chain.base[:2] == [0, 1]
+    assert chain._rank_tables[0][3] is not None
+    rows = group.element_array()
+    assert np.array_equal(chain.rank(rows[:, chain.base]),
+                          np.arange(group.order))
+
+
+def test_rank_on_random_groups():
+    rng = random.Random(7)
+    skipped = 0
+    for _ in range(300):
+        degree = rng.randint(3, 8)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            points = rng.sample(range(degree), degree)
+            images = list(range(degree))
+            size = rng.choice([2, 3])
+            for lo in range(0, rng.randint(1, degree // size) * size, size):
+                cycle = points[lo:lo + size]
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[a] = b
+            gens.append(Permutation(images))
+        group = Group(gens, degree)
+        if group.order > 2000:
+            continue
+        skipped += sum(inverse is None
+                       for *_, inverse in group.chain._rank_tables[:-1])
+        rows = group.element_array()
+        assert np.array_equal(group.chain.rank(rows[:, group.chain.base]),
+                              np.arange(group.order))
+    assert skipped > 0
