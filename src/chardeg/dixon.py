@@ -243,10 +243,11 @@ class Lift(list):
     """(degree, values) per character, held as arrays too: ``degrees``, and
     ``mult`` with character j's multiplicity vectors in row j, class order."""
 
-    def __init__(self, degrees: list[int], orders: list[int], mult):
+    def __init__(self, degrees: list[int], orders: list[int],
+                 mult: np.ndarray):
         at = np.cumsum([0, *orders]).tolist()
         super().__init__(
-            (d, tuple(CycValue(n, row[a:a + n]) for n, a in zip(orders, at)))
+            (d, tuple([CycValue(n, row[a:a + n]) for n, a in zip(orders, at)]))
             for d, row in zip(degrees, map(np.ndarray.tolist, mult)))
         self.degrees, self.mult = degrees, mult
 
