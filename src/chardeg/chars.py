@@ -223,7 +223,10 @@ def _kernels(orders, coeffs: np.ndarray, degrees) -> list[frozenset]:
 
 # Most array elements one circulant gather in _inner_products may hold; a
 # bucket with many classes and a long root order is gathered in chunks.
-_GATHER_ELEMENTS = 1 << 21
+# At 2^15 (256 KB) the 81 classes of C3^4 go in two chunks, which lowers
+# the peak memory of its table; tables with few classes (S8 has 22) keep
+# each bucket whole.
+_GATHER_ELEMENTS = 1 << 15
 
 
 def _inner_products(table: CharacterTable, orders, f: np.ndarray,

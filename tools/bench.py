@@ -23,7 +23,8 @@ from here; nothing in the program is changed:
 * lift: ``dixon.lift_character``;
 * validate: the rest of ``character_table`` (the ``Character`` objects and
   their kernels, then ``CharacterTable``, whose constructor sorts the rows
-  and runs the exact Gram check), with the split and lift above handed in.
+  and runs the exact Gram check), with the split and lift above handed in
+  (``dixon``'s two functions are replaced in the worker process only).
   Each tree's own ``character_table`` consumes its own lift output, so the
   stage means the same in trees whose lift returns different types.
 """
