@@ -1,6 +1,6 @@
-"""Record the SHA-256 of the CLI's table and report output.
+"""Record the SHA-256 of the CLI's table and report output, and of quotients.
 
-Writes three files:
+Writes four files:
 
 * tests/golden_tables.json: `chardeg table <g> --json` for every corpus
   group, compared by tests/test_golden_tables.py;
@@ -10,7 +10,10 @@ Writes three files:
   compared by tests/test_golden_scale_tables.py;
 * tests/golden_reports.json: `verify paper` (text and --json), the corpus
   scans (--json) and the README's `acd` examples, each with its arguments,
-  compared by tests/test_golden_reports.py.
+  compared by tests/test_golden_reports.py;
+* tests/golden_quotients.json: the degree, generator images and projected
+  source generators of each corpus quotient (see corpus_quotients),
+  compared by tests/test_golden_quotients.py.
 
 Re-record only when a change to the output is intended.
 
@@ -29,12 +32,14 @@ sys.path.insert(0, "src")
 from chardeg.chars import character_table
 from chardeg.cli import main
 from chardeg.corpusio import Catalogue
-from chardeg.groups import Group
+from chardeg.groups import (Group, Quotient, center, minimal_normal_subgroups,
+                            quotient_group)
 from chardeg.perms import parse_cycles
 
 OUT = Path("tests/golden_tables.json")
 REPORTS_OUT = Path("tests/golden_reports.json")
 SCALE_OUT = Path("tests/golden_scale_tables.json")
+QUOTIENTS_OUT = Path("tests/golden_quotients.json")
 
 # name -> (degree, generators in 1-based cycle notation).  S8, M12, C2^6 and
 # C3^4 are the benchmark's table groups at seed 0 (perfbench/workloads.py);
@@ -92,6 +97,36 @@ def table_digest(group: Group) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def corpus_quotients(cat: Catalogue) -> dict[str, Quotient]:
+    """Each corpus group over its center, when that is proper and
+    nontrivial, and over each proper minimal normal subgroup; and each
+    central product's quotient (M x C)/Z.  Labels name the group and N.
+    """
+    quotients = {}
+    for name in cat.names():
+        entry = cat.entry(name)
+        g = entry.group
+        z = center(g)
+        if 1 < z.order < g.order:
+            quotients[f"{name} / Z"] = quotient_group(g, z)
+        for i, n in enumerate(minimal_normal_subgroups(g)):
+            if n.order < g.order:
+                quotients[f"{name} / N{i}"] = quotient_group(g, n)
+        if entry.construction is not None:
+            quotients[f"{name} construction"] = entry.construction.quotient
+    return quotients
+
+
+def quotient_digest(q: Quotient) -> str:
+    """SHA-256 of the quotient's degree, its generators' images and the
+    projections of the source's generators, as JSON."""
+    data = {"degree": q.group.degree,
+            "generators": [list(x.images) for x in q.group.generators],
+            "projections": [list(q.project(x).images)
+                            for x in q.source.generators]}
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
 def _write(path: Path, digests: dict) -> None:
     path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {path}")
@@ -104,3 +139,5 @@ if __name__ == "__main__":
                          for label, argv in REPORTS.items()})
     _write(SCALE_OUT, {name: table_digest(scale_group(name))
                        for name in SCALE_GROUPS})
+    _write(QUOTIENTS_OUT, {label: quotient_digest(q) for label, q
+                           in corpus_quotients(Catalogue()).items()})
