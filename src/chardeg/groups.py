@@ -1,7 +1,7 @@
 """Permutation groups: construction, conjugacy classes, normal structure.
 
 Groups are immutable after construction; expensive per-group data (class
-data, element lists, derived series) is cached lazily on the instance.  All
+data, element lists, solvability) is cached lazily on the instance.  All
 orderings are canonical so repeated runs produce identical output.
 """
 
@@ -18,8 +18,9 @@ from .cyclotomic import _is_prime
 from .errors import GroupTooLargeError, NotMemberError, NotNormalError
 from .perms import Permutation
 
-# Full element enumeration (classes, quotients) is only attempted below this
-# size.  This is an artifact-level bound, not a mathematical one.
+# Full element enumeration (classes, and the coset action of a quotient,
+# whose gathers hold |G| rows of base images) is only attempted up to this
+# group order.  This is an artifact-level bound, not a mathematical one.
 DEFAULT_ELEMENT_BOUND = 10**6
 
 
@@ -119,12 +120,12 @@ class ClassData:
     (Permutation lists, each sorted) is built only when first read.
 
     Classes are the orbits of the conjugation action.  Each generator acts
-    as an index map on the element rows, and the orbits are the connected
-    components of those maps, found by min-label propagation.  An element
-    is fixed by its images of the base points, which the chain ranks to a
-    row index (``StabilizerChain.rank``), so lookups gather base columns
-    only and the element rows are never sorted or searched; least members
-    are found column by column, and only the representatives are sorted.
+    as an index map on the element rows, and ``_orbits`` finds the orbits
+    of those maps.  An element is fixed by its images of the base points,
+    which the chain ranks to a row index (``StabilizerChain.rank``), so
+    lookups gather base columns only and the element rows are never sorted
+    or searched; least members are found column by column, and only the
+    representatives are sorted.
     """
 
     def __init__(self, group: Group, bound: int = DEFAULT_ELEMENT_BOUND):
@@ -134,23 +135,13 @@ class ClassData:
         self.base = np.array(group.chain.base, dtype=np.intp)
 
         # conj[j, e]: the base images of g^-1 * e * g, g the j-th generator;
-        # label[e] converges to the least element index in e's class
+        # raw classes are numbered in the order of their least element index
         conj = np.empty((len(group.generators), len(rows), len(self.base)),
                         dtype=rows.dtype)
         for j, g in enumerate(group.generators):
             g_row = np.array(g.images, dtype=rows.dtype)
             conj[j] = g_row[rows[:, np.argsort(g_row)[self.base]]]
-        maps = group.chain.rank(conj)
-        label = np.arange(len(rows))
-        while True:
-            previous = label
-            for conj in maps:
-                label = np.minimum(label, label[conj])
-            label = label[label]
-            if np.array_equal(label, previous):
-                break
-        # raw classes, numbered in the order of their least element index
-        raw = (np.cumsum(label == np.arange(len(rows))) - 1)[label]
+        raw = _orbits(group.chain.rank(conj), len(rows))
         raw_sizes = np.bincount(raw)
         # each raw class's lexicographically least member: keep the members
         # at their class's least image, one column at a time
@@ -215,14 +206,23 @@ class ClassData:
         return self.group.order // self.sizes[i]
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row; keys sort in lexicographic image order.
+def _orbits(maps, size: int) -> np.ndarray:
+    """The orbit of each index in range(size) under the index maps
+    ``maps`` (permutations of range(size)), orbits numbered in the order
+    of their least member.
 
-    The big-endian bytes of a row compare like its image tuple, for any
-    degree, where packing rows into integers would overflow.
+    Min-label propagation: each label steps to the least label of its
+    images, then to its own label's label, until each is its orbit's least.
     """
-    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+    label = np.arange(size)
+    while True:
+        previous = label
+        for m in maps:
+            label = np.minimum(label, label[m])
+        label = label[label]
+        if np.array_equal(label, previous):
+            break
+    return (np.cumsum(label == np.arange(size)) - 1)[label]
 
 
 def _powers(row: np.ndarray, n: int) -> np.ndarray:
@@ -277,23 +277,21 @@ def commutator_subgroup(group: Group) -> Subgroup:
 
 def derived_series(group: Group) -> list[Group]:
     """G > G' > G'' > ... until stabilization (last repeat dropped)."""
-    if "derived_series" not in group._cache:
-        series: list[Group] = [group]
-        current = group
-        while True:
-            nxt = commutator_subgroup(current)
-            if nxt.order == current.order:
-                break
-            series.append(nxt)
-            current = nxt
-            if current.order == 1:
-                break
-        group._cache["derived_series"] = series
-    return group._cache["derived_series"]
+    series = [group]
+    while series[-1].order > 1:
+        nxt = commutator_subgroup(series[-1])
+        if nxt.order == series[-1].order:
+            break
+        series.append(nxt)
+    return series
 
 
 def is_solvable(group: Group) -> bool:
-    return derived_series(group)[-1].order == 1
+    # cached as a bool: a cached series would hold subgroups whose
+    # ``parent`` points back at the group, a reference cycle
+    if "solvable" not in group._cache:
+        group._cache["solvable"] = derived_series(group)[-1].order == 1
+    return group._cache["solvable"]
 
 
 def is_perfect(group: Group) -> bool:
@@ -340,8 +338,10 @@ def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
 
 
 def _subgroup_key(s: Group) -> tuple:
-    """Equal for equal subgroups however generated: the sorted row keys."""
-    return (s.order, np.sort(_row_keys(s.element_array())).tobytes())
+    """Equal for equal subgroups however generated: the rows in
+    lexicographic order, as big-endian bytes, which compare like the rows."""
+    rows = s.element_array()
+    return (s.order, rows[np.lexsort(rows.T[::-1])].astype(">u2").tobytes())
 
 
 def solvable_radical(group: Group) -> Subgroup:
@@ -418,8 +418,15 @@ def word_table(target: Group, images, source: Group) -> dict:
 
 def quotient_group(group: Group, n: Group,
                    bound: int = DEFAULT_ELEMENT_BOUND) -> Quotient:
-    """Faithful action of G/N, preferring the action on N-orbits when it is
-    faithful, otherwise on right cosets of N."""
+    """Faithful action of G/N: on the N-orbits of points when that action
+    is faithful, otherwise on the right cosets of N.
+
+    The N-orbits are the ``_orbits`` of N's generators.  A coset Nx is named
+    by the least ``group.chain.rank`` of the elements m * x, m in N, and
+    numbered in breadth-first order from N over the generators of G.  The
+    coset action holds |G| base-image rows, so it raises GroupTooLargeError
+    when |G| exceeds ``bound``.
+    """
     for s in n.generators:
         for g in group.generators:
             if s.conjugate(g) not in n:
@@ -435,50 +442,41 @@ def quotient_group(group: Group, n: Group,
     target = group.order // n.order
 
     # cheap attempt: G permutes the N-orbits; faithful iff image has order |G:N|
-    orbit_of = _orbit_labels(n, group.degree)
-    num_orbits = max(orbit_of) + 1
-    if num_orbits > 1:
+    orbit_of = _orbits(np.array([s.images for s in n.generators]),
+                       group.degree)
+    least = np.unique(orbit_of, return_index=True)[1]
+    if len(least) > 1:
         def act_orbits(p: Permutation) -> Permutation:
-            images = [0] * num_orbits
-            seen = [False] * num_orbits
-            for pt in range(group.degree):
-                o = orbit_of[pt]
-                if not seen[o]:
-                    seen[o] = True
-                    images[o] = orbit_of[p[pt]]
-            return Permutation(images)
+            return Permutation(orbit_of[np.take(p.images, least)].tolist())
 
         images = [act_orbits(g) for g in group.generators]
-        img_group = Group(images, num_orbits)
+        img_group = Group(images, len(least))
         if img_group.order == target:
-            return Quotient(group, n, img_group, images,
-                            lambda p: act_orbits(p))
+            return Quotient(group, n, img_group, images, act_orbits)
 
-    # general case: action on right cosets of N, labeled by BFS discovery
-    n_elements = n.elements(bound)
-    if target > bound:
-        raise GroupTooLargeError("coset space exceeds the element bound")
-
-    def signature(x: Permutation) -> tuple:
-        return min((m * x).images for m in n_elements)
-
-    sigs = {signature(group.identity()): 0}
-    reps = [group.identity()]
-    queue = deque([0])
-    while queue:
-        ci = queue.popleft()
-        for g in group.generators:
-            y = reps[ci] * g
-            sig = signature(y)
-            if sig not in sigs:
-                idx = len(reps)
-                sigs[sig] = idx
-                reps.append(y)
-                queue.append(idx)
+    # general case: action on right cosets of N
+    if group.order > bound:
+        raise GroupTooLargeError(
+            f"group order {group.order} exceeds element bound {bound}")
+    chain = group.chain
+    n_base = n.element_array(bound)[:, chain.base]
+    gen_rows = np.array([g.images for g in group.generators], chain.dtype)
+    reps = [np.arange(group.degree, dtype=chain.dtype)]
+    coset_of = {int(chain.rank(n_base).min()): 0}
+    for r in reps:  # a queue: cosets are numbered breadth-first
+        products = gen_rows[:, r]  # rows of r * g, g a generator
+        names = _coset_names(chain, n_base, products).tolist()
+        for row, name in zip(products, names):
+            if name not in coset_of:
+                coset_of[name] = len(reps)
+                reps.append(row)
     assert len(reps) == target, "coset enumeration mismatch"
+    reps = np.array(reps)
 
     def act_cosets(p: Permutation) -> Permutation:
-        return Permutation([sigs[signature(r * p)] for r in reps])
+        p_row = np.array(p.images, dtype=chain.dtype)
+        names = _coset_names(chain, n_base, p_row[reps]).tolist()
+        return Permutation([coset_of[name] for name in names])
 
     images = [act_cosets(g) for g in group.generators]
     img_group = Group(images, target)
@@ -486,25 +484,11 @@ def quotient_group(group: Group, n: Group,
     return Quotient(group, n, img_group, images, act_cosets)
 
 
-def _orbit_labels(n: Group, degree: int) -> list[int]:
-    """Label each point with the index of its N-orbit (orbits sorted by
-    least point)."""
-    label = [-1] * degree
-    next_label = 0
-    for pt in range(degree):
-        if label[pt] != -1:
-            continue
-        stack = [pt]
-        label[pt] = next_label
-        while stack:
-            x = stack.pop()
-            for g in n.generators:
-                y = g[x]
-                if label[y] == -1:
-                    label[y] = next_label
-                    stack.append(y)
-        next_label += 1
-    return label
+def _coset_names(chain: StabilizerChain, n_base: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """Name the right coset Nx of each row x by the least ``chain.rank`` of
+    m * x over m in N, where ``n_base`` holds the base images of each m."""
+    return chain.rank(rows[:, n_base]).min(axis=-1)  # (m * x)[b] = x[m[b]]
 
 
 def is_p_solvable(group: Group, p: int) -> bool:
