@@ -442,8 +442,11 @@ def quotient_group(group: Group, n: Group,
     target = group.order // n.order
 
     # cheap attempt: G permutes the N-orbits; faithful iff image has order |G:N|
-    orbit_of = _orbits(np.array([s.images for s in n.generators]),
-                       group.degree)
+    # s, s^2, s^4, ... for each generator s: one sweep covers every cycle
+    maps = [np.array(s.images) for s in n.generators]
+    for _ in range(group.degree.bit_length()):
+        maps += [m[m] for m in maps[-len(n.generators):]]
+    orbit_of = _orbits(maps, group.degree)
     least = np.unique(orbit_of, return_index=True)[1]
     if len(least) > 1:
         def act_orbits(p: Permutation) -> Permutation:
@@ -462,7 +465,7 @@ def quotient_group(group: Group, n: Group,
     n_base = n.element_array(bound)[:, chain.base]
     gen_rows = np.array([g.images for g in group.generators], chain.dtype)
     reps = [np.arange(group.degree, dtype=chain.dtype)]
-    coset_of = {int(chain.rank(n_base).min()): 0}
+    coset_of = {int(_coset_names(chain, n_base, reps[0][None])[0]): 0}
     for r in reps:  # a queue: cosets are numbered breadth-first
         products = gen_rows[:, r]  # rows of r * g, g a generator
         names = _coset_names(chain, n_base, products).tolist()

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chardeg import groups
 from chardeg.errors import GroupTooLargeError
 from chardeg.groups import (Group, Subgroup, _coset_names, _orbits,
                             derived_series, is_solvable, quotient_group)
@@ -150,6 +151,25 @@ def test_orbits_jump_to_the_least_label():
     maps = CountedMaps([cycle])
     assert (_orbits(maps, 1024) == 0).all()
     assert maps.sweeps <= 40
+
+
+def test_quotient_orbits_take_few_sweeps(monkeypatch):
+    # C_4096 as (1 2 ... 4096) over its subgroup of index 2: each N-orbit
+    # is a cycle whose points increase along the generator, where label
+    # steps and jumps alone would take a sweep per point
+    sweeps = []
+
+    def counted(maps, size):
+        maps = CountedMaps(maps)
+        labels = _orbits(maps, size)
+        sweeps.append(maps.sweeps)
+        return labels
+
+    monkeypatch.setattr(groups, "_orbits", counted)
+    g = _group(4096, "(" + " ".join(map(str, range(1, 4097))) + ")")
+    q = quotient_group(g, Subgroup(g, [g.generators[0] ** 2]))
+    assert q.group.order == 2
+    assert sweeps == [2]
 
 
 # -- cosets ----------------------------------------------------------------
