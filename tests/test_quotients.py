@@ -5,7 +5,8 @@ by a depth-first search, and the right coset Nx named by the least image
 tuple of the Permutation products m * x.  ``groups._orbits`` must give the
 same orbit labels, ``groups._coset_names`` must name the same right cosets
 by their least chain rank, and every corpus quotient must project random
-elements as the reference does.
+elements as the reference does.  The coset action's size guard and the
+solvability cache, which must leave no reference cycle, are checked too.
 """
 
 import gc
@@ -33,6 +34,10 @@ _spec = importlib.util.spec_from_file_location(
     "golden_tables", ROOT / "tools" / "golden_tables.py")
 tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
+
+
+def _group(degree, *cycles):
+    return Group([parse_cycles(c, degree) for c in cycles], degree)
 
 
 # -- references ------------------------------------------------------------
@@ -173,10 +178,6 @@ def test_quotient_orbits_take_few_sweeps(monkeypatch):
 
 
 # -- cosets ----------------------------------------------------------------
-
-def _group(degree, *cycles):
-    return Group([parse_cycles(c, degree) for c in cycles], degree)
-
 
 NON_NORMAL = {
     # (group, generators of a subgroup that is not normal in it)
