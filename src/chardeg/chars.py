@@ -5,11 +5,11 @@ the exact layer: canonical ordering, validation, inner products,
 restriction, tensor products, kernels, extension tests and the Gallagher
 correspondence check, on stacks: class functions as one coefficient array.
 
-Inner products and table validation share one exact routine,
-``_inner_products``, a whole matrix of inner products of two stacks in
-Q(zeta_e), e the group exponent.  A table is certified by one Gram check,
-rows against rows equal to the identity; since the table is square this
-implies the column relations too (see ``CharacterTable``).
+Inner products, table validation and equality of class functions share
+one exact routine, ``_inner_products``, a whole matrix of inner products of
+two stacks in Q(zeta_e), e the group exponent.  A table is certified by one
+Gram check, rows against rows equal to the identity; since the table is
+square this implies the column relations too (see ``CharacterTable``).
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 from . import dixon
 from .cyclotomic import CycValue, _reduction_matrix, reduce_to_power_basis
 from .errors import TableError
-from .groups import (ClassData, Group, Subgroup, class_fusion,
+from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
                      conjugacy_classes)
-from .perms import Permutation
 
 
 class Character:
@@ -283,6 +282,17 @@ def inner_product(table: CharacterTable, a, b) -> Fraction:
     return _gram(table, [a], [b])[0][0]
 
 
+def equal(table: CharacterTable, fs, gs) -> np.ndarray:
+    """Bool matrix, [i, j] true iff fs[i] = gs[j], i.e. iff the positive
+    definite <f-g, f-g> = <f,f> + <g,g> - 2<f,g> is 0: exact, from one Gram
+    matrix of fs + gs, raising TableError unless it is rational."""
+    fs = list(fs)
+    orders, coeffs = _stack(fs + list(gs))
+    gram = _inner_products(table, orders, coeffs, coeffs)
+    norms, k = gram.diagonal(), len(fs)
+    return norms[:k, None] + norms[k:] - 2 * gram[:k, k:] == 0
+
+
 def tensor(a, b) -> list[CycValue]:
     """Pointwise product of two class functions on the same table."""
     va, vb = _values_of(a), _values_of(b)
@@ -305,37 +315,22 @@ def kernel_classes_contain(table: CharacterTable, chi: Character,
 
 def kernel_subgroup(group: Group, chi: Character) -> Subgroup:
     """Ker(chi) as a subgroup: the union of the kernel classes."""
-    cd = conjugacy_classes(group)
-    target = sum(cd.sizes[j] for j in chi.kernel_classes)
-    gens: list[Permutation] = []
-    current = Subgroup(group, gens)
-    if current.order == target:
-        return current
-    for j in sorted(chi.kernel_classes):
-        for member in cd.members[j]:
-            if member not in current:
-                gens.append(member)
-                current = Subgroup(group, gens)
-                if current.order == target:
-                    return current
-    raise TableError("kernel classes do not close into a subgroup")
+    kernel = class_union(group, chi.kernel_classes)
+    if kernel is None:
+        raise TableError("kernel classes do not close into a subgroup")
+    return kernel
 
 
 def extensions_of(group: Group, n: Group, theta: Character,
                   warn=None) -> list[Character]:
     """All chi in Irr(G) with chi(1) = theta(1) restricting to theta exactly."""
-    if isinstance(n, Subgroup) and not n.is_normal():
-        if warn is not None:
-            warn("extension test on a non-normal subgroup")
-    table = character_table(group)
-    out = []
-    for chi in table.chars:
-        if chi.degree != theta.degree:
-            continue
-        restricted = restrict_character(group, chi, n)
-        if all(x.value_eq(y) for x, y in zip(restricted, theta.values)):
-            out.append(chi)
-    return out
+    if warn is not None and isinstance(n, Subgroup) and not n.is_normal():
+        warn("extension test on a non-normal subgroup")
+    same = [chi for chi in character_table(group).chars
+            if chi.degree == theta.degree]
+    hits = equal(character_table(n), [restrict_character(group, chi, n)
+                                      for chi in same], [theta])
+    return [chi for chi, hit in zip(same, hits[:, 0]) if hit]
 
 
 @dataclass

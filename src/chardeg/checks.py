@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .chars import (Character, character_table, extensions_of,
+from .chars import (Character, character_table, equal, extensions_of,
                     gallagher_check, tensor)
 from .corpusio import Catalogue
 from .errors import ChardegError
@@ -95,7 +95,7 @@ def principal_character(table) -> Character:
 
 
 def nonprincipal_chars(table) -> list[Character]:
-    principal = principal_character(table)
+    principal = table.principal()
     return [c for c in table.chars if c is not principal]
 
 
@@ -105,17 +105,17 @@ def transport_character(target_table, target_group, lam: Character,
     """The character of ``source_group`` whose value at every element s
     equals lam's value at element_map(s); unique when element_map is an
     isomorphism onto the target."""
-    t_cd = target_table.classes
-    s_cd = source_table.classes
-    # each element's target class once; the values meet only on the
-    # distinct (source class, target class) pairs
+    t_cd, s_cd = target_table.classes, source_table.classes
+    # each element's target class once: one target class per source class
     pairs = sorted({(k, t_cd.class_of(element_map(s))) for s, k in zip(
         source_group.elements(), s_cd.element_index.tolist())})
-    for mu in source_table.chars:
-        if mu.degree == lam.degree and all(
-                mu.values[a].value_eq(lam.values[b]) for a, b in pairs):
-            return mu
-    raise ChardegError("no matching character under the identification")
+    if len(pairs) != s_cd.num_classes:
+        raise ChardegError("the identification splits a source class")
+    hits = equal(source_table, [[lam.values[b] for _, b in pairs]],
+                 source_table.chars)[0]
+    if not hits.any():
+        raise ChardegError("no matching character under the identification")
+    return source_table.chars[hits.argmax()]
 
 
 def _fmt(q: Fraction) -> str:
@@ -299,9 +299,7 @@ def paper_check_suite(cat: Catalogue) -> Report:
     prods = [tensor(beta, psi)
              for beta in irr(t_s5, modulo=a5_sub, mode="quotient")]
     deg5_rows = [c for c in t_s5.chars if c.degree == 5]
-    matched = all(
-        any(all(x.value_eq(y) for x, y in zip(p, row.values))
-            for row in deg5_rows) for p in prods)
+    matched = equal(t_s5, prods, deg5_rows).any(axis=1).all()
     add(Check("gallagher_S5", "multiplication by the degree-5 extension",
               "beta -> beta*psi maps Irr(S5/A5) onto the two degree-5 "
               "characters of S5", res.passed and matched and len(prods) == 2,
@@ -377,7 +375,7 @@ def _central_product_checks(cat: Catalogue, name: str, report: Report):
             vg == vm * vc, f"{_fmt(vg)} = {_fmt(vm)} * {_fmt(vc)}"))
 
         # counting refinement over each nonprincipal lambda
-        if lam.degree == 1 and len(lam.kernel_classes) == len(lam.values):
+        if lam is tz_g.principal():
             continue
         rhs = {d: sum(k * n_c[d // d1] for d1, k in n_m.items() if d % d1 == 0)
                for d in sorted(n_g)}

@@ -103,11 +103,13 @@ class Subgroup(Group):
         self.parent = parent
 
     def is_normal(self) -> bool:
-        for s in self.generators:
-            for g in self.parent.generators:
-                if s.conjugate(g) not in self:
-                    return False
-        return True
+        return not _conjugates_outside(self, self.parent.generators)
+
+
+def _conjugates_outside(n: Group, gens) -> list[Permutation]:
+    """The conjugates s^g, s a generator of n and g in ``gens``, not in n."""
+    return [c for s in n.generators for g in gens
+            if (c := s.conjugate(g)) not in n]
 
 
 class ClassData:
@@ -252,16 +254,9 @@ def normal_closure(group: Group, elems) -> Subgroup:
         if not e.is_identity() and e not in gens:
             gens.append(e)
     h = Subgroup(group, gens)
-    while True:
-        new = []
-        for s in h.generators:
-            for g in group.generators:
-                c = s.conjugate(g)
-                if c not in h:
-                    new.append(c)
-        if not new:
-            return h
+    while new := _conjugates_outside(h, group.generators):
         h = Subgroup(group, list(h.generators) + new)
+    return h
 
 
 def commutator_subgroup(group: Group) -> Subgroup:
@@ -300,17 +295,30 @@ def is_perfect(group: Group) -> bool:
 
 def center(group: Group) -> Subgroup:
     """The center, read off as the union of the size-1 conjugacy classes."""
+    sizes = conjugacy_classes(group).sizes
+    return class_union(group, [i for i, s in enumerate(sizes) if s == 1])
+
+
+def class_union(group: Group, classes) -> Subgroup | None:
+    """The union of the given conjugacy classes as a subgroup, None if the
+    sweep for it misses the classes' total size: through the classes in
+    ascending order, members in lexicographic order, each member not yet in
+    the subgroup is added, which keeps the generating set small.  Only these
+    classes' rows become Permutations."""
     cd = conjugacy_classes(group)
-    central = [cd.reps[i] for i in range(cd.num_classes)
-               if cd.sizes[i] == 1 and not cd.reps[i].is_identity()]
-    # keep the generating set small: greedy sweep in canonical order
+    target = sum(cd.sizes[j] for j in classes)
     gens: list[Permutation] = []
-    h = Subgroup(group, [])
-    for z in central:
-        if z not in h:
-            gens.append(z)
-            h = Subgroup(group, gens)
-    return h
+    h = Subgroup(group, gens)
+    for j in sorted(classes):
+        rows = cd.rows[cd.element_index == j]
+        for row in rows[np.lexsort(rows.T[::-1])].tolist():
+            if h.order == target:
+                return h
+            member = Permutation._trusted(tuple(row))
+            if member not in h:
+                gens.append(member)
+                h = Subgroup(group, gens)
+    return h if h.order == target else None
 
 
 def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
@@ -427,10 +435,8 @@ def quotient_group(group: Group, n: Group,
     coset action holds |G| base-image rows, so it raises GroupTooLargeError
     when |G| exceeds ``bound``.
     """
-    for s in n.generators:
-        for g in group.generators:
-            if s.conjugate(g) not in n:
-                raise NotNormalError("quotient by a non-normal subgroup")
+    if _conjugates_outside(n, group.generators):
+        raise NotNormalError("quotient by a non-normal subgroup")
     if n.order == 1:
         return Quotient(group, n, group, list(group.generators), lambda p: p)
     if n.order == group.order:

@@ -327,3 +327,51 @@ def test_kernel_classes_exact_values():
         CycValue(6, (0, 2, 0, 0, 0, 2)),  # 2
     ])
     assert chi.kernel_classes == frozenset({0, 1, 3, 8})
+
+
+def _add(*rows):
+    return [sum(vs[1:], vs[0]) for vs in zip(*(r.values for r in rows))]
+
+
+def test_equal_decides_equality_of_class_functions(cat):
+    t = character_table(cat.group("A5"))
+    one, c3a, c3b, c4, c5 = t.chars
+    # f = chi2 + chi3 and g = chi2 + chi4 meet in <f, g> = 1 at norms 2
+    f, g = _add(c3a, c3b), _add(c3a, c4)
+    assert inner_product(t, f, g) == 1
+    assert chars.equal(t, [f, g], [f, g]).tolist() == [[True, False],
+                                                       [False, True]]
+    assert not chars.equal(t, [c3a], [c3b])[0, 0]
+    # the same rows over zeta_30 in every class are the same functions
+    embedded = [[v.embed(30) for v in c.values] for c in t.chars]
+    assert (chars.equal(t, embedded, t.chars) == np.eye(len(t.chars))).all()
+
+
+def test_equal_rejects_irrational_inner_products(cat):
+    # zeta_5 on one class of 5-cycles is no virtual character: its inner
+    # product with the principal character is 12 zeta_5 / 60
+    t = character_table(cat.group("A5"))
+    k = t.classes.orders.index(5)
+    f = [CycValue.from_rational(0)] * t.classes.num_classes
+    f[k] = CycValue.root_of_unity(5)
+    with pytest.raises(TableError):
+        chars.equal(t, [f], [principal_character(t)])
+
+
+def test_extensions_of_reducible_theta(s5, a5_in_s5):
+    # S5's degree-6 character restricts to A5 as the sum of its two
+    # degree-3 characters; it is the one degree-6 extension of that sum
+    (deg6,) = [c for c in character_table(s5).chars if c.degree == 6]
+    theta = Character(6, restrict_character(s5, deg6, a5_in_s5))
+    assert extensions_of(s5, a5_in_s5, theta) == [deg6]
+
+
+def test_kernel_subgroup_rejects_classes_that_do_not_close(s5):
+    # the identity and the transpositions generate S5, not 11 elements
+    cd = character_table(s5).classes
+    k = next(i for i, (o, s) in enumerate(zip(cd.orders, cd.sizes))
+             if (o, s) == (2, 10))
+    chi = character_table(s5).chars[0]
+    fake = Character(chi.degree, chi.values, frozenset({0, k}))
+    with pytest.raises(TableError):
+        kernel_subgroup(s5, fake)

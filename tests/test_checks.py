@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from chardeg.checks import paper_check_suite, theorem_scan
+from chardeg.chars import character_table
+from chardeg.checks import paper_check_suite, theorem_scan, transport_character
 from chardeg.errors import ChardegError
+from chardeg.groups import Group
+from chardeg.perms import parse_cycles
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +100,13 @@ def test_scan_reports_deterministic(cat):
     a = theorem_scan(cat, "thmA").to_json()
     b = theorem_scan(cat, "thmA").to_json()
     assert a == b
+
+
+def test_transport_character_rejects_a_split_class():
+    # the map sends S3's two 3-cycles to a 3-cycle and a transposition
+    s3 = Group([parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)], 3)
+    t = character_table(s3)
+    swap = {parse_cycles("(1 3 2)", 3): parse_cycles("(1 2)", 3)}
+    with pytest.raises(ChardegError, match="splits"):
+        transport_character(t, s3, t.principal(), s3, t,
+                            lambda s: swap.get(s, s))

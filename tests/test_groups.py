@@ -2,9 +2,10 @@ import pytest
 
 from chardeg.errors import NotMemberError, NotNormalError
 from chardeg.groups import (Group, Subgroup, center, class_fusion,
-                            conjugacy_classes, derived_series, is_p_solvable,
-                            is_perfect, is_solvable, minimal_normal_subgroups,
-                            normal_closure, quotient_group, solvable_radical)
+                            class_union, conjugacy_classes, derived_series,
+                            is_p_solvable, is_perfect, is_solvable,
+                            minimal_normal_subgroups, normal_closure,
+                            quotient_group, solvable_radical)
 from chardeg.perms import parse_cycles
 
 
@@ -269,3 +270,17 @@ def test_fusion_of_central_classes(cat):
 
 def test_exponent(a5):
     assert a5.exponent() == 30
+
+
+def test_class_union(s4):
+    cd = conjugacy_classes(s4)
+    sizes = list(zip(cd.orders, cd.sizes))
+    v4 = [0, sizes.index((2, 3))]
+    union = class_union(s4, v4)
+    assert union.order == 4 and union.is_normal()
+    # the transpositions generate S4, which is more than the 7 elements
+    assert class_union(s4, [0, sizes.index((2, 6))]) is None
+    # the sweep reads the rows of its classes, not every class's members
+    c2_s4 = make(["(1 2 3 4)", "(1 2)", "(5 6)"], 6)
+    assert center(c2_s4).generators == (parse_cycles("(5 6)", 6),)
+    assert "members" not in vars(conjugacy_classes(c2_s4))
