@@ -4,6 +4,8 @@ The table rows come from the modular engine in ``dixon``; this module owns
 the exact layer: canonical ordering, validation, inner products,
 restriction, tensor products, kernels, extension tests and the Gallagher
 correspondence check, on stacks: class functions as one coefficient array.
+A table's characters are the rows of the lift's array; their CycValues are
+built only when something reads them.
 
 Inner products, table validation and equality of class functions share
 one exact routine, ``_inner_products``, a whole matrix of inner products of
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -29,16 +32,35 @@ from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
 
 
 class Character:
-    """One irreducible character: degree plus a CycValue per class."""
-
-    __slots__ = ("degree", "values", "kernel_classes")
+    """One irreducible character: degree, kernel classes and one stack row,
+    class k over the orders[k]-th roots of unity.  A table character's
+    ``values`` (a CycValue per class) are built from its row on first read;
+    a hand-built one keeps the values it was given."""
 
     def __init__(self, degree: int, values, kernel_classes=None):
         self.degree = degree
         self.values = tuple(values)
+        self.orders, self.row = _row(self.values)
         if kernel_classes is None:
-            (kernel_classes,) = _kernels(*_stack([self.values]), [degree])
+            (kernel_classes,) = _kernels(self.orders, self.row[None], [degree])
         self.kernel_classes = kernel_classes
+
+    @classmethod
+    def _of_row(cls, degree: int, kernel_classes, orders, row: np.ndarray):
+        """A table character: a row of the lift's array, values unbuilt."""
+        chi = cls.__new__(cls)
+        chi.degree, chi.kernel_classes, chi.orders, chi.row = (
+            degree, kernel_classes, orders, row)
+        return chi
+
+    def _coefficients(self) -> list:
+        """(n, coefficient list) per class, sliced off the row."""
+        row, at = self.row.tolist(), np.cumsum([0, *self.orders]).tolist()
+        return [(n, row[a:a + n]) for n, a in zip(self.orders, at)]
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(CycValue(*c) for c in self._coefficients())
 
     def __repr__(self):
         return f"<Character degree={self.degree}>"
@@ -49,8 +71,7 @@ class CharacterTable:
 
     Canonical row order: degree ascending, then lexicographic on the stack
     rows (the values embedded over the exponent compare alike: embedding
-    puts zeros at the same places in every row).  Hand-built ``chars`` are
-    stacked here, the lift passes its ``stack``.  Construction validates
+    puts zeros at the same places in every row).  Construction validates
     #rows = #classes, the degree sum of squares, degree divisibility, and
     exact row orthogonality; failures raise TableError.
 
@@ -63,7 +84,7 @@ class CharacterTable:
     """
 
     def __init__(self, group: Group, classes: ClassData, chars,
-                 exponent: int, prime: int, root: int, stack=None):
+                 exponent: int, prime: int, root: int):
         self.group = group
         self.classes = classes
         self.exponent = exponent
@@ -72,7 +93,7 @@ class CharacterTable:
         chars = list(chars)
         if len(chars) != classes.num_classes:
             raise TableError("character count differs from class count")
-        orders, rows = stack or _stack(chars)
+        orders, rows = _stack(chars)
         rank = [i for *_, i in sorted(zip(
             [c.degree for c in chars], rows.tolist(), range(len(chars))))]
         self.chars = tuple(chars[i] for i in rank)
@@ -96,21 +117,20 @@ class CharacterTable:
     def principal(self) -> Character:
         """The all-ones row (not necessarily row 0 in canonical order)."""
         for c in self.chars:
-            if c.degree == 1 and len(c.kernel_classes) == len(c.values):
+            if (c.degree == 1
+                    and len(c.kernel_classes) == self.classes.num_classes):
                 return c
         raise TableError("no principal character found (table corrupt)")
 
     def to_data(self) -> "TableData":
-        cd = self.classes
         return TableData(
             name=self.group.name or "",
             order=self.group.order,
             exponent=self.exponent,
             dixon_prime=self.dixon_prime,
             primitive_root=self.primitive_root,
-            classes=[(cd.orders[i], cd.sizes[i]) for i in range(cd.num_classes)],
-            characters=[(c.degree, [(v.n, list(v.coeffs)) for v in c.values])
-                        for c in self.chars],
+            classes=list(zip(self.classes.orders, self.classes.sizes)),
+            characters=[(c.degree, c._coefficients()) for c in self.chars],
         )
 
     def __repr__(self):
@@ -131,19 +151,10 @@ class TableData:
     characters: list  # (degree, [(n, mult list), ...]) per character
 
     def to_json(self) -> str:
-        payload = {
-            "format": 1,
-            "name": self.name,
-            "order": self.order,
-            "exponent": self.exponent,
-            "dixon_prime": self.dixon_prime,
-            "primitive_root": self.primitive_root,
-            "classes": [{"order": o, "size": s} for o, s in self.classes],
-            "characters": [
-                {"degree": d, "values": [[n, mult] for n, mult in values]}
-                for d, values in self.characters
-            ],
-        }
+        payload = dict(vars(self), format=1, classes=[
+            {"order": o, "size": s} for o, s in self.classes], characters=[
+            {"degree": d, "values": [[n, mult] for n, mult in values]}
+            for d, values in self.characters])
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
@@ -172,12 +183,10 @@ def character_table(group: Group) -> CharacterTable:
         p = dixon.dixon_prime(group.order, exponent)
         z = dixon.primitive_root(p)
         omegas = dixon.central_character_vectors(cd, p)
-        lifted = dixon.lift_character(omegas, cd, p, z)
-        kernels = _kernels(cd.orders, lifted.mult, lifted.degrees)
-        chars = [Character(d, values, kernel)
-                 for (d, values), kernel in zip(lifted, kernels)]
-        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z,
-                                           (cd.orders, lifted.mult))
+        degrees, mult = dixon.lift_character(omegas, cd, p, z)
+        chars = [Character._of_row(d, kernel, cd.orders, row) for d, kernel, row
+                 in zip(degrees, _kernels(cd.orders, mult, degrees), mult)]
+        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
     return group._cache[key]
 
 
@@ -188,17 +197,27 @@ def _values_of(f) -> tuple:
 
 
 def _stack(funcs) -> tuple[list[int], np.ndarray]:
-    """(orders, coefficients): class k's values over the orders[k]-th roots
-    of unity; int64 if every coefficient is an int of size < 2^62."""
-    funcs = [_values_of(f) for f in funcs]
-    orders = np.lcm.reduce([[v.n for v in f] for f in funcs]).tolist()
-    flat = [c for f in funcs for v, n in zip(f, orders)
-            for c in v.embed(n).coeffs]
-    coeffs = np.array(flat)
-    if coeffs.dtype != np.int64 or not (
-            -2**62 < coeffs.min() and coeffs.max() < 2**62):
-        coeffs = np.array(flat, dtype=object)
-    return orders, coeffs.reshape(len(funcs), -1)
+    """(orders, coefficients) of class functions, class k over the least
+    common orders[k]-th roots of unity: a character's row as it is where it
+    lies on these orders, else its values embedded and put through _row."""
+    funcs = list(funcs)
+    orders = np.lcm.reduce([f.orders if isinstance(f, Character)
+                            else [v.n for v in f] for f in funcs]).tolist()
+    rows = [f.row if isinstance(f, Character) and f.orders == orders else
+            _row([v.embed(n) for v, n in zip(_values_of(f), orders)])[1]
+            for f in funcs]
+    return orders, np.array(rows, dtype=np.result_type(*rows))
+
+
+def _row(values) -> tuple[list[int], np.ndarray]:
+    """(orders, coefficients) of a CycValue list, each value over its own
+    roots of unity, the one conversion from values to rows: int64 if every
+    coefficient is an int of size < 2^62, else Python objects."""
+    flat = [c for v in values for c in v.coeffs]
+    row = np.array(flat)
+    if row.dtype != np.int64 or not (-2**62 < row.min() and row.max() < 2**62):
+        row = np.array(flat, dtype=object)
+    return [v.n for v in values], row
 
 
 def _buckets(orders):
@@ -345,7 +364,6 @@ def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
     Requires psi to restrict irreducibly to n; then every product with a
     character trivial on n must be irreducible and all products distinct.
     """
-    details = []
     g_table = character_table(group)
     n_table = character_table(n)
     restricted = restrict_character(group, psi, n)
@@ -359,21 +377,14 @@ def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
     # exactly when their inner product is 1
     products = [tensor(beta, psi) for beta in betas]
     gram = _gram(g_table, products, products)
-    irreducible = []
-    for i, beta in enumerate(betas):
-        if gram[i][i] != 1:
-            details.append(
-                f"product with degree-{beta.degree} character is reducible "
-                f"(norm {gram[i][i]})")
-        else:
-            irreducible.append(i)
-    distinct = True
-    for a, i in enumerate(irreducible):
-        for b, j in enumerate(irreducible[a + 1:], a + 1):
-            if gram[i][j] == 1:
-                distinct = False
-                details.append(f"products {a} and {b} coincide")
-    passed = distinct and len(irreducible) == len(betas)
+    details = [f"product with degree-{beta.degree} character is reducible "
+               f"(norm {gram[i][i]})"
+               for i, beta in enumerate(betas) if gram[i][i] != 1]
+    irreducible = [i for i in range(len(betas)) if gram[i][i] == 1]
+    coincide = [(a, b) for a, i in enumerate(irreducible)
+                for b, j in enumerate(irreducible) if a < b and gram[i][j] == 1]
+    details += [f"products {a} and {b} coincide" for a, b in coincide]
+    passed = not coincide and len(irreducible) == len(betas)
     if passed:
         details.append(
             f"{len(betas)} products, all irreducible and distinct")

@@ -99,9 +99,8 @@ def nonprincipal_chars(table) -> list[Character]:
     return [c for c in table.chars if c is not principal]
 
 
-def transport_character(target_table, target_group, lam: Character,
-                        source_group, source_table,
-                        element_map) -> Character:
+def transport_character(target_table, lam: Character, source_group,
+                        source_table, element_map) -> Character:
     """The character of ``source_group`` whose value at every element s
     equals lam's value at element_map(s); unique when element_map is an
     isomorphism onto the target."""
@@ -356,10 +355,8 @@ def _central_product_checks(cat: Catalogue, name: str, report: Report):
     tz_c = character_table(cp.z_c)
 
     for i, lam in enumerate(tz_g.chars):
-        lam_m = transport_character(tz_g, cp.z_image, lam, cp.z_m, tz_m,
-                                    cp.embed_m)
-        lam_c = transport_character(tz_g, cp.z_image, lam, cp.z_c, tz_c,
-                                    cp.embed_c)
+        lam_m = transport_character(tz_g, lam, cp.z_m, tz_m, cp.embed_m)
+        lam_c = transport_character(tz_g, lam, cp.z_c, tz_c, cp.embed_c)
         # degree multisets of Irr(G|lambda), Irr(M|lambda), Irr(C|lambda)
         n_g, n_m, n_c = (
             Counter(c.degree for c in irr_over(t, z, tz, mu))

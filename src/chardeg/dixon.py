@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import CycValue, _is_prime, _prime_factors
+from .cyclotomic import _is_prime, _prime_factors
 from .errors import TableError
 from .groups import ClassData
 
@@ -77,10 +77,8 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
 # -- linear algebra mod p ---------------------------------------------------
 
 def _inverse_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        inv[v] = pow(v, p - 2, p)
-    return inv
+    """v^-1 mod the odd prime p at index v, and 0 at 0."""
+    return np.array([pow(v, p - 2, p) for v in range(p)], dtype=np.int64)
 
 
 def rref_mod(a: np.ndarray, p: int, inv: np.ndarray):
@@ -239,21 +237,10 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
 _LIFT_ELEMENTS = 1 << 21
 
 
-class Lift(list):
-    """(degree, values) per character, held as arrays too: ``degrees``, and
-    ``mult`` with character j's multiplicity vectors in row j, class order."""
-
-    def __init__(self, degrees: list[int], orders: list[int],
-                 mult: np.ndarray):
-        at = np.cumsum([0, *orders]).tolist()
-        super().__init__(
-            (d, tuple([CycValue(n, row[a:a + n]) for n, a in zip(orders, at)]))
-            for d, row in zip(degrees, map(np.ndarray.tolist, mult)))
-        self.degrees, self.mult = degrees, mult
-
-
-def lift_character(w: np.ndarray, cd: ClassData, p: int, z: int) -> Lift:
-    """Exact (degree, values) of every character, from the rows of w.
+def lift_character(w: np.ndarray, cd: ClassData, p: int,
+                   z: int) -> tuple[list[int], np.ndarray]:
+    """Exact (degrees, mult) of every character, from the rows of w: row j
+    of mult holds character j's multiplicity vectors, class by class.
 
     d^2 = |G| / sum_k omega_k * conj(omega_k) / h_k mod p, and the degree is
     the square root in (0, p/2).  chi(g) mod p is d * omega / classsize; the
@@ -291,4 +278,4 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int, z: int) -> Lift:
                                  "(implementation bug)")
             mult[:, (starts[chunk][:, None] + e).ravel()] = block.reshape(
                 len(degrees), -1)
-    return Lift(degrees.tolist(), cd.orders, mult)
+    return degrees.tolist(), mult

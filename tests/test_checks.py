@@ -108,5 +108,5 @@ def test_transport_character_rejects_a_split_class():
     t = character_table(s3)
     swap = {parse_cycles("(1 3 2)", 3): parse_cycles("(1 2)", 3)}
     with pytest.raises(ChardegError, match="splits"):
-        transport_character(t, s3, t.principal(), s3, t,
+        transport_character(t, t.principal(), s3, t,
                             lambda s: swap.get(s, s))

@@ -31,10 +31,8 @@ def test_irr_over_matches_reference_on_central_products(cat, name):
     tz_g = character_table(cp.z_image)
     tz_m, tz_c = character_table(cp.z_m), character_table(cp.z_c)
     for lam in tz_g.chars:
-        lam_m = transport_character(tz_g, cp.z_image, lam, cp.z_m, tz_m,
-                                    cp.embed_m)
-        lam_c = transport_character(tz_g, cp.z_image, lam, cp.z_c, tz_c,
-                                    cp.embed_c)
+        lam_m = transport_character(tz_g, lam, cp.z_m, tz_m, cp.embed_m)
+        lam_c = transport_character(tz_g, lam, cp.z_c, tz_c, cp.embed_c)
         over = [assert_matches_reference(cp.group, cp.z_image, lam),
                 assert_matches_reference(cp.m, cp.z_m, lam_m),
                 assert_matches_reference(cp.c, cp.z_c, lam_c)]

@@ -1,0 +1,104 @@
+"""A table character is one row of the lift's multiplicity array: the table
+build and its JSON export read the rows and make no CycValue, ``values`` is
+sliced off the row on first read, and ``_stack`` takes rows as they are or
+embeds them, like the values they stand for.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from chardeg import chars
+from chardeg.chars import Character, character_table
+from chardeg.cyclotomic import CycValue
+from chardeg.groups import Group
+from chardeg.invariants import acd
+from chardeg.perms import parse_cycles
+
+GROUPS = {
+    "C2^6": (12, [f"({2 * i + 1} {2 * i + 2})" for i in range(6)]),
+    "S8": (8, ["(1 2 3 4 5 6 7 8)", "(1 2)"]),
+}
+
+
+def assert_values_match_rows(table):
+    """Each row's values against its JSON entry, and back onto its row."""
+    exported = table.to_data().characters
+    for chi, (degree, coefficients) in zip(table.chars, exported):
+        assert degree == chi.degree
+        assert [(v.n, list(v.coeffs)) for v in chi.values] == coefficients
+        orders, (row,) = chars._stack([chi.values])
+        assert orders == list(chi.orders) == table.classes.orders
+        assert row.tolist() == chi.row.tolist()
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_table_build_and_export_make_no_cycvalue(monkeypatch, name):
+    made = []
+    init = CycValue.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(CycValue, "__init__", counted)
+    degree, cycles = GROUPS[name]
+    group = Group([parse_cycles(c, degree) for c in cycles], degree)
+    table = character_table(group)
+    acd(table)
+    table.to_data().to_json()
+    assert len(made) == 0
+    # every row a view of the one array the lift wrote
+    assert len({id(chi.row.base) for chi in table.chars}) == 1
+    assert_values_match_rows(table)
+    assert len(made) == len(table.chars) * table.classes.num_classes
+
+
+def test_values_match_rows_on_the_corpus(cat):
+    for name in cat.names():
+        assert_values_match_rows(character_table(cat.group(name)))
+
+
+# -- _stack on mixed inputs -------------------------------------------------
+
+def embedded_reference(funcs):
+    """The stack of value lists by CycValue.embed, one value at a time."""
+    orders = np.lcm.reduce([[v.n for v in f] for f in funcs]).tolist()
+    flat = [[c for v, n in zip(f, orders) for c in v.embed(n).coeffs]
+            for f in funcs]
+    return orders, flat
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3), 2**64])
+def test_stack_of_mixed_inputs_equals_stack_of_their_values(scale):
+    table = character_table(Group([parse_cycles("(1 2 3 4 5)", 5),
+                                   parse_cycles("(1 2 3)", 5)], 5))
+    rows = table.chars
+    k = table.classes.orders.index(3)  # 3-elements: 6 divides exponent 30
+    doubled = [v.embed(2 * v.n) if j == k else v
+               for j, v in enumerate(rows[1].values)]
+    scaled = [v.scale(scale) for v in rows[2].values]
+    mixed = [rows[0], Character(rows[1].degree, doubled), rows[3],
+             scaled, Character(rows[4].degree, rows[4].values), doubled]
+    values = [f.values if isinstance(f, Character) else f for f in mixed]
+    orders, coeffs = chars._stack(mixed)
+    want_orders, want_coeffs = chars._stack(values)
+    assert orders == want_orders == embedded_reference(values)[0]
+    assert orders[k] == 6 and table.classes.orders[k] == 3
+    assert coeffs.dtype == want_coeffs.dtype
+    assert coeffs.dtype == (np.int64 if scale == 1 else object)
+    assert coeffs.tolist() == want_coeffs.tolist() == \
+        embedded_reference(values)[1]
+    if coeffs.dtype == object:  # Python numbers, not numpy scalars
+        assert not any(isinstance(c, np.generic) for c in coeffs.ravel())
+
+
+def test_hand_built_character_keeps_its_values():
+    vals = (CycValue(1, (2,)), CycValue(2, (Fraction(1, 2), 0)),
+            CycValue(4, (0, 1, 0, -1)))
+    chi = Character(2, vals)
+    assert chi.values is vals
+    assert Character(2, list(vals)).values == vals
+    assert chi.orders == [1, 2, 4]
+    assert chi.row.tolist() == [2, Fraction(1, 2), 0, 0, 1, 0, -1]
