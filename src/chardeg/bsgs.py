@@ -4,6 +4,23 @@ The chain supports exact order, membership tests, canonical element
 enumeration and its inverse, the rank of an element from its base images.
 Everything is deterministic: orbits are explored in BFS order with
 generators in list order, so equal input yields identical chains.
+
+Most of Schreier-Sims goes to proving a chain complete, and two shortcuts
+cut that short without changing the chain (Seress, *Permutation Group
+Algorithms*, 2003, 4.5; Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005, 4.4.5):
+
+* A tree edge of a transversal's BFS, x to y = s[x] with t_y set to
+  t_x * s, gives a trivial Schreier generator by construction, so it is
+  skipped without forming the product.
+* Given a proven upper bound on the order, the build stops when the orbit
+  lengths multiply to it.  Let H_i be the group that level i's generators
+  generate.  Every generator of level i + 1 is one of level i and fixes
+  base[i], so |H_i| >= |orbit_i| |H_{i+1}|, and the product of the orbit
+  lengths is at most |H_0| <= |G|.  When it equals the bound, every one of
+  these is an equality, the chain is complete, and no Schreier generator
+  left would have added a generator: the stop, after the stale
+  transversals are rebuilt, gives the chain the full build gives.
 """
 
 from __future__ import annotations
@@ -30,9 +47,19 @@ class StabilizerChain:
     by sifting and dropped when the transversal is rebuilt.  A transversal
     is rebuilt only when its level has gained generators since the last
     build; generator lists only grow, so the BFS would give the same dict.
+
+    ``order_bound``, when given, must be a proven upper bound on the order
+    of the group generated, such as the order of a group known to contain
+    it or of a group it is a homomorphic image of; the build then stops
+    once the orbit lengths multiply to it (see the module docstring), and
+    the chain is the one built without it.  An order under test, such as a
+    claimed order or the order a map gives only if it is a homomorphism,
+    is no bound: with one below the true order the chain comes out
+    incomplete.
     """
 
-    def __init__(self, generators, degree: int, base_prefix=()):
+    def __init__(self, generators, degree: int, base_prefix=(),
+                 order_bound: int | None = None):
         self.degree = degree
         self.dtype = np.dtype(np.uint8 if degree <= 256 else np.uint16)
         gens = []
@@ -47,9 +74,15 @@ class StabilizerChain:
         self.transversals: list[dict[int, Permutation]] = []
         self._inverses: list[dict[int, Permutation]] = []
         self._built: list[int] = []  # len(level_gens[i]) at the last build
+        # per level, each point y the BFS reached by a tree edge, mapped to
+        # the index j of the level generator s_j on that edge: y = s_j[x]
+        # and t_y = t_x * s_j, x being the only point s_j sends to y; kept
+        # while building only
+        self._tree: list[dict[int, int]] = []
         for b in base_prefix:
             self._append_level(b)
-        self._build(gens)
+        self._build(gens, order_bound)
+        del self._tree
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
@@ -57,6 +90,7 @@ class StabilizerChain:
         self.transversals.append({point: Permutation.identity(self.degree)})
         self._inverses.append({})
         self._built.append(0)
+        self._tree.append({})
 
     def _rebuild_transversal(self, i: int) -> None:
         if self._built[i] == len(self.level_gens[i]):
@@ -64,17 +98,29 @@ class StabilizerChain:
         self._built[i] = len(self.level_gens[i])
         b = self.base[i]
         trans = {b: Permutation.identity(self.degree)}
+        tree = {}
         queue = [b]
         while queue:
             x = queue.pop(0)
             t = trans[x]
-            for s in self.level_gens[i]:
+            for j, s in enumerate(self.level_gens[i]):
                 y = s[x]
                 if y not in trans:
                     trans[y] = t * s
+                    tree[y] = j
                     queue.append(y)
         self.transversals[i] = trans
         self._inverses[i] = {}
+        self._tree[i] = tree
+
+    def _reaches(self, bound: int | None) -> bool:
+        """Whether the orbit lengths multiply to ``bound``, every stale
+        transversal rebuilt first (a stale orbit may be short)."""
+        if bound is None:
+            return False
+        for i in range(len(self.base)):
+            self._rebuild_transversal(i)
+        return self.order() == bound
 
     def _sift(self, g: Permutation, start: int):
         """Reduce g through levels >= start; return (residue, stuck level)."""
@@ -103,25 +149,30 @@ class StabilizerChain:
                 if g not in self.level_gens[l]:
                     self.level_gens[l].append(g)
 
-    def _build(self, gens: list[Permutation]) -> None:
+    def _build(self, gens: list[Permutation], bound: int | None) -> None:
         for g in gens:
             residue, j = self._sift(g, 0)
             if not residue.is_identity():
                 self._add_generator(residue, j)
         for i in range(len(self.base)):
             self._rebuild_transversal(i)
+        if self._reaches(bound):
+            return
         # bottom-up Schreier generator closure; the Schreier generator
-        # t_x * s * t_y^-1 is trivial iff t_x * s == t_y, and otherwise
-        # sifting t_x * s from level i divides by t_y first
+        # t_x * s * t_y^-1 is trivial iff t_x * s == t_y, as on a tree
+        # edge, and otherwise sifting t_x * s from level i divides by t_y
         i = len(self.base) - 1
         while i >= 0:
             self._rebuild_transversal(i)
             restart = False
-            trans = self.transversals[i]
+            trans, tree = self.transversals[i], self._tree[i]
             for x, t_x in trans.items():
-                for s in self.level_gens[i]:
+                for k, s in enumerate(self.level_gens[i]):
+                    y = s[x]
+                    if tree.get(y) == k:  # the tree edge x -> y
+                        continue
                     t_xs = t_x * s
-                    if t_xs == trans[s[x]]:
+                    if t_xs == trans[y]:
                         continue
                     residue, j = self._sift(t_xs, i)
                     if residue.is_identity():
@@ -131,6 +182,8 @@ class StabilizerChain:
                         self._rebuild_transversal(l)
                     if j < len(self.base):
                         self._rebuild_transversal(j)
+                    if self._reaches(bound):
+                        return
                     i = min(j, len(self.base) - 1)
                     restart = True
                     break

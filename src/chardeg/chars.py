@@ -201,8 +201,11 @@ def _stack(funcs) -> tuple[list[int], np.ndarray]:
     common orders[k]-th roots of unity: a character's row as it is where it
     lies on these orders, else its values embedded and put through _row."""
     funcs = list(funcs)
-    orders = np.lcm.reduce([f.orders if isinstance(f, Character)
-                            else [v.n for v in f] for f in funcs]).tolist()
+    # rows of one table, or restricted to one subgroup, need no lcm
+    orders = funcs[0].orders if isinstance(funcs[0], Character) else None
+    if not all(isinstance(f, Character) and f.orders == orders for f in funcs):
+        orders = np.lcm.reduce([f.orders if isinstance(f, Character)
+                                else [v.n for v in f] for f in funcs]).tolist()
     rows = [f.row if isinstance(f, Character) and f.orders == orders else
             _row([v.embed(n) for v, n in zip(_values_of(f), orders)])[1]
             for f in funcs]

@@ -236,7 +236,7 @@ def direct_product(a: Group, b: Group, name=None) -> Group:
     degree = a.degree + b.degree
     gens = [embed_left(g, degree) for g in a.generators]
     gens += [embed_right(g, a.degree) for g in b.generators]
-    return Group(gens, degree, name=name)
+    return Group(gens, degree, name=name, _order_bound=a.order * b.order)
 
 
 @dataclass
@@ -257,10 +257,17 @@ class CentralProduct:
     z_image: Subgroup = field(init=False)
 
     def __post_init__(self):
+        # images under the projection, a homomorphism: bounded by the source
         g = self.group
-        self.m_image = Subgroup(g, [self.embed_m(x) for x in self.m.generators])
-        self.c_image = Subgroup(g, [self.embed_c(y) for y in self.c.generators])
-        self.z_image = Subgroup(g, [self.embed_m(z) for z in self.z_m.generators])
+        self.m_image = Subgroup(
+            g, [self.embed_m(x) for x in self.m.generators],
+            _order_bound=self.m.order)
+        self.c_image = Subgroup(
+            g, [self.embed_c(y) for y in self.c.generators],
+            _order_bound=self.c.order)
+        self.z_image = Subgroup(
+            g, [self.embed_m(z) for z in self.z_m.generators],
+            _order_bound=self.z_m.order)
 
     def embed_m(self, x: Permutation) -> Permutation:
         return self.quotient.project(embed_left(x, self.m.degree + self.c.degree))
@@ -334,9 +341,10 @@ def fiber_product(a: Group, b: Group, pa_images, pb_images, q: Group,
             raise NotMemberError("epimorphism image not in the quotient group")
     if q.order > FIBER_WORD_BOUND:
         raise ChardegError("quotient exceeds the word-search bound")
-    if Group(pa_images, q.degree).order != q.order:
+    # the images lie in q, so |q| bounds what they generate
+    if Group(pa_images, q.degree, _order_bound=q.order).order != q.order:
         raise ChardegError("first epimorphism images do not generate the quotient")
-    if Group(pb_images, q.degree).order != q.order:
+    if Group(pb_images, q.degree, _order_bound=q.order).order != q.order:
         raise ChardegError("second epimorphism images do not generate the quotient")
 
     table = word_table(q, pb_images, b)

@@ -29,17 +29,20 @@ class Group:
 
     Generators are deduplicated, identity-free and sorted by image tuple, so
     any two Groups built from the same generating set are indistinguishable.
+    ``_order_bound`` is handed to the chain as its ``order_bound``: only a
+    bound the caller has proven, never an order under test.
     """
 
     def __init__(self, generators, degree: int, name: str | None = None,
-                 _base_prefix=()):
+                 _base_prefix=(), _order_bound: int | None = None):
         self.degree = degree
         gens = sorted({g for g in generators if not g.is_identity()})
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.generators: tuple[Permutation, ...] = tuple(gens)
-        self.chain = StabilizerChain(self.generators, degree, _base_prefix)
+        self.chain = StabilizerChain(self.generators, degree, _base_prefix,
+                                     _order_bound)
         self.order: int = self.chain.order()
         self.name = name
         self._cache: dict = {}
@@ -91,15 +94,20 @@ class Group:
 class Subgroup(Group):
     """A group with a reference to the parent it lives in.
 
-    Every generator is checked for parent membership at construction.
+    Every generator is checked for parent membership at construction, so
+    |parent| bounds the order, and so does ``_order_bound`` when the caller
+    has proven it (the order of a group this one is an image of).
     """
 
-    def __init__(self, parent: Group, generators, name=None):
+    def __init__(self, parent: Group, generators, name=None,
+                 _order_bound: int | None = None):
         generators = list(generators)
         for g in generators:
             if g not in parent:
                 raise NotMemberError(f"{g} is not an element of the parent group")
-        super().__init__(generators, parent.degree, name=name)
+        super().__init__(generators, parent.degree, name=name,
+                         _order_bound=min(parent.order,
+                                          _order_bound or parent.order))
         self.parent = parent
 
     def is_normal(self) -> bool:
@@ -254,7 +262,8 @@ def normal_closure(group: Group, elems) -> Subgroup:
         if not e.is_identity() and e not in gens:
             gens.append(e)
     h = Subgroup(group, gens)
-    while new := _conjugates_outside(h, group.generators):
+    while h.order < group.order and (
+            new := _conjugates_outside(h, group.generators)):
         h = Subgroup(group, list(h.generators) + new)
     return h
 
@@ -447,7 +456,8 @@ def quotient_group(group: Group, n: Group,
 
     target = group.order // n.order
 
-    # cheap attempt: G permutes the N-orbits; faithful iff image has order |G:N|
+    # cheap attempt: G permutes the N-orbits; faithful iff image has order
+    # |G:N|, and N acts trivially, so |G:N| bounds the image's order
     # s, s^2, s^4, ... for each generator s: one sweep covers every cycle
     maps = [np.array(s.images) for s in n.generators]
     for _ in range(group.degree.bit_length()):
@@ -459,7 +469,7 @@ def quotient_group(group: Group, n: Group,
             return Permutation(orbit_of[np.take(p.images, least)].tolist())
 
         images = [act_orbits(g) for g in group.generators]
-        img_group = Group(images, len(least))
+        img_group = Group(images, len(least), _order_bound=target)
         if img_group.order == target:
             return Quotient(group, n, img_group, images, act_orbits)
 
@@ -488,7 +498,7 @@ def quotient_group(group: Group, n: Group,
         return Permutation([coset_of[name] for name in names])
 
     images = [act_cosets(g) for g in group.generators]
-    img_group = Group(images, target)
+    img_group = Group(images, target, _order_bound=target)
     assert img_group.order == target
     return Quotient(group, n, img_group, images, act_cosets)
 

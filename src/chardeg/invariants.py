@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .chars import (Character, CharacterTable, _gram,
                     kernel_classes_contain)
 from .cyclotomic import _is_prime
@@ -98,12 +100,19 @@ def irr_over(table: CharacterTable, n: Group, n_table: CharacterTable,
     """Irr(G|theta): the characters whose restriction to n has theta as a
     constituent, in table order.
 
-    Every row is restricted through one class fusion, and one Gram call
-    gives all the multiplicities <chi_N, theta> together with <theta, theta>,
-    which must be 1.
+    The rows are restricted by one column gather through the class fusion;
+    a class of n has the element order of the class it fuses into, so each
+    row block carries over as it is.  One Gram call gives all the
+    multiplicities <chi_N, theta> together with <theta, theta>, which must
+    be 1.
     """
     fusion = class_fusion(table.group, n)
-    restrictions = [[c.values[k] for k in fusion] for c in table.chars]
+    orders = [table.classes.orders[k] for k in fusion]
+    at = np.cumsum([0, *table.classes.orders])
+    cols = np.concatenate([np.arange(at[k], at[k + 1]) for k in fusion])
+    # class functions of n, not characters: rows for the Gram call only
+    restrictions = [Character._of_row(c.degree, None, orders, c.row[cols])
+                    for c in table.chars]
     *mults, norm = _gram(n_table, restrictions + [theta], [theta])
     if norm != [1]:
         raise ChardegError("theta is not an irreducible character of n")

@@ -265,3 +265,61 @@ def test_contains_agrees_with_reference_on_non_members():
         if degree >= 2 and name != "S5":  # no other case holds a transposition
             assert not chain.contains(samples[-1])
         assert all(chain.contains(g) for g in gens)
+
+
+# -- bounded builds -----------------------------------------------------------
+
+def _reference_case(name):
+    if name == "graph S4->S2":
+        return _graph_s4_sign()
+    return (*REFERENCE_CASES[name], ())
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES) + ["graph S4->S2"])
+def test_bounded_chain_identical_to_reference(name, factor):
+    # at the true order the build stops early; at twice it, never
+    gens, degree, prefix = _reference_case(name)
+    ref = ReferenceChain(gens, degree, base_prefix=prefix)
+    order = 1
+    for trans in ref.transversals:
+        order *= len(trans)
+    chain = StabilizerChain(gens, degree, base_prefix=prefix,
+                            order_bound=factor * order)
+    assert _chain_data(chain) == _chain_data(ref)
+    assert chain.order() == order
+    assert not hasattr(chain, "_tree")  # the BFS trees go with the build
+
+
+def test_bound_saves_products_on_the_regular_s5(monkeypatch):
+    gens, degree = REFERENCE_CASES["regular S5"]
+    calls = []
+    mul = Permutation.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    StabilizerChain(gens, degree)
+    unbounded = len(calls)
+    calls.clear()
+    StabilizerChain(gens, degree, order_bound=120)
+    assert 0 < len(calls) < unbounded
+
+
+def test_normal_closure_of_a_perfect_groups_generators(monkeypatch):
+    # the generators already give |G|, so no conjugate is formed
+    from chardeg.groups import Group, normal_closure
+
+    a5 = Group(REFERENCE_CASES["A5"][0], 5)
+    conjugates = []
+    conjugate = Permutation.conjugate
+
+    def counted(self, g):
+        conjugates.append(None)
+        return conjugate(self, g)
+
+    monkeypatch.setattr(Permutation, "conjugate", counted)
+    assert normal_closure(a5, a5.generators).order == 60
+    assert conjugates == []

@@ -1,4 +1,5 @@
-"""Per-stage seconds and peak RSS of the table engine on a fixed group set.
+"""Per-stage seconds and peak RSS of the table engine on a fixed group set,
+and of the two corpus commands end to end.
 
     python3 tools/bench.py --out BENCH_<n>.json --tree parent=DIR --tree change=.
 
@@ -27,13 +28,22 @@ from here; nothing in the program is changed:
   (``dixon``'s two functions are replaced in the worker process only).
   Each tree's own ``character_table`` consumes its own lift output, so the
   stage means the same in trees whose lift returns different types.
+
+The entry ``corpus`` runs the commands of CORPUS_COMMANDS one after the
+other through ``chardeg.cli.main``, in a fresh process per tree and repeat
+like the groups.  It records the wall seconds of the two, the seconds spent
+in ``StabilizerChain.__init__`` and how many chains it built (the method is
+wrapped in the worker process only), the peak RSS at the end, and the
+SHA-256 of each command's report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.metadata
+import io
 import json
 import os
 import platform
@@ -57,6 +67,9 @@ GROUPS = {
     "C2^7": (14, [f"({2 * i + 1} {2 * i + 2})" for i in range(7)]),
     "C2^8": (16, [f"({2 * i + 1} {2 * i + 2})" for i in range(8)]),
 }
+CORPUS_COMMANDS = (["verify", "paper", "--json"],
+                   ["scan", "--check", "question:7", "--json"])
+ENTRIES = (*GROUPS, "corpus")
 STAGES = ("chain", "elements", "classes", "class_matrices", "split", "lift",
           "validate")
 REPEAT = 5  # builds per group and tree; the JSON holds their medians
@@ -115,6 +128,38 @@ def measure(name: str) -> dict:
             "seconds": seconds, "peak_rss_mb": rss}
 
 
+def measure_corpus() -> dict:
+    """Run the corpus commands in this process (the worker side)."""
+    from chardeg import bsgs, cli
+
+    chains = {"seconds": 0.0, "built": 0}
+    init = bsgs.StabilizerChain.__init__
+
+    def timed_init(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return init(*args, **kwargs)
+        finally:
+            chains["seconds"] += time.perf_counter() - start
+            chains["built"] += 1
+
+    bsgs.StabilizerChain.__init__ = timed_init
+    digests = {}
+    start = time.perf_counter()
+    for argv in CORPUS_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(argv)
+        if status != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {status}")
+        digests[" ".join(argv)] = hashlib.sha256(
+            out.getvalue().encode()).hexdigest()
+    wall = time.perf_counter() - start
+    return {"report_sha256": digests,
+            "seconds": {"wall": wall, "chain": chains["seconds"]},
+            "chains_built": chains["built"], "peak_rss_mb": _peak_rss_mb()}
+
+
 def run_worker(tree: Path, name: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = subprocess.run(
@@ -157,16 +202,30 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
+def summarize_corpus(runs: list[dict]) -> dict:
+    for key in ("report_sha256", "chains_built"):
+        values = {json.dumps(r[key]) for r in runs}
+        if len(values) != 1:
+            raise RuntimeError(f"repeats disagree on {key}: {values}")
+    return {
+        "report_sha256": runs[0]["report_sha256"],
+        "chains_built": runs[0]["chains_built"],
+        "seconds": {s: statistics.median(r["seconds"][s] for r in runs)
+                    for s in ("wall", "chain")},
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path)
     parser.add_argument("--tree", action="append", default=[],
                         metavar="LABEL=PATH")
-    parser.add_argument("--worker", choices=list(GROUPS),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--worker", choices=ENTRIES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(measure(args.worker)))
+        print(json.dumps(measure_corpus() if args.worker == "corpus"
+                         else measure(args.worker)))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -178,13 +237,22 @@ def main(argv=None) -> int:
         trees[label] = Path(path).resolve()
     results = {label: {"commit": commit_of(tree), "groups": {}}
                for label, tree in trees.items()}
-    for name in GROUPS:
+    for name in ENTRIES:
         runs = {label: [] for label in trees}
         for repeat in range(REPEAT):
             # alternate which tree runs first, so drift hits each alike
             for label, tree in list(trees.items())[::(-1) ** repeat]:
                 runs[label].append(run_worker(tree, name))
         for label in trees:
+            if name == "corpus":
+                summary = summarize_corpus(runs[label])
+                results[label]["corpus"] = summary
+                seconds = summary["seconds"]
+                print(f"{label:>8} corpus  wall {seconds['wall']:.3f} s  "
+                      f"chain {seconds['chain']:.3f} s  "
+                      f"{summary['chains_built']} chains  "
+                      f"{summary['peak_rss_mb']:6.1f} MB", file=sys.stderr)
+                continue
             summary = summarize(runs[label])
             results[label]["groups"][name] = summary
             print(f"{label:>8} {name:>5}  {summary['total_s']:7.3f} s  "
@@ -205,6 +273,7 @@ def main(argv=None) -> int:
         "groups": {name: {"degree": GROUPS[name][0],
                           "generators": GROUPS[name][1]}
                    for name in GROUPS},
+        "corpus_commands": [" ".join(argv) for argv in CORPUS_COMMANDS],
         "trees": results,
     }
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
