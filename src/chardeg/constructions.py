@@ -52,7 +52,8 @@ class FiniteField:
         self.poly = poly
         self._mul = [[self._mul_slow(a, b) for b in range(self.q)]
                      for a in range(self.q)]
-        self._check_irreducible()
+        # a proper factor of a reducible modulus is a zero divisor, so the
+        # inverse search is the irreducibility test
         self._inv = [0] * self.q
         for a in range(1, self.q):
             for b in range(1, self.q):
@@ -106,19 +107,6 @@ class FiniteField:
                     prod[i - self.k + j] = (prod[i - self.k + j]
                                             - c * self.poly[j]) % self.p
         return self._encode(prod[: self.k])
-
-    def _check_irreducible(self):
-        if self.k == 1:
-            return
-        for a in range(self.p):  # root test covers degrees 2 and 3
-            acc = 0
-            power = 1
-            for c in self.poly:
-                acc = (acc + c * power) % self.p
-                power = power * a % self.p
-            if acc == 0:
-                raise ChardegError(
-                    f"modulus {self.poly} has root {a} over F_{self.p}")
 
 
 @dataclass
@@ -243,14 +231,13 @@ def direct_product(a: Group, b: Group, name=None) -> Group:
 class CentralProduct:
     """A central product M o C with the data needed to verify character
     identities: images of the factors and of the amalgamated Z inside the
-    product, and the element-level identification between the two copies."""
+    product."""
 
     group: Group
     m: Group
     c: Group
     z_m: Subgroup
     z_c: Subgroup
-    z_pairs: list  # (z in m, matching w in c), generator by generator
     quotient: Quotient
     m_image: Subgroup = field(init=False)
     c_image: Subgroup = field(init=False)
@@ -317,8 +304,7 @@ def central_product(m: Group, c: Group, z_m_gens, z_c_gens,
     group = quotient.group
     if name:
         group.name = name
-    return CentralProduct(group, m, c, z_m, z_c,
-                          list(zip(z_m_gens, z_c_gens)), quotient)
+    return CentralProduct(group, m, c, z_m, z_c, quotient)
 
 
 FIBER_WORD_BOUND = 10_000

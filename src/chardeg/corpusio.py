@@ -320,8 +320,9 @@ class Catalogue:
 
 
 def _validate_entry(entry: CatalogueEntry) -> None:
-    """Check the cheap expected values (everything except degree multisets,
-    which need a character table and are validated by the check suite)."""
+    """Check the cheap expected values: everything except degree multisets,
+    which need a character table.  Those are checked neither here nor by the
+    check suite, only by tests/test_corpusio.py."""
     expect = entry.spec.expect
     g = entry.group
     if "order" in expect and g.order != expect["order"]:

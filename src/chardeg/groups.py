@@ -165,26 +165,32 @@ class ClassData:
             least = least[images == low[ids]]
         least = least[np.argsort(raw[least])]
         least_rank = np.argsort(np.lexsort(rows[least].T[::-1]))
-        raw_orders = [Permutation._trusted(tuple(row)).order()
-                      for row in rows[least].tolist()]
+        # walk[e]: each least member's base images under its e-th power;
+        # p**e is the identity iff it fixes the base, so walk[order] = walk[0]
+        reps = rows[least]
+        walk = [np.tile(self.base.astype(rows.dtype), (len(least), 1))]
+        raw_orders = np.zeros(len(least), dtype=np.intp)
+        while not raw_orders.all():
+            walk.append(np.take_along_axis(reps, walk[-1], axis=1))
+            home = (walk[-1] == walk[0]).all(axis=1) & (raw_orders == 0)
+            raw_orders[home] = len(walk) - 1
+        raw_orders = raw_orders.tolist()
         ranking = sorted(range(len(least)),
                          key=lambda c: (raw_orders[c], raw_sizes[c],
                                         least_rank[c]))
         class_id = np.empty(len(ranking), dtype=np.intp)
         class_id[ranking] = np.arange(len(ranking))
         self.element_index: np.ndarray = class_id[raw]
-        self.rep_rows: np.ndarray = rows[least[ranking]]
+        self.rep_rows: np.ndarray = reps[ranking]
         self.reps: list[Permutation] = [Permutation._trusted(tuple(row))
                                         for row in self.rep_rows.tolist()]
         self.sizes: list[int] = [int(raw_sizes[c]) for c in ranking]
         self.orders: list[int] = [raw_orders[c] for c in ranking]
         # power_class[i][e] = class of reps[i]**e for e in 0..orders[i]-1
-        powers = np.concatenate([_powers(row, n)[:, self.base] for row, n
-                                 in zip(self.rep_rows, self.orders)])
-        classes = self.element_index[group.chain.rank(powers)].tolist()
-        bounds = np.cumsum([0] + self.orders).tolist()
+        classes = self.element_index[
+            group.chain.rank(np.stack(walk[:-1], axis=1))]
         self.power_class: list[list[int]] = [
-            classes[a:b] for a, b in zip(bounds, bounds[1:])]
+            classes[c, :raw_orders[c]].tolist() for c in ranking]
         self.inverse_class: list[int] = [c[-1] for c in self.power_class]
 
         assert sum(self.sizes) == group.order
@@ -233,16 +239,6 @@ def _orbits(maps, size: int) -> np.ndarray:
         if np.array_equal(label, previous):
             break
     return (np.cumsum(label == np.arange(size)) - 1)[label]
-
-
-def _powers(row: np.ndarray, n: int) -> np.ndarray:
-    """Rows of p**e for e in 0..n-1, where p has the images ``row``."""
-    powers = np.arange(len(row), dtype=row.dtype)[None, :]
-    step = row  # p**len(powers)
-    while len(powers) < n:
-        powers = np.concatenate([powers, step[powers]])
-        step = step[step]
-    return powers[:n]
 
 
 def conjugacy_classes(group: Group, bound: int = DEFAULT_ELEMENT_BOUND) -> ClassData:

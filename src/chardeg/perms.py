@@ -100,19 +100,7 @@ class Permutation:
         return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
-        n = 1
-        seen = set()
-        for start in range(self.degree):
-            if start in seen or self.images[start] == start:
-                continue
-            length = 1
-            j = self.images[start]
-            while j != start:
-                seen.add(j)
-                length += 1
-                j = self.images[j]
-            n = lcm(n, length)
-        return n
+        return lcm(1, *map(len, self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its least point."""

@@ -24,10 +24,23 @@ def agl1(p, a):
     return Group([shift, scale], p)
 
 
+def dihedral(n):
+    """The dihedral group of order 2n on n points: x -> x + 1 and x -> -x."""
+    rotation = Permutation([(x + 1) % n for x in range(n)])
+    reflection = Permutation([-x % n for x in range(n)])
+    return Group([rotation, reflection], n)
+
+
+# C60 has element order 60 above its degree 12 and classes of every order
+# dividing 60; D90's rotations are 45-cycles.  The power classes are read
+# off one walk of the base points, so their orders and powers must come out
+# right for every representative, not only the one of largest order.
 GROUPS = {
     "A5": lambda: make(["(1 2 3 4 5)", "(1 2 3)"], 5),
     "S5": lambda: make(["(1 2 3 4 5)", "(1 2)"], 5),
     "AGL(1,17)": lambda: agl1(17, 3),
+    "C60": lambda: make(["(1 2 3)(4 5 6 7)(8 9 10 11 12)"], 12),
+    "D90": lambda: dihedral(45),
 }
 # degree 300, so rows are uint16 and points above 256 move
 CYCLIC_300 = (["(1 2 3)(255 256 257 258)(299 300)"], 300)
