@@ -9,7 +9,7 @@ from .groups import (Group, Subgroup, ClassData, Quotient,
                      minimal_normal_subgroups, solvable_radical,
                      quotient_group, is_solvable, is_perfect, is_p_solvable,
                      class_fusion, DEFAULT_ELEMENT_BOUND)
-from .cyclotomic import CycValue, cyclotomic_polynomial
+from .cyclotomic import CycValue
 from .chars import (Character, CharacterTable, TableData, character_table,
                     inner_product, tensor, restrict_character,
                     kernel_subgroup, kernel_classes_contain, extensions_of,

@@ -25,7 +25,7 @@ from math import lcm
 import numpy as np
 
 from . import dixon
-from .cyclotomic import CycValue, _reduction_matrix, reduce_to_power_basis
+from .cyclotomic import CycValue, reduce_to_power_basis
 from .errors import TableError
 from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
                      conjugacy_classes)
@@ -255,9 +255,10 @@ def _inner_products(table: CharacterTable, orders, f: np.ndarray,
     """|G| <f_i, g_j> for the rows of two stacks over the same orders, exact.
 
     Per root order n, one matmul against a circulant gather in Z[x]/(x^n-1),
-    embedded into Z[x]/(x^e-1), then one reduction to Q(zeta_e)'s power
-    basis; int64 where sum_k size_k |f_k|_1 |g_k|_1 (row maxima, in floats,
-    far within the factor 2) is below 2^62.  Raises TableError when a value
+    embedded into Z[x]/(x^e-1), then one fold of the total into a basis of
+    Q(zeta_e) with 1 first, a block subtraction per prime-power factor of e;
+    int64 where sum_k size_k |f_k|_1 |g_k|_1 (row maxima, in floats, far
+    within the factor 2) is below 2^62.  Raises TableError when a value
     lies outside Q(zeta_e) or an entry is not rational.
     """
     cd, e = table.classes, table.exponent
@@ -267,7 +268,6 @@ def _inner_products(table: CharacterTable, orders, f: np.ndarray,
             axis=1).max(axis=0) for x in (f, g)], axis=0) @ cd.sizes < 2**62:
         dtype = np.int64
     sizes = np.array(cd.sizes, dtype=dtype)
-    _reduction_matrix(e)  # cached: built before the sums below are live
     total = np.zeros((len(f), len(g), e), dtype=dtype)
     for n, ks, cols in _buckets(orders):
         if e % n:

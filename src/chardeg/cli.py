@@ -39,7 +39,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ChardegError, FileNotFoundError) as exc:
+    except (ChardegError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -127,8 +127,10 @@ def _prime(value, what: str) -> int:
         p = int(value)
     except ValueError:
         p = None
-    if p is None or not _is_prime(p):
-        raise ParseError(f"{what} needs a prime, got {value}")
+    # trial division would not finish on large values, and a prime past 2^31
+    # divides no group order the element bound lets chardeg enumerate
+    if p is None or p >= 2**31 or not _is_prime(p):
+        raise ParseError(f"{what} needs a prime below 2^31, got {value}")
     return p
 
 

@@ -6,50 +6,20 @@ eigenvalue multiplicities of a representing matrix), but the arithmetic here
 is valid for arbitrary integer vectors.
 
 Exact questions (is this value zero / rational / equal to another) are
-answered by rewriting in the power basis of Q(zeta_n): the reduction of x^k
-modulo the n-th cyclotomic polynomial is precomputed once per n, making the
-rewrite of one value, or of a whole batch, one integer matrix product.
+answered by rewriting in a basis of Q(zeta_n) made of powers of zeta_n, 1
+first, by one fold per prime-power factor q of n.  For coprime factors
+Q(zeta_n) is the tensor product of the Q(zeta_q), zeta_n^a being the product
+of the roots zeta_q^(a mod q); and for q = p^k, Phi_q(y) = sum of y^(t q/p)
+over t < p, so rewriting modulo Phi_q subtracts the last of p blocks from
+the others.  For prime-power n the result is the power basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, exact integers.
-
-    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n: the
-    factors with mu = +1 are multiplied out, then those with mu = -1 are
-    divided out exactly.
-    """
-    primes = _prime_factors(n)
-    numer, denom = [], []
-    for mask in range(1 << len(primes)):  # squarefree m | n, d = n / m
-        d, mu = n, 1
-        for bit, q in enumerate(primes):
-            if mask >> bit & 1:
-                d, mu = d // q, -mu
-        (numer if mu > 0 else denom).append(d)
-    poly = np.ones(1, dtype=object)  # Python ints: exact at any size
-    for d in numer:  # times (x^d - 1)
-        pad = np.zeros(d, dtype=object)
-        poly = np.concatenate([pad, poly]) - np.concatenate([poly, pad])
-    for d in denom:
-        # quot * (x^d - 1) = poly, so quot[m] = poly[m + d] + quot[m + d]:
-        # solved d coefficients at a time from the top, above which quot is 0
-        quot = np.zeros(len(poly), dtype=object)
-        for hi in range(len(poly) - d, 0, -d):
-            lo = max(hi - d, 0)
-            quot[lo:hi] = poly[lo + d:hi + d] + quot[lo + d:hi + d]
-        assert not (poly[:d] + quot[:d]).any(), "non-exact polynomial division"
-        poly = quot[:len(poly) - d]
-    return tuple(poly.tolist())
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -71,59 +41,41 @@ def _is_prime(p: int) -> bool:
     return _prime_factors(p) == [p]
 
 
-@lru_cache(maxsize=None)
-def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
-    """The n x phi(n) int64 matrix whose row k holds x^k reduced mod Phi_n,
-    and its largest |entry|.
-
-    Row k is x times row k-1, with x^phi(n) rewritten through Phi_n.  Raises
-    OverflowError if an entry could leave int64.
-    """
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    low = np.array([-c for c in phi[:-1]], dtype=np.int64)
-    # x^deg = sum(low[j] * x^j) mod Phi_n; bound covers every |entry| so far
-    step, bound = int(np.abs(low).max()), 1
-    arr = np.zeros((n, deg), dtype=np.int64)
-    arr[:deg] = np.eye(deg, dtype=np.int64)
-    for k in range(deg, n):
-        prev = arr[k - 1]
-        arr[k, 1:] = prev[:-1]
-        lead = int(prev[-1])
-        if lead:
-            arr[k] += lead * low
-            bound += abs(lead) * step
-    if bound >= 2**63:
-        raise OverflowError(f"reduction matrix for n = {n} exceeds int64")
-    return arr, int(max(arr.max(), -arr.min()))  # no |arr| temporary
-
-
 def reduce_to_power_basis(coeffs, n: int):
-    """Coordinates of sum(coeffs[..., k] * zeta_n^k) in the power basis of
-    Q(zeta_n), exact.
+    """Coordinates of sum(coeffs[..., k] * zeta_n^k) in a basis of Q(zeta_n)
+    made of powers of zeta_n, 1 first (the power basis if n is a prime
+    power), exact: the value is zero iff every coordinate is, and rational
+    iff all but the first are, the first then being the value.
 
     ``coeffs`` is one vector of length n, giving a tuple of phi(n) numbers,
     or a batch of shape (..., n), giving an array of shape (..., phi(n)).
-    Columns that are zero in every entry are dropped; the rest meet the
-    reduction matrix in one matmul, in int64 when the largest L1 norm of an
-    entry times the largest matrix entry is provably below 2^63, and over
-    Python objects otherwise, so big ints and Fractions stay exact.
+    Coefficient a moves to (a mod q_1, ..., a mod q_m), n = q_1 ... q_m in
+    prime powers; each axis q = p^k is then cut into p blocks, and the last
+    is subtracted from the others, which are kept.  Each of the m folds at
+    most doubles an entry, so they run in int64 when 2^m times the largest
+    |coefficient| (in floats, far within the factor 2) is below 2^62, and
+    over Python objects otherwise, so big ints and Fractions stay exact.
     """
-    arr, max_entry = _reduction_matrix(n)
+    factors = [(p, gcd(n, p ** n.bit_length())) for p in _prime_factors(n)]
     batch = np.asarray(coeffs)
-    if batch.dtype.kind not in "iub":  # Fractions, or ints beyond 64 bits
-        batch = np.asarray(coeffs, dtype=object)
-    flat = batch.reshape(-1, n)
-    cols = flat.any(axis=0).nonzero()[0]
-    flat, rows = flat[:, cols], arr[cols]
-    # the float L1 norm is within a factor 1 + n * 2^-53 of the exact one, so
-    # a float bound below 2^62 proves the exact one below 2^63
-    if batch.dtype != object and max_entry * float(
-            np.abs(flat, dtype=np.float64).sum(axis=1).max(initial=0)) < 2**62:
-        out = flat.astype(np.int64, copy=False) @ rows
+    if batch.dtype.kind in "iub" and 2 ** len(factors) * float(
+            np.abs(batch, dtype=np.float64).max(initial=0)) < 2**62:
+        batch = batch.astype(np.int64, copy=False)
     else:
-        out = flat.astype(object) @ rows.astype(object)
-    out = out.reshape(batch.shape[:-1] + (arr.shape[1],))
+        batch = batch.astype(object, copy=False)
+    # order[r_1, ..., r_m] = the a < n with a = r_i mod q_i for each i
+    order = np.zeros((), dtype=np.int64)
+    for _, q in factors:
+        unit = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
+        order = (order[..., None] + unit * np.arange(q)) % n
+    out, rest, phi = batch.reshape(-1, n)[:, order.ravel()], n, n
+    for p, q in factors:
+        rest //= q
+        phi = phi // p * (p - 1)
+        blocks = out.reshape(-1, p, q // p * rest)
+        blocks[:, :-1] -= blocks[:, -1:]
+        out = blocks[:, :-1]
+    out = out.reshape(batch.shape[:-1] + (phi,))
     return tuple(out.tolist()) if batch.ndim == 1 else out
 
 

@@ -126,8 +126,9 @@ class ClassData:
     Classes are sorted by (element order, class size, lexicographically least
     member); the representative of a class is its least member.  Elements
     are the rows of ``group.element_array()``: ``element_index[e]`` is the
-    class of element e, an integer array of length |G|, and ``members``
-    (Permutation lists, each sorted) is built only when first read.
+    class of element e, an integer array of length |G|; the Permutations,
+    ``reps`` and ``members`` (one list per class, sorted), are built only
+    when first read.
 
     Classes are the orbits of the conjugation action.  Each generator acts
     as an index map on the element rows, and ``_orbits`` finds the orbits
@@ -182,8 +183,6 @@ class ClassData:
         class_id[ranking] = np.arange(len(ranking))
         self.element_index: np.ndarray = class_id[raw]
         self.rep_rows: np.ndarray = reps[ranking]
-        self.reps: list[Permutation] = [Permutation._trusted(tuple(row))
-                                        for row in self.rep_rows.tolist()]
         self.sizes: list[int] = [int(raw_sizes[c]) for c in ranking]
         self.orders: list[int] = [raw_orders[c] for c in ranking]
         # power_class[i][e] = class of reps[i]**e for e in 0..orders[i]-1
@@ -197,6 +196,12 @@ class ClassData:
         assert all(group.order % s == 0 for s in self.sizes)
 
     @cached_property
+    def reps(self) -> list[Permutation]:
+        """The representative of each class, its least member."""
+        return [Permutation._trusted(tuple(row))
+                for row in self.rep_rows.tolist()]
+
+    @cached_property
     def members(self) -> list[list[Permutation]]:
         """The elements of each class, each list in lexicographic order."""
         by_class = np.lexsort((*self.rows.T[::-1], self.element_index))
@@ -207,7 +212,7 @@ class ClassData:
 
     @property
     def num_classes(self) -> int:
-        return len(self.reps)
+        return len(self.sizes)
 
     def class_of(self, p: Permutation) -> int:
         # the rank of any base images is a row; p is that row or no member

@@ -126,12 +126,31 @@ def test_scan_failure_exit_code(capsys, tmp_path):
     ["acd", "A5", "--rel", "(1_2)"],
     ["scan", "--check", "question:x"],
     ["scan", "--check", "question:4"],
+    # primality by trial division would not finish on these
+    ["acd", "A5", "--div", "99999999999999999999999"],
+    ["scan", "--check", "question:99999999999999999989"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_input_exits_2(capsys, tmp_path):
+    (tmp_path / "dir.grp").mkdir()
+    latin1 = "name Caf\xe9\nperm 3\ngen (1 2 3)\n".encode("latin-1")
+    (tmp_path / "latin1.grp").write_bytes(latin1)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "latin1.grp").write_bytes(latin1)
+    for argv in (["table", str(tmp_path / "dir.grp")],
+                 ["table", str(tmp_path / "latin1.grp")],
+                 ["acd", "A5", "--corpus", str(corpus)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_no_command_shows_help(capsys):

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 import pytest
 
-from chardeg.cyclotomic import (CycValue, _reduction_matrix,
-                                cyclotomic_polynomial, reduce_to_power_basis)
+from chardeg.cyclotomic import CycValue, reduce_to_power_basis
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -18,14 +18,18 @@ from chardeg.cyclotomic import (CycValue, _reduction_matrix,
     (12, (1, 0, -1, 0, 1)),
 ])
 def test_cyclotomic_polynomials(n, expected):
-    assert cyclotomic_polynomial(n) == expected
+    # Phi_n by long division, and Phi_n(zeta_n) = 0 (x^n wraps to x^0)
+    assert reference_phi(n) == expected
+    coeffs = [0] * n
+    for k, c in enumerate(expected):
+        coeffs[k % n] += c
+    assert not any(reduce_to_power_basis(coeffs, n))
 
 
 def test_phi_degree_is_euler_totient():
-    from math import gcd
     for n in range(1, 40):
-        totient = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-        assert len(cyclotomic_polynomial(n)) - 1 == totient
+        assert len(reference_phi(n)) - 1 == totient(n)
+        assert len(reduce_to_power_basis((0,) * n, n)) == totient(n)
 
 
 def test_root_of_unity_relations():
@@ -128,15 +132,88 @@ def reference_reduction(n):
     return rows
 
 
-@pytest.mark.parametrize("ns", [range(1, 200), range(200, 400),
-                                [840, 1320, 2520]])
-def test_phi_and_reduction_matrix_match_long_division(ns):
+def totient(n):
+    return sum(1 for k in range(n) if gcd(k, n) == 1)
+
+
+def mobius(n):
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def primes_of(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def known_values(n, rng):
+    """(coefficients, value) pairs whose value is known by construction: the
+    rational value, or None for an irrational one.
+
+    A sum over a coset of mu_p (p a prime dividing n) is 0; the Galois trace
+    of zeta_n^a is the Ramanujan sum mu(n/g) phi(n)/phi(n/g), g = gcd(a, n);
+    zeta_n^a is irrational unless it is 1 or -1.
+    """
+    primes = primes_of(n)
+    units = [u for u in range(n) if gcd(u, n) == 1]
+
+    def zero_part():
+        coeffs = [0] * n
+        for _ in range(3):
+            if primes:
+                p, a = rng.choice(primes), rng.randrange(n)
+                w = rng.randint(-3, 3)
+                for t in range(p):
+                    coeffs[(a + t * n // p) % n] += w
+        return coeffs
+
+    for _ in range(3):
+        yield zero_part(), 0
+        coeffs, a = zero_part(), rng.randrange(n)
+        w, c = rng.randint(1, 3), rng.randint(-5, 5)
+        coeffs[0] += c
+        for u in units:
+            coeffs[a * u % n] += w
+        g = gcd(a, n)
+        yield coeffs, c + w * mobius(n // g) * totient(n) // totient(n // g)
+        if n > 2:
+            coeffs = zero_part()
+            coeffs[rng.choice([a for a in range(1, n) if 2 * a != n])] += 1
+            yield coeffs, None
+
+
+def meaning(coords):
+    """The rational value the coordinates give, or None if irrational."""
+    return None if any(coords[1:]) else coords[0]
+
+
+@pytest.mark.parametrize("ns", [range(1, 101), range(101, 201),
+                                [840, 1320, 2520, 9240]])
+def test_fold_matches_long_division(ns):
+    rng = random.Random(ns[0])
     for n in ns:
-        assert cyclotomic_polynomial(n) == reference_phi(n), n
-        arr, max_entry = _reduction_matrix(n)
-        rows = reference_reduction(n)
-        assert arr.tolist() == rows, n
-        assert max_entry == max(abs(e) for row in rows for e in row)
+        cases = list(known_values(n, rng))
+        for coeffs, value in cases:
+            assert meaning(reduce_to_power_basis(coeffs, n)) == value, n
+        if n > 200:
+            continue
+        # long division by Phi_n decides the same inputs, and random ones
+        rows = np.array(reference_reduction(n), dtype=object)
+        cases += [([rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)], None)
+                  for _ in range(3)]
+        for coeffs, _ in cases:
+            coords = reduce_to_power_basis(coeffs, n)
+            reference = tuple((np.array(coeffs) @ rows).tolist())
+            assert meaning(coords) == meaning(reference), (n, coeffs)
+            if len(primes_of(n)) <= 1:  # the power basis itself
+                assert coords == reference, (n, coeffs)
 
 
 # -- batched reduction ------------------------------------------------------
@@ -147,7 +224,7 @@ def test_batch_equals_row_by_row():
         batch = np.array([[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
                           for _ in range(6)], dtype=np.int64).reshape(2, 3, n)
         out = reduce_to_power_basis(batch, n)
-        assert out.shape == (2, 3, len(cyclotomic_polynomial(n)) - 1)
+        assert out.shape == (2, 3, totient(n))
         for idx in np.ndindex(2, 3):
             single = reduce_to_power_basis(tuple(batch[idx].tolist()), n)
             assert isinstance(single, tuple)

@@ -1,5 +1,6 @@
 import pytest
 
+from chardeg.chars import character_table
 from chardeg.errors import NotMemberError, NotNormalError
 from chardeg.groups import (Group, Subgroup, center, class_fusion,
                             class_union, conjugacy_classes, derived_series,
@@ -284,3 +285,11 @@ def test_class_union(s4):
     c2_s4 = make(["(1 2 3 4)", "(1 2)", "(5 6)"], 6)
     assert center(c2_s4).generators == (parse_cycles("(5 6)", 6),)
     assert "members" not in vars(conjugacy_classes(c2_s4))
+
+
+def test_table_build_makes_no_representatives():
+    g = make(["(1 2 3 4 5)", "(1 2)"], 5)
+    character_table(g)
+    cd = conjugacy_classes(g)
+    assert "reps" not in vars(cd)
+    assert cd.num_classes == 7 and cd.reps[0].is_identity()
