@@ -12,11 +12,11 @@ from .groups import (Group, Subgroup, ClassData, Quotient,
 from .cyclotomic import CycValue
 from .chars import (Character, CharacterTable, TableData, character_table,
                     inner_product, tensor, restrict_character,
-                    kernel_subgroup, kernel_classes_contain, extensions_of,
-                    gallagher_check)
+                    kernel_subgroup, kernel_classes_contain, extensions_of)
 from .invariants import (DegreeFilter, RationalAverage, ALL, EVEN,
                          degrees, irr, irr_over, n_d, acd, acd_rel, acd_over,
-                         theorem_A_inequality_equiv, format_rational)
+                         theorem_A_inequality_equiv, format_rational,
+                         gallagher_check)
 from .constructions import (FiniteField, MatrixGroupSpec, CentralProduct,
                             perm_from_matrix_group, direct_product,
                             central_product, fiber_product)

@@ -278,8 +278,3 @@ class StabilizerChain:
                 if inverse is not None:
                     rest[i + 1:] = inverse[rest[i + 1:] + start[points]]
         return index.reshape(shape)
-
-    def elements(self) -> list[Permutation]:
-        """All group elements in the canonical order of element_array()."""
-        return [Permutation._trusted(tuple(row))
-                for row in self.element_array().tolist()]

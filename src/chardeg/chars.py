@@ -2,8 +2,8 @@
 
 The table rows come from the modular engine in ``dixon``; this module owns
 the exact layer: canonical ordering, validation, inner products,
-restriction, tensor products, kernels, extension tests and the Gallagher
-correspondence check, on stacks: class functions as one coefficient array.
+restriction, tensor products, kernels and extension tests, on stacks:
+class functions as one coefficient array.
 A table's characters are the rows of the lift's array; their CycValues are
 built only when something reads them.
 
@@ -242,24 +242,18 @@ def _kernels(orders, coeffs: np.ndarray, degrees) -> list[frozenset]:
     return [frozenset(np.flatnonzero(row).tolist()) for row in kernel]
 
 
-# Most array elements one circulant gather in _inner_products may hold; a
-# bucket with many classes and a long root order is gathered in chunks.
-# At 2^15 (256 KB) the 81 classes of C3^4 go in two chunks, which lowers
-# the peak memory of its table; tables with few classes (S8 has 22) keep
-# each bucket whole.
-_GATHER_ELEMENTS = 1 << 15
-
-
 def _inner_products(table: CharacterTable, orders, f: np.ndarray,
                     g: np.ndarray) -> np.ndarray:
     """|G| <f_i, g_j> for the rows of two stacks over the same orders, exact.
 
-    Per root order n, one matmul against a circulant gather in Z[x]/(x^n-1),
-    embedded into Z[x]/(x^e-1), then one fold of the total into a basis of
-    Q(zeta_e) with 1 first, a block subtraction per prime-power factor of e;
-    int64 where sum_k size_k |f_k|_1 |g_k|_1 (row maxima, in floats, far
-    within the factor 2) is below 2^62.  Raises TableError when a value
-    lies outside Q(zeta_e) or an entry is not rational.
+    Per root order n, coefficient t of sum_k size_k f_k conj(g_k) in
+    Z[x]/(x^n-1) is one matmul of f's columns against the shifted slice
+    g_k[i - t] of g's columns written twice, and lands at t e/n in
+    Z[x]/(x^e-1); then one fold of the total into a basis of Q(zeta_e)
+    with 1 first, a block subtraction per prime-power factor of e.  int64
+    where sum_k size_k |f_k|_1 |g_k|_1 (row maxima, in floats, far within
+    the factor 2) is below 2^62.  Raises TableError when a value lies
+    outside Q(zeta_e) or an entry is not rational.
     """
     cd, e = table.classes, table.exponent
     dtype = object
@@ -273,17 +267,13 @@ def _inner_products(table: CharacterTable, orders, f: np.ndarray,
         if e % n:
             raise TableError(f"a class function value needs the {n}-th roots "
                              f"of unity, not in Q(zeta_{e})")
-        shift = (np.arange(n)[:, None] - np.arange(n)) % n  # [i, t] = i - t
-        step = max(1, _GATHER_ELEMENTS // (len(g) * n * n))
-        for lo in range(0, len(ks), step):
-            chunk = cols[lo:lo + step]
-            a = f[:, chunk].astype(dtype, copy=False)
-            a *= sizes[ks[lo:lo + step], None]
-            # b[k, i, j, t] = g_j[k][i - t], in the layout of the matmul
-            b = g[np.arange(len(g))[:, None], (chunk[:, :1, None] + shift)[
-                :, :, None, :]].astype(dtype, copy=False)
-            total[:, :, ::e // n] += (a.reshape(len(f), -1) @ b.reshape(
-                -1, len(g) * n)).reshape(len(f), len(g), n)
+        a = f[:, cols].astype(dtype, copy=False)
+        a *= sizes[ks, None]
+        a = a.reshape(len(f), -1)
+        b = g[:, np.hstack([cols, cols])].astype(dtype, copy=False)
+        for t in range(n):  # b[j, k, n - t + i] = g_j[k][i - t]
+            total[:, :, t * e // n] += a @ b[:, :, n - t:2 * n - t].reshape(
+                len(g), -1).T
     coords = reduce_to_power_basis(total, e)
     if coords[:, :, 1:].any():
         raise TableError("inner product of class functions is not rational")
@@ -321,11 +311,25 @@ def tensor(a, b) -> list[CycValue]:
     return [x * y for x, y in zip(va, vb)]
 
 
+def _on_classes(funcs, classes) -> list[Character]:
+    """Class functions read on a list of classes, as rows for the Gram
+    routine (kernels unset): one column gather of their stack, each listed
+    class's block as it is.  Restricted through a class fusion, a class of
+    the subgroup has the element order of the class it fuses into."""
+    if not funcs:
+        return []
+    orders, rows = _stack(funcs)
+    at = np.cumsum([0, *orders])
+    cols = np.concatenate([np.arange(at[k], at[k + 1]) for k in classes])
+    orders = [orders[k] for k in classes]
+    return [Character._of_row(getattr(f, "degree", None), None, orders, row)
+            for f, row in zip(funcs, rows[:, cols])]
+
+
 def restrict_character(group: Group, chi, h: Group) -> list[CycValue]:
     """Values of chi on the classes of the subgroup h (via class fusion)."""
-    fusion = class_fusion(group, h)
-    values = _values_of(chi)
-    return [values[ci] for ci in fusion]
+    (restricted,) = _on_classes([chi], class_fusion(group, h))
+    return list(restricted.values)
 
 
 def kernel_classes_contain(table: CharacterTable, chi: Character,
@@ -350,45 +354,6 @@ def extensions_of(group: Group, n: Group, theta: Character,
         warn("extension test on a non-normal subgroup")
     same = [chi for chi in character_table(group).chars
             if chi.degree == theta.degree]
-    hits = equal(character_table(n), [restrict_character(group, chi, n)
-                                      for chi in same], [theta])
+    restricted = _on_classes(same, class_fusion(group, n))
+    hits = equal(character_table(n), restricted, [theta])
     return [chi for chi, hit in zip(same, hits[:, 0]) if hit]
-
-
-@dataclass
-class GallagherResult:
-    passed: bool
-    details: list[str]
-
-
-def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
-    """Verify the multiplication map beta -> beta*psi on Irr(G/N).
-
-    Requires psi to restrict irreducibly to n; then every product with a
-    character trivial on n must be irreducible and all products distinct.
-    """
-    g_table = character_table(group)
-    n_table = character_table(n)
-    restricted = restrict_character(group, psi, n)
-    norm = inner_product(n_table, restricted, restricted)
-    if norm != 1:
-        return GallagherResult(False, [
-            f"precondition failed: restriction has norm {norm}, not 1"])
-    betas = [chi for chi in g_table.chars
-             if kernel_classes_contain(g_table, chi, n)]
-    # one Gram matrix: norms on the diagonal; two products of norm 1 coincide
-    # exactly when their inner product is 1
-    products = [tensor(beta, psi) for beta in betas]
-    gram = _gram(g_table, products, products)
-    details = [f"product with degree-{beta.degree} character is reducible "
-               f"(norm {gram[i][i]})"
-               for i, beta in enumerate(betas) if gram[i][i] != 1]
-    irreducible = [i for i in range(len(betas)) if gram[i][i] == 1]
-    coincide = [(a, b) for a, i in enumerate(irreducible)
-                for b, j in enumerate(irreducible) if a < b and gram[i][j] == 1]
-    details += [f"products {a} and {b} coincide" for a, b in coincide]
-    passed = not coincide and len(irreducible) == len(betas)
-    if passed:
-        details.append(
-            f"{len(betas)} products, all irreducible and distinct")
-    return GallagherResult(passed, details)

@@ -15,14 +15,14 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .chars import (Character, character_table, equal, extensions_of,
-                    gallagher_check, tensor)
+from .chars import (Character, _on_classes, character_table, equal,
+                    extensions_of, tensor)
 from .corpusio import Catalogue
 from .errors import ChardegError
 from .groups import Group, Subgroup, center, is_p_solvable, is_solvable
 from .invariants import (EVEN, DegreeFilter, RationalAverage, acd, acd_over,
-                         acd_rel, format_rational, irr, irr_over, n_d,
-                         theorem_A_inequality_equiv)
+                         acd_rel, format_rational, gallagher_check, irr,
+                         irr_over, n_d, theorem_A_inequality_equiv)
 
 SCHEMA_VERSION = 1
 
@@ -110,7 +110,7 @@ def transport_character(target_table, lam: Character, source_group,
         source_group.elements(), s_cd.element_index.tolist())})
     if len(pairs) != s_cd.num_classes:
         raise ChardegError("the identification splits a source class")
-    hits = equal(source_table, [[lam.values[b] for _, b in pairs]],
+    hits = equal(source_table, _on_classes([lam], [b for _, b in pairs]),
                  source_table.chars)[0]
     if not hits.any():
         raise ChardegError("no matching character under the identification")

@@ -3,8 +3,10 @@
 Every average and count is taken over a subset of Irr(G) chosen by one of
 two selectors: ``irr`` (a degree filter, optionally Irr(G/N) or Irr(G|N))
 and ``irr_over`` (the characters lying over a character of a normal
-subgroup).  Averages are exact rationals; the average of an empty set of
-degrees is 0 by convention, uniformly across all filters.
+subgroup); the Gallagher correspondence check multiplies Irr(G/N), as
+``irr`` selects it, by a character extending one of N.  Averages are exact
+rationals; the average of an empty set of degrees is 0 by convention,
+uniformly across all filters.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .chars import (Character, CharacterTable, _gram,
-                    kernel_classes_contain)
+from .chars import (Character, CharacterTable, _gram, _on_classes,
+                    character_table, inner_product, kernel_classes_contain,
+                    restrict_character, tensor)
 from .cyclotomic import _is_prime
 from .errors import ChardegError
 from .groups import Group, class_fusion
@@ -100,19 +101,11 @@ def irr_over(table: CharacterTable, n: Group, n_table: CharacterTable,
     """Irr(G|theta): the characters whose restriction to n has theta as a
     constituent, in table order.
 
-    The rows are restricted by one column gather through the class fusion;
-    a class of n has the element order of the class it fuses into, so each
-    row block carries over as it is.  One Gram call gives all the
-    multiplicities <chi_N, theta> together with <theta, theta>, which must
-    be 1.
+    The rows are restricted by one column gather through the class fusion.
+    One Gram call gives all the multiplicities <chi_N, theta> together with
+    <theta, theta>, which must be 1.
     """
-    fusion = class_fusion(table.group, n)
-    orders = [table.classes.orders[k] for k in fusion]
-    at = np.cumsum([0, *table.classes.orders])
-    cols = np.concatenate([np.arange(at[k], at[k + 1]) for k in fusion])
-    # class functions of n, not characters: rows for the Gram call only
-    restrictions = [Character._of_row(c.degree, None, orders, c.row[cols])
-                    for c in table.chars]
+    restrictions = _on_classes(table.chars, class_fusion(table.group, n))
     *mults, norm = _gram(n_table, restrictions + [theta], [theta])
     if norm != [1]:
         raise ChardegError("theta is not an irreducible character of n")
@@ -166,3 +159,40 @@ def theorem_A_inequality_equiv(table: CharacterTable) -> bool:
     weighted = sum((5 * d - 16) * k for d, k in counts.items() if d >= 4)
     bound = 11 * counts.get(1, 0) + 6 * counts.get(2, 0) + counts.get(3, 0)
     return lhs_small == (weighted < bound)
+
+
+@dataclass
+class GallagherResult:
+    passed: bool
+    details: list[str]
+
+
+def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
+    """Verify the multiplication map beta -> beta*psi on Irr(G/N).
+
+    Requires psi to restrict irreducibly to n; then every product with a
+    character trivial on n must be irreducible and all products distinct.
+    """
+    g_table = character_table(group)
+    restricted = restrict_character(group, psi, n)
+    norm = inner_product(character_table(n), restricted, restricted)
+    if norm != 1:
+        return GallagherResult(False, [
+            f"precondition failed: restriction has norm {norm}, not 1"])
+    betas = irr(g_table, modulo=n, mode="quotient")
+    # one Gram matrix: norms on the diagonal; two products of norm 1 coincide
+    # exactly when their inner product is 1
+    products = [tensor(beta, psi) for beta in betas]
+    gram = _gram(g_table, products, products)
+    details = [f"product with degree-{beta.degree} character is reducible "
+               f"(norm {gram[i][i]})"
+               for i, beta in enumerate(betas) if gram[i][i] != 1]
+    irreducible = [i for i in range(len(betas)) if gram[i][i] == 1]
+    coincide = [(a, b) for a, i in enumerate(irreducible)
+                for b, j in enumerate(irreducible) if a < b and gram[i][j] == 1]
+    details += [f"products {a} and {b} coincide" for a, b in coincide]
+    passed = not coincide and len(irreducible) == len(betas)
+    if passed:
+        details.append(
+            f"{len(betas)} products, all irreducible and distinct")
+    return GallagherResult(passed, details)

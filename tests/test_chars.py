@@ -5,9 +5,10 @@ import pytest
 
 from chardeg import chars
 from chardeg.chars import (Character, CharacterTable, character_table,
-                           extensions_of, gallagher_check, inner_product,
+                           extensions_of, inner_product,
                            kernel_classes_contain, kernel_subgroup,
                            restrict_character, tensor)
+from chardeg.invariants import gallagher_check
 from chardeg.checks import principal_character
 from chardeg.cyclotomic import CycValue, reduce_to_power_basis
 from chardeg.errors import TableError
@@ -286,14 +287,6 @@ def test_inner_product_exact_beyond_int64(cat):
     huge = [v.scale(10**20) for v in chi.values]
     assert inner_product(t, half, chi) == Fraction(1, 2)
     assert inner_product(t, huge, huge) == 10**40
-
-
-def test_gram_gather_in_chunks(cat, monkeypatch):
-    t = character_table(cat.group("SL2_5"))
-    monkeypatch.setattr(chars, "_GATHER_ELEMENTS", 1)  # one class per chunk
-    r = len(t.chars)
-    assert chars._gram(t, t.chars, t.chars) == [
-        [int(i == j) for j in range(r)] for i in range(r)]
 
 
 def test_gram_reduces_once(cat, monkeypatch):

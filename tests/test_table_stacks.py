@@ -28,6 +28,7 @@ SMALL = {
                          "(3 7 11 8)(4 10 5 6)"], 11),
     "C3^4": lambda: make([f"({3 * i + 1} {3 * i + 2} {3 * i + 3})"
                           for i in range(4)], 12),
+    "C30": lambda: make(["(1 2)(3 4 5)(6 7 8 9 10)"], 10),
 }
 SCALE = {
     "S8": lambda: make(["(1 2 3 4 5 6 7 8)", "(1 2)"], 8),
