@@ -46,9 +46,12 @@ result = gallagher_check(s5, a5, psi)
 print("multiplying the linear characters of S5/A5 into psi:",
       "pass" if result.passed else "fail", "-", result.details[0])
 
-# restriction goes the other way and can be tested for irreducibility
+# restriction goes the other way: a character of A5, here reducible
 deg6 = next(c for c in character_table(s5).chars if c.degree == 6)
 res = restrict_character(s5, deg6, a5)
 norm = inner_product(ta5, res, res)
 print(f"the degree-6 character of S5 restricted to A5 has norm {norm} "
       "(reducible)")
+print("its constituents in Irr(A5) have degrees",
+      [theta.degree for theta in ta5.chars
+       if inner_product(ta5, res, theta) > 0])

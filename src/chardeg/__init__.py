@@ -23,8 +23,7 @@ from .constructions import (FiniteField, MatrixGroupSpec, CentralProduct,
 from .corpusio import (GroupSpec, Catalogue, CatalogueEntry,
                        parse_group_file, serialize_group_spec,
                        default_corpus_path, CORPUS_ENV_VAR)
-from .checks import (Check, Report, paper_check_suite, theorem_scan,
-                     principal_character)
+from .checks import Check, Report, paper_check_suite, theorem_scan
 from .oracle import oracle_table
 
 __version__ = "0.1.0"

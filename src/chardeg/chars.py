@@ -4,8 +4,9 @@ The table rows come from the modular engine in ``dixon``; this module owns
 the exact layer: canonical ordering, validation, inner products,
 restriction, tensor products, kernels and extension tests, on stacks:
 class functions as one coefficient array.
-A table's characters are the rows of the lift's array; their CycValues are
-built only when something reads them.
+Characters are rows: a table's are rows of the lift's array, and
+restrictions and products are rows too.  CycValues are built only when
+something reads ``values``.
 
 Inner products, table validation and equality of class functions share
 one exact routine, ``_inner_products``, a whole matrix of inner products of
@@ -32,26 +33,27 @@ from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
 
 
 class Character:
-    """One irreducible character: degree, kernel classes and one stack row,
-    class k over the orders[k]-th roots of unity.  A table character's
-    ``values`` (a CycValue per class) are built from its row on first read;
-    a hand-built one keeps the values it was given."""
+    """A character: degree, kernel classes and one stack row, class k over
+    the orders[k]-th roots of unity.  The kernel classes, and the
+    ``values`` (a CycValue per class) of a character built from its row,
+    are read off the row on first use."""
 
-    def __init__(self, degree: int, values, kernel_classes=None):
+    def __init__(self, degree: int, values):
         self.degree = degree
         self.values = tuple(values)
         self.orders, self.row = _row(self.values)
-        if kernel_classes is None:
-            (kernel_classes,) = _kernels(self.orders, self.row[None], [degree])
-        self.kernel_classes = kernel_classes
 
     @classmethod
-    def _of_row(cls, degree: int, kernel_classes, orders, row: np.ndarray):
-        """A table character: a row of the lift's array, values unbuilt."""
+    def _of_row(cls, degree: int, orders, row: np.ndarray):
+        """A character given by its stack row, values unbuilt."""
         chi = cls.__new__(cls)
-        chi.degree, chi.kernel_classes, chi.orders, chi.row = (
-            degree, kernel_classes, orders, row)
+        chi.degree, chi.orders, chi.row = degree, orders, row
         return chi
+
+    @cached_property
+    def kernel_classes(self) -> frozenset:
+        (kernel,) = _kernels(self.orders, self.row[None], [self.degree])
+        return kernel
 
     def _coefficients(self) -> list:
         """(n, coefficient list) per class, sliced off the row."""
@@ -184,31 +186,35 @@ def character_table(group: Group) -> CharacterTable:
         z = dixon.primitive_root(p)
         omegas = dixon.central_character_vectors(cd, p)
         degrees, mult = dixon.lift_character(omegas, cd, p, z)
-        chars = [Character._of_row(d, kernel, cd.orders, row) for d, kernel, row
-                 in zip(degrees, _kernels(cd.orders, mult, degrees), mult)]
+        chars = [Character._of_row(d, cd.orders, row)
+                 for d, row in zip(degrees, mult)]
+        for chi, kernel in zip(chars, _kernels(cd.orders, mult, degrees)):
+            chi.kernel_classes = kernel
         group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
     return group._cache[key]
 
 
 # -- class function arithmetic ---------------------------------------------
 
-def _values_of(f) -> tuple:
-    return f.values if isinstance(f, Character) else tuple(f)
-
-
 def _stack(funcs) -> tuple[list[int], np.ndarray]:
-    """(orders, coefficients) of class functions, class k over the least
-    common orders[k]-th roots of unity: a character's row as it is where it
-    lies on these orders, else its values embedded and put through _row."""
-    funcs = list(funcs)
+    """(orders, coefficients) of class functions (characters or CycValue
+    lists), class k over the least common orders[k]-th roots of unity: each
+    row as it is where it lies on these orders, else embedded, zeta_n^i in
+    class k moving to zeta^(i orders[k]/n)."""
+    pairs = [(f.orders, f.row) if isinstance(f, Character) else _row(f)
+             for f in funcs]
     # rows of one table, or restricted to one subgroup, need no lcm
-    orders = funcs[0].orders if isinstance(funcs[0], Character) else None
-    if not all(isinstance(f, Character) and f.orders == orders for f in funcs):
-        orders = np.lcm.reduce([f.orders if isinstance(f, Character)
-                                else [v.n for v in f] for f in funcs]).tolist()
-    rows = [f.row if isinstance(f, Character) and f.orders == orders else
-            _row([v.embed(n) for v, n in zip(_values_of(f), orders)])[1]
-            for f in funcs]
+    orders = pairs[0][0]
+    if any(o != orders for o, _ in pairs):
+        orders = np.lcm.reduce([o for o, _ in pairs]).tolist()
+    at, rows = np.cumsum([0, *orders]), []
+    for own, row in pairs:
+        if own != orders:
+            embedded = np.zeros(at[-1], dtype=row.dtype)
+            embedded[np.concatenate([at[k] + np.arange(0, m, m // n) for k, (
+                n, m) in enumerate(zip(own, orders))])] = row
+            row = embedded
+        rows.append(row)
     return orders, np.array(rows, dtype=np.result_type(*rows))
 
 
@@ -305,31 +311,40 @@ def equal(table: CharacterTable, fs, gs) -> np.ndarray:
     return norms[:k, None] + norms[k:] - 2 * gram[:k, k:] == 0
 
 
-def tensor(a, b) -> list[CycValue]:
-    """Pointwise product of two class functions on the same table."""
-    va, vb = _values_of(a), _values_of(b)
-    return [x * y for x, y in zip(va, vb)]
+def tensor(a: Character, b: Character) -> Character:
+    """The pointwise product of two characters: per root order n,
+    coefficient t of a_k b_k in Z[x]/(x^n-1) is sum_i a_k[i] b_k[t-i], one
+    sum over shifted slices per t; in int64 where n max|a| max|b| (in
+    floats) is below 2^62, else over Python objects."""
+    orders, xy = _stack([a, b])
+    if xy.dtype != np.int64 or max(orders) * np.prod(
+            np.abs(xy, dtype=np.float64).max(1)) >= 2**62:
+        xy = xy.astype(object)
+    (x, y), row = xy, np.empty_like(xy[0])
+    for n, _, cols in _buckets(orders):
+        for t in range(n):
+            row[cols[:, t]] = (x[cols] * y[cols[:, t - np.arange(n)]]).sum(1)
+    return Character._of_row(a.degree * b.degree, orders, row)
 
 
 def _on_classes(funcs, classes) -> list[Character]:
-    """Class functions read on a list of classes, as rows for the Gram
-    routine (kernels unset): one column gather of their stack, each listed
-    class's block as it is.  Restricted through a class fusion, a class of
-    the subgroup has the element order of the class it fuses into."""
+    """Characters read on a list of classes: one column gather of their
+    stack, each listed class's block as it is.  Restricted through a class
+    fusion, a class of the subgroup has the element order of the class it
+    fuses into."""
     if not funcs:
         return []
     orders, rows = _stack(funcs)
     at = np.cumsum([0, *orders])
     cols = np.concatenate([np.arange(at[k], at[k + 1]) for k in classes])
     orders = [orders[k] for k in classes]
-    return [Character._of_row(getattr(f, "degree", None), None, orders, row)
+    return [Character._of_row(f.degree, orders, row)
             for f, row in zip(funcs, rows[:, cols])]
 
 
-def restrict_character(group: Group, chi, h: Group) -> list[CycValue]:
-    """Values of chi on the classes of the subgroup h (via class fusion)."""
-    (restricted,) = _on_classes([chi], class_fusion(group, h))
-    return list(restricted.values)
+def restrict_character(group: Group, chi: Character, h: Group) -> Character:
+    """chi on the classes of the subgroup h (via class fusion)."""
+    return _on_classes([chi], class_fusion(group, h))[0]
 
 
 def kernel_classes_contain(table: CharacterTable, chi: Character,

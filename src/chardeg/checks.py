@@ -16,13 +16,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .chars import (Character, _on_classes, character_table, equal,
-                    extensions_of, tensor)
+                    extensions_of)
 from .corpusio import Catalogue
 from .errors import ChardegError
 from .groups import Group, Subgroup, center, is_p_solvable, is_solvable
 from .invariants import (EVEN, DegreeFilter, RationalAverage, acd, acd_over,
-                         acd_rel, format_rational, gallagher_check, irr,
-                         irr_over, n_d, theorem_A_inequality_equiv)
+                         acd_rel, format_rational, gallagher_check, irr_over,
+                         n_d, theorem_A_inequality_equiv)
 
 SCHEMA_VERSION = 1
 
@@ -89,10 +89,6 @@ class Report:
 
 
 # -- helpers ------------------------------------------------------------------
-
-def principal_character(table) -> Character:
-    return table.principal()
-
 
 def nonprincipal_chars(table) -> list[Character]:
     principal = table.principal()
@@ -295,13 +291,12 @@ def paper_check_suite(cat: Catalogue) -> Report:
     psi = extensions_of(s5, a5_sub, theta5)[0]
     res = gallagher_check(s5, a5_sub, psi)
     t_s5 = character_table(s5)
-    prods = [tensor(beta, psi)
-             for beta in irr(t_s5, modulo=a5_sub, mode="quotient")]
     deg5_rows = [c for c in t_s5.chars if c.degree == 5]
-    matched = equal(t_s5, prods, deg5_rows).any(axis=1).all()
+    matched = equal(t_s5, res.products, deg5_rows).any(axis=1).all()
     add(Check("gallagher_S5", "multiplication by the degree-5 extension",
               "beta -> beta*psi maps Irr(S5/A5) onto the two degree-5 "
-              "characters of S5", res.passed and matched and len(prods) == 2,
+              "characters of S5",
+              res.passed and matched and len(res.products) == 2,
               "; ".join(res.details)))
 
     theta7 = next(c for c in t_pslsub.chars if c.degree == 7)

@@ -1,9 +1,9 @@
-"""Exact arithmetic with sums of roots of unity.
+"""Exact sums of roots of unity.
 
 A value is a coefficient vector over the n-th roots of unity: ``coeffs[k]``
 multiplies zeta_n^k.  Character values carry their canonical form (the
-eigenvalue multiplicities of a representing matrix), but the arithmetic here
-is valid for arbitrary integer vectors.
+eigenvalue multiplicities of a representing matrix); other vectors may hold
+the same value.  Arithmetic is done on stacks of vectors in ``chars``.
 
 Exact questions (is this value zero / rational / equal to another) are
 answered by rewriting in a basis of Q(zeta_n) made of powers of zeta_n, 1
@@ -16,6 +16,7 @@ the others.  For prime-power n the result is the power basis.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -79,30 +80,22 @@ def reduce_to_power_basis(coeffs, n: int):
     return tuple(out.tolist()) if batch.ndim == 1 else out
 
 
+@dataclass(frozen=True, slots=True)
 class CycValue:
-    """An exact element of Z[zeta_n] (or Q[zeta_n] with Fraction coeffs)."""
+    """An exact element of Z[zeta_n] (or Q[zeta_n] with Fraction coeffs);
+    equality is of the coefficient vectors, not of the values."""
 
-    __slots__ = ("n", "coeffs")
+    n: int
+    coeffs: tuple
 
-    def __init__(self, n: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != n:
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if len(self.coeffs) != self.n:
             raise ValueError("coefficient vector must have length n")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CycValue is immutable")
 
     @staticmethod
     def from_rational(r, n: int = 1) -> "CycValue":
         return CycValue(n, (r,) + (0,) * (n - 1))
-
-    @staticmethod
-    def root_of_unity(n: int, k: int = 1) -> "CycValue":
-        coeffs = [0] * n
-        coeffs[k % n] = 1
-        return CycValue(n, coeffs)
 
     def embed(self, m: int) -> "CycValue":
         """Rewrite over the m-th roots (n must divide m)."""
@@ -116,60 +109,12 @@ class CycValue:
             coeffs[k * step] = c
         return CycValue(m, coeffs)
 
-    def _common(self, other: "CycValue"):
-        m = self.n * other.n // gcd(self.n, other.n)
-        return self.embed(m), other.embed(m)
-
-    def __add__(self, other: "CycValue") -> "CycValue":
-        a, b = self._common(other)
-        return CycValue(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __sub__(self, other: "CycValue") -> "CycValue":
-        a, b = self._common(other)
-        return CycValue(a.n, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __mul__(self, other: "CycValue") -> "CycValue":
-        a, b = self._common(other)
-        out = [0] * a.n
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[(i + j) % a.n] += x * y
-        return CycValue(a.n, out)
-
-    def scale(self, r) -> "CycValue":
-        return CycValue(self.n, tuple(r * c for c in self.coeffs))
-
-    def conjugate(self) -> "CycValue":
-        out = [0] * self.n
-        for k, c in enumerate(self.coeffs):
-            out[(-k) % self.n] = c
-        return CycValue(self.n, out)
-
-    def is_zero(self) -> bool:
-        return not any(reduce_to_power_basis(self.coeffs, self.n))
-
     def rational(self):
         """The value as a Fraction if it is rational, else None."""
         coords = reduce_to_power_basis(self.coeffs, self.n)
         if any(coords[1:]):
             return None
         return Fraction(coords[0])
-
-    def value_eq(self, other: "CycValue") -> bool:
-        """Equality as complex numbers (not as formal vectors)."""
-        return (self - other).is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CycValue) and self.n == other.n
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
-    def __repr__(self):
-        return f"CycValue({self.n}, {list(self.coeffs)})"
 
     def __str__(self):
         terms = []

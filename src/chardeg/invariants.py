@@ -165,6 +165,7 @@ def theorem_A_inequality_equiv(table: CharacterTable) -> bool:
 class GallagherResult:
     passed: bool
     details: list[str]
+    products: list[Character]  # beta * psi per beta in Irr(G/N)
 
 
 def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
@@ -178,7 +179,7 @@ def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
     norm = inner_product(character_table(n), restricted, restricted)
     if norm != 1:
         return GallagherResult(False, [
-            f"precondition failed: restriction has norm {norm}, not 1"])
+            f"precondition failed: restriction has norm {norm}, not 1"], [])
     betas = irr(g_table, modulo=n, mode="quotient")
     # one Gram matrix: norms on the diagonal; two products of norm 1 coincide
     # exactly when their inner product is 1
@@ -195,4 +196,4 @@ def gallagher_check(group: Group, n: Group, psi: Character) -> GallagherResult:
     if passed:
         details.append(
             f"{len(betas)} products, all irreducible and distinct")
-    return GallagherResult(passed, details)
+    return GallagherResult(passed, details, products)

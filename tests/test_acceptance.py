@@ -8,6 +8,8 @@ pass line so a `pytest -s` run reads as a checklist.
 import time
 from fractions import Fraction
 
+from cyclic_reference import cyclic_product
+
 from chardeg import Catalogue
 from chardeg.chars import character_table, inner_product, kernel_classes_contain
 from chardeg.checks import nonprincipal_chars, paper_check_suite, theorem_scan
@@ -157,15 +159,15 @@ def test_criterion_9_property_suite(cat):
             for j in range(i, r):
                 expected = Fraction(1 if i == j else 0)
                 ok &= inner_product(t, t.chars[i], t.chars[j]) == expected
-        # exact column orthogonality, all pairs, in CycValue arithmetic
-        conjugates = [[v.conjugate() for v in chi.values] for chi in t.chars]
+        # exact column orthogonality, all pairs, one product at a time
+        rows = [chi._coefficients() for chi in t.chars]
         for a in range(r):
             for b in range(a, r):
-                total = CycValue.from_rational(0)
-                for chi, bar in zip(t.chars, conjugates):
-                    total = total + chi.values[a] * bar[b]
+                prods = [cyclic_product(row[a], row[b], conjugate=True)
+                         for row in rows]
+                total = [sum(c) for c in zip(*(p for _, p in prods))]
                 expected = cd.centralizer_order(a) if a == b else 0
-                ok &= total.rational() == expected
+                ok &= CycValue(prods[0][0], total).rational() == expected
         # Cauchy-Schwarz
         ok &= acd(t).value * sum(t.degrees()) <= g.order
         assert ok, f"property suite failed at {entry.name}"

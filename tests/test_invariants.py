@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from chardeg.chars import character_table
-from chardeg.checks import principal_character
 from chardeg.errors import ChardegError
 from chardeg.groups import Group, Subgroup, center
 from chardeg.invariants import (EVEN, DegreeFilter, RationalAverage,
@@ -116,7 +115,7 @@ def test_acd_over(cat):
     ta5 = character_table(a5)
     theta4 = [c for c in ta5.chars if c.degree == 4][0]
     assert acd_over(t, a5, ta5, theta4).value == 4
-    one = principal_character(ta5)
+    one = ta5.principal()
     # Irr(G|1_N) are the characters of G/N; for N = A5 that's {1, sgn}
     assert acd_over(t, a5, ta5, one).value == 1
 
@@ -126,12 +125,13 @@ def test_acd_over_self(cat):
     t = character_table(a5)
     whole = Subgroup(a5, list(a5.generators))
     tw = character_table(whole)
-    one = principal_character(tw)
+    one = tw.principal()
     assert acd_over(t, whole, tw, one).value == 1
 
 
 def test_acd_over_requires_irreducible(cat):
     from chardeg.chars import Character
+    from chardeg.cyclotomic import CycValue
     s5 = cat.group("S5")
     t = character_table(s5)
     a5 = Subgroup(s5, [parse_cycles("(1 2 3 4 5)", 5),
@@ -139,7 +139,8 @@ def test_acd_over_requires_irreducible(cat):
     ta5 = character_table(a5)
     reducible = Character(
         ta5.chars[0].degree + ta5.chars[1].degree,
-        [x + y for x, y in zip(ta5.chars[0].values, ta5.chars[1].values)])
+        [CycValue(n, [p + q for p, q in zip(x, y)]) for (n, x), (_, y) in zip(
+            ta5.chars[0]._coefficients(), ta5.chars[1]._coefficients())])
     with pytest.raises(ChardegError):
         acd_over(t, a5, ta5, reducible)
 

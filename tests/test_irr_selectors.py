@@ -6,6 +6,7 @@ import pytest
 from chardeg.chars import (character_table, inner_product,
                            kernel_classes_contain, restrict_character)
 from chardeg.checks import transport_character
+from chardeg.cyclotomic import CycValue
 from chardeg.errors import ChardegError
 from chardeg.groups import center
 from chardeg.invariants import ALL, EVEN, DegreeFilter, acd, irr, irr_over
@@ -53,7 +54,8 @@ def test_irr_over_rejects_a_reducible_theta(cat):
     g = cat.group("SL2_5")
     z = center(g)
     tz = character_table(z)
-    doubled = [x + x for x in tz.chars[0].values]
+    doubled = [CycValue(n, [2 * c for c in coeffs])
+               for n, coeffs in tz.chars[0]._coefficients()]
     with pytest.raises(ChardegError):
         irr_over(character_table(g), z, tz, doubled)
 

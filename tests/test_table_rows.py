@@ -1,7 +1,8 @@
 """A table character is one row of the lift's multiplicity array: the table
-build and its JSON export read the rows and make no CycValue, ``values`` is
-sliced off the row on first read, and ``_stack`` takes rows as they are or
-embeds them, like the values they stand for.
+build and its JSON export read the rows and make no CycValue, nor do the
+paper's check suite and corpus scan, ``values`` is sliced off the row on
+first read, and ``_stack`` takes rows as they are or embeds them, like the
+values they stand for.
 """
 
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chardeg import chars
+from chardeg import chars, cli
 from chardeg.chars import Character, character_table
 from chardeg.cyclotomic import CycValue
 from chardeg.groups import Group
@@ -33,8 +34,8 @@ def assert_values_match_rows(table):
         assert row.tolist() == chi.row.tolist()
 
 
-@pytest.mark.parametrize("name", list(GROUPS))
-def test_table_build_and_export_make_no_cycvalue(monkeypatch, name):
+def count_cycvalues(monkeypatch) -> list:
+    """A list that grows by one per CycValue constructed from now on."""
     made = []
     init = CycValue.__init__
 
@@ -43,6 +44,12 @@ def test_table_build_and_export_make_no_cycvalue(monkeypatch, name):
         init(self, *args)
 
     monkeypatch.setattr(CycValue, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_table_build_and_export_make_no_cycvalue(monkeypatch, name):
+    made = count_cycvalues(monkeypatch)
     degree, cycles = GROUPS[name]
     group = Group([parse_cycles(c, degree) for c in cycles], degree)
     table = character_table(group)
@@ -53,6 +60,15 @@ def test_table_build_and_export_make_no_cycvalue(monkeypatch, name):
     assert len({id(chi.row.base) for chi in table.chars}) == 1
     assert_values_match_rows(table)
     assert len(made) == len(table.chars) * table.classes.num_classes
+
+
+def test_paper_commands_make_no_cycvalue(monkeypatch, capsys):
+    # each command loads a fresh catalogue, so no cached values hide a
+    # construction: the Gallagher products and the restrictions are rows
+    made = count_cycvalues(monkeypatch)
+    assert cli.main(["verify", "paper"]) == 0
+    assert cli.main(["scan", "--check", "question:7"]) == 0
+    assert len(made) == 0
 
 
 def test_values_match_rows_on_the_corpus(cat):
@@ -78,7 +94,8 @@ def test_stack_of_mixed_inputs_equals_stack_of_their_values(scale):
     k = table.classes.orders.index(3)  # 3-elements: 6 divides exponent 30
     doubled = [v.embed(2 * v.n) if j == k else v
                for j, v in enumerate(rows[1].values)]
-    scaled = [v.scale(scale) for v in rows[2].values]
+    scaled = [CycValue(v.n, [scale * c for c in v.coeffs])
+              for v in rows[2].values]
     mixed = [rows[0], Character(rows[1].degree, doubled), rows[3],
              scaled, Character(rows[4].degree, rows[4].values), doubled]
     values = [f.values if isinstance(f, Character) else f for f in mixed]

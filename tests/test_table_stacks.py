@@ -1,7 +1,7 @@
-"""The table build on stacks: the block Gram routine against a per-pair
-CycValue reference, the batched kernels against the one-row ones, the
-canonical row order against the old embedded sort key, and the element
-rank where levels skip their inverse gather.
+"""The table build on stacks: the block Gram routine and the tensor
+product against a per-pair reference product, the batched kernels against
+the one-row ones, the canonical row order against the old embedded sort
+key, and the element rank where levels skip their inverse gather.
 """
 
 import random
@@ -10,8 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclic_reference import cyclic_product
+
 from chardeg import chars
-from chardeg.chars import Character, CharacterTable, character_table
+from chardeg.chars import Character, CharacterTable, character_table, tensor
 from chardeg.cyclotomic import CycValue
 from chardeg.errors import TableError
 from chardeg.groups import Group
@@ -43,11 +45,15 @@ SCALE = {
 # -- the block Gram routine ---------------------------------------------------
 
 def reference_inner_product(table, f, g):
-    """<f, g> one pair at a time in CycValue arithmetic; None if irrational."""
-    total = CycValue.from_rational(0)
+    """<f, g> one pair of values at a time, summed over the e-th roots of
+    unity; None if irrational."""
+    e = table.exponent
+    total = [0] * e
     for size, x, y in zip(table.classes.sizes, f, g):
-        total = total + (x * y.conjugate()).scale(size)
-    value = total.rational()
+        m, prod = cyclic_product((x.n, x.coeffs), (y.n, y.coeffs), True)
+        for i, c in enumerate(prod):
+            total[i * e // m] += size * c
+    value = CycValue(e, total).rational()
     return None if value is None else value / table.group.order
 
 
@@ -57,13 +63,13 @@ def combination(rng, table, scale):
     allows: equal as numbers, different as vectors."""
     picks = rng.sample(range(len(table.chars)), min(4, len(table.chars)))
     coeffs = {i: rng.randint(-3, 3) * scale for i in picks}
+    row = sum(a * table.chars[i].row.astype(object) for i, a in coeffs.items())
+    orders = table.classes.orders
     values = []
-    for k in range(table.classes.num_classes):
-        value = CycValue.from_rational(0, table.classes.orders[k])
-        for i, a in coeffs.items():
-            value = value + table.chars[i].values[k].scale(a)
-        if table.exponent % (2 * value.n) == 0 and rng.random() < 0.5:
-            value = value.embed(2 * value.n)
+    for n, at in zip(orders, np.cumsum([0, *orders]).tolist()):
+        value = CycValue(n, row[at:at + n].tolist())
+        if table.exponent % (2 * n) == 0 and rng.random() < 0.5:
+            value = value.embed(2 * n)
         values.append(value)
     return coeffs, values
 
@@ -117,6 +123,56 @@ def test_stack_dtype():
                                    [CycValue(2, (4, 5)), CycValue(4, (6,) * 4)]])
     assert orders == [2, 4]
     assert coeffs.tolist() == [[3, 0, 1, 0, 2, 0], [4, 5, 6, 6, 6, 6]]
+
+
+# -- the tensor product -------------------------------------------------------
+
+def reference_tensor(a, b):
+    """(orders, row) of a * b, one value at a time by the reference."""
+    prods = [cyclic_product(x, y) for x, y in zip(a._coefficients(),
+                                                   b._coefficients())]
+    return [m for m, _ in prods], [c for _, out in prods for c in out]
+
+
+def test_tensor_of_hand_built_characters_over_mixed_orders():
+    # the second class of b is written over zeta_4 where a's is over
+    # zeta_2, so the product's stack takes the lcm; a has Fractions
+    half = Fraction(1, 2)
+    a = Character(2, [CycValue(1, (2,)), CycValue(2, (half, Fraction(3, 2))),
+                      CycValue(4, (0, 1, 0, 1)), CycValue(3, (1, -1, 0))])
+    b = Character(3, [CycValue(1, (3,)), CycValue(4, (1, 0, 2, 0)),
+                      CycValue(4, (0, 2, 1, 0)), CycValue(6, (0, 1, 0, 0, 2, 0))])
+    assert reference_tensor(a, b)[0] == [1, 4, 4, 6]
+    for x, y in ((a, b), (b, a), (b, b)):
+        prod = tensor(x, y)
+        assert prod.degree == x.degree * y.degree
+        assert (prod.orders, prod.row.tolist()) == reference_tensor(x, y)
+    assert tensor(a, b).row.dtype == object
+    assert tensor(b, b).row.dtype == np.int64
+
+
+@pytest.mark.parametrize("big, exact", [(2**30, np.int64), (2**31, object)])
+def test_tensor_on_either_side_of_the_int64_bound(big, exact):
+    # one class over zeta_2 with coefficients (big, big) in both factors:
+    # each product coefficient is 2 big^2, so n max|a| max|b| = 2 big^2 is
+    # 2^61 below the bound and 2^63, past int64, above it
+    a = Character._of_row(1, [1, 2], np.array([1, big, big], dtype=np.int64))
+    prod = tensor(a, a)
+    assert prod.row.dtype == exact
+    assert prod.row.tolist() == [1, 2 * big**2, 2 * big**2]
+    as_objects = Character._of_row(1, [1, 2], a.row.astype(object))
+    assert tensor(as_objects, as_objects).row.tolist() == prod.row.tolist()
+    assert reference_tensor(a, a) == (prod.orders, prod.row.tolist())
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_tensor_of_table_rows_matches_the_reference(name):
+    table = character_table(SMALL[name]())
+    for chi in table.chars[-3:]:
+        for psi in table.chars[:3]:
+            prod = tensor(chi, psi)
+            assert (prod.orders, prod.row.tolist()) == \
+                reference_tensor(chi, psi)
 
 
 # -- kernels and row order ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Per-stage seconds and peak RSS of the table engine on a fixed group set,
 and of the two corpus commands end to end.
 
+    git worktree add --detach DIR <parent commit>
     python3 tools/bench.py --out BENCH_<n>.json --tree parent=DIR --tree change=.
 
 Each ``--tree LABEL=PATH`` names a chardeg checkout (a directory holding
