@@ -188,8 +188,13 @@ def character_table(group: Group) -> CharacterTable:
         degrees, mult = dixon.lift_character(omegas, cd, p, z)
         chars = [Character._of_row(d, cd.orders, row)
                  for d, row in zip(degrees, mult)]
-        for chi, kernel in zip(chars, _kernels(cd.orders, mult, degrees)):
-            chi.kernel_classes = kernel
+        # the lift checked that each row's multiplicities are nonnegative
+        # and sum to the degree, so chi(g) = chi(1) iff the multiplicity
+        # of 1 (the first of each class) is the degree
+        starts = np.cumsum(cd.orders) - cd.orders
+        kernel = mult[:, starts] == np.array(degrees)[:, None]
+        for chi, row in zip(chars, kernel):
+            chi.kernel_classes = frozenset(np.flatnonzero(row).tolist())
         group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
     return group._cache[key]
 

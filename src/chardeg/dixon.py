@@ -7,8 +7,9 @@ lifted integer quantities (degrees, root-of-unity multiplicities) below p,
 so the finite-field computation determines the exact table.
 
 Steps (Dixon 1967): take class matrices smallest class first (Schneider
-1990) and split F_p^r into common eigenspaces, leaving a subspace whole
-where a matrix acts on it as a scalar and otherwise taking the roots of the
+1990), skipping a class that is a central product of classes taken, and
+split F_p^r into common eigenspaces, leaving a subspace whole where a
+matrix acts on it as a scalar and otherwise taking the roots of the
 characteristic polynomial of its action (Hessenberg form, one Horner pass
 over F_p); normalize each 1-dimensional common eigenvector into central
 character values; then lift all characters at once: degrees from one sum
@@ -172,15 +173,35 @@ _SPARSE_RATIO = 16
 def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
     """All r common eigenvectors of the class matrices, one per row,
     normalized so the identity-class coordinate is 1.  Each row lists the
-    central character values (omega_k mod p) of one irreducible character."""
+    central character values (omega_k mod p) of one irreducible character.
+
+    Class i is skipped when its class sum is K_z K_C, z in the group
+    generated by the central classes used and C a used class or the
+    identity: K_z K_C = K_{zC}, so A_i = A_z A_C acts as a scalar on every
+    subspace left, each lying in one eigenspace of every matrix used."""
     r = cd.num_classes
     inv = _inverse_table(p)
     # each subspace: a basis and the columns on which that basis is I
     subspaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    # the classes z*C; a used central z moves class k to that of z^-1 rep_k
+    covered = np.zeros(r, dtype=bool)
+    covered[0] = True
+    moves = []
     for i in sorted(range(1, r), key=lambda i: (cd.sizes[i], i)):
+        if covered[i]:
+            continue
         if all(b.shape[0] == 1 for b, _ in subspaces):
             break
         a = class_matrix(cd, i) % p
+        if cd.sizes[i] == 1:
+            moves.append(a.argmax(axis=0))
+        covered[i] = True
+        while True:
+            before = np.count_nonzero(covered)
+            for move in moves:
+                covered[move[covered]] = True
+            if np.count_nonzero(covered) == before:
+                break
         # a row of a has at most |C_i| nonzeros; where they are few against
         # r, image = basis @ a.T is a gather and sum over each row's
         # nonzeros, padded with zero entries of a, else a dense product

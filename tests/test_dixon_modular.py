@@ -204,6 +204,53 @@ def test_no_eigenvalue_search_where_a_matrix_acts_as_a_scalar(monkeypatch,
         assert not np.array_equal(a, a[0, 0] * np.eye(len(a), dtype=np.int64))
 
 
+def formed_and_splitting(monkeypatch, group):
+    """The classes whose matrices the split forms, in order, and the set of
+    those whose matrix it hands to eigenvalues_mod."""
+    formed, splitting = [], set()
+    original_matrix, original_eigenvalues = (dixon.class_matrix,
+                                             dixon.eigenvalues_mod)
+
+    def matrix_spy(cd, i):
+        formed.append(i)
+        return original_matrix(cd, i)
+
+    def eigenvalues_spy(a, p, inv):
+        splitting.add(formed[-1])
+        return original_eigenvalues(a, p, inv)
+    monkeypatch.setattr(dixon, "class_matrix", matrix_spy)
+    monkeypatch.setattr(dixon, "eigenvalues_mod", eigenvalues_spy)
+    cd, p, _ = modular_data(group)
+    central_character_vectors(cd, p)
+    monkeypatch.undo()
+    return formed, splitting
+
+
+@pytest.mark.parametrize("gens,degree,count", [
+    (["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8, 4),
+    (["(1 2 3)", "(4 5 6)", "(7 8 9)"], 9, 3),
+    (["(1 2 3 4)", "(5 6 7 8)", "(9 10)"], 10, 5),
+    (["(1 2 3 4)(5 6 7)(8 9 10 11 12)"], 12, 4),
+])
+def test_abelian_split_forms_only_matrices_that_split(monkeypatch, gens,
+                                                      degree, count):
+    # C2^4, C3^3, C4 x C4 x C2 and C60: every class is central, so a class
+    # that is a product of classes used is never formed (C4 x C4 x C2
+    # formed 12 matrices and C60 6 before the skip)
+    group = Group([parse_cycles(s, degree) for s in gens], degree)
+    formed, splitting = formed_and_splitting(monkeypatch, group)
+    assert len(formed) == len(set(formed)) == count
+    assert set(formed) == splitting
+
+
+@pytest.mark.parametrize("name,count", [("2A6", 7), ("6A6", 7), ("Q16", 4)])
+def test_split_skips_products_of_central_and_used_classes(monkeypatch, cat,
+                                                          name, count):
+    # groups with a nontrivial center (11, 27 and 5 matrices before)
+    formed, _ = formed_and_splitting(monkeypatch, cat.group(name))
+    assert len(formed) == count
+
+
 # -- nullspaces -------------------------------------------------------------------
 
 @pytest.mark.parametrize("p", [7, 61])

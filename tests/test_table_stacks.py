@@ -188,6 +188,8 @@ def scale_tables():
 
 
 def assert_kernels(table):
+    # character_table reads the kernels off the lift's multiplicities; a
+    # Character built from the values alone reduces its one row in _kernels
     for chi in table.chars:
         assert Character(chi.degree, chi.values).kernel_classes == \
             chi.kernel_classes

@@ -20,7 +20,7 @@ from here; nothing in the program is changed:
 * classes: ``conjugacy_classes``;
 * class matrices: the time spent in ``dixon.class_matrix`` during the split
   (the function is wrapped from outside, in the worker process only; its
-  peak RSS is the split's);
+  peak RSS is the split's), and how many it formed;
 * split: ``dixon.central_character_vectors`` less its class matrices;
 * lift: ``dixon.lift_character``;
 * validate: the rest of ``character_table`` (the ``Character`` objects and
@@ -71,6 +71,9 @@ GROUPS = {
                  "(1 4 5 9 3)(2 8 10 7 6)(12 15 16 20 14)(13 19 21 18 17)",
                  "(1 21)(2 10 8 6)(3 13 4 17)(5 19 9 18)(11 22)(12 14 16 20)"]),
     "C60": (12, ["(1 2 3)(4 5 6 7)(8 9 10 11 12)"]),
+    "C3^5": (15, [f"({3 * i + 1} {3 * i + 2} {3 * i + 3})" for i in range(5)]),
+    "C4^4": (16, [f"({4 * i + 1} {4 * i + 2} {4 * i + 3} {4 * i + 4})"
+                  for i in range(4)]),
 }
 CORPUS_COMMANDS = (["verify", "paper", "--json"],
                    ["scan", "--check", "question:7", "--json"])
@@ -91,7 +94,7 @@ def measure(name: str) -> dict:
     from chardeg.groups import Group, conjugacy_classes
     from chardeg.perms import parse_cycles
 
-    spent = {"class_matrices": 0.0}
+    spent = {"class_matrices": 0.0, "formed": 0}
     class_matrix = dixon.class_matrix
 
     def timed_class_matrix(*args):
@@ -100,6 +103,7 @@ def measure(name: str) -> dict:
             return class_matrix(*args)
         finally:
             spent["class_matrices"] += time.perf_counter() - start
+            spent["formed"] += 1
 
     dixon.class_matrix = timed_class_matrix
     degree, cycles = GROUPS[name]
@@ -128,6 +132,7 @@ def measure(name: str) -> dict:
     dixon.lift_character = lambda *args: lifted
     table = stage("validate", lambda: character_table(group))
     return {"order": group.order, "classes": cd.num_classes,
+            "class_matrices_formed": spent["formed"],
             "table_sha256": hashlib.sha256(
                 table.to_data().to_json().encode()).hexdigest(),
             "seconds": seconds, "peak_rss_mb": rss}
@@ -190,15 +195,17 @@ def commit_of(tree: Path) -> str | None:
 
 
 def summarize(runs: list[dict]) -> dict:
-    digests = {r["table_sha256"] for r in runs}
-    if len(digests) != 1:
-        raise RuntimeError(f"repeats disagree on the table: {digests}")
+    for key in ("table_sha256", "class_matrices_formed"):
+        values = {r[key] for r in runs}
+        if len(values) != 1:
+            raise RuntimeError(f"repeats disagree on {key}: {values}")
     first = runs[0]
     seconds = {s: statistics.median(r["seconds"][s] for r in runs)
                for s in STAGES}
     return {
         "order": first["order"],
         "classes": first["classes"],
+        "class_matrices_formed": first["class_matrices_formed"],
         "table_sha256": first["table_sha256"],
         "seconds": seconds,
         "total_s": sum(seconds.values()),
@@ -261,7 +268,8 @@ def main(argv=None) -> int:
             summary = summarize(runs[label])
             results[label]["groups"][name] = summary
             print(f"{label:>8} {name:>5}  {summary['total_s']:7.3f} s  "
-                  f"{summary['peak_rss_mb']['validate']:6.1f} MB  " +
+                  f"{summary['peak_rss_mb']['validate']:6.1f} MB  "
+                  f"{summary['class_matrices_formed']:4} formed  " +
                   "  ".join(f"{s} {summary['seconds'][s]:.3f}"
                             for s in STAGES), file=sys.stderr)
     payload = {
