@@ -8,15 +8,17 @@ so the finite-field computation determines the exact table.
 
 Steps (Dixon 1967): take class matrices smallest class first (Schneider
 1990), skipping a class that is a central product of classes taken, and
-split F_p^r into common eigenspaces, leaving a subspace whole where a
-matrix acts on it as a scalar and otherwise taking the roots of the
-characteristic polynomial of its action (Hessenberg form, one Horner pass
-over F_p); normalize each 1-dimensional common eigenvector into central
-character values; then lift all characters at once: degrees from one sum
-mod p, values by one inverse discrete Fourier transform per element order.
+split e_0 = sum_chi (chi(1)^2/|G|) omega_chi (column orthogonality) into
+its r terms: a branch, a sum of some of them, on which a matrix is not a
+scalar is cut into its eigencomponents, read off its Krylov sequence; scale
+each term to central character values; then lift all characters at once:
+degrees from one sum mod p, values by one inverse discrete Fourier
+transform per element order.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -75,93 +77,19 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     return a
 
 
-# -- linear algebra mod p ---------------------------------------------------
+# -- the splitting ----------------------------------------------------------
 
 def _inverse_table(p: int) -> np.ndarray:
-    """v^-1 mod the odd prime p at index v, and 0 at 0."""
-    return np.array([pow(v, p - 2, p) for v in range(p)], dtype=np.int64)
+    """v^-1 mod the odd prime p at index v, and 0 at 0.  For a primitive
+    root z, z^k has inverse z^(p-1-k), and z^(b*i + j) = z^(b*i) * z^j."""
+    z, b = primitive_root(p), isqrt(p) + 1
+    small = np.array([pow(z, j, p) for j in range(b)], dtype=np.int64)
+    large = np.array([pow(z, b * i, p) for i in range(b)], dtype=np.int64)
+    powers = (large[:, None] * small % p).ravel()[:p - 1]
+    inv = np.zeros(p, dtype=np.int64)
+    inv[powers] = powers[-np.arange(p - 1) % (p - 1)]
+    return inv
 
-
-def rref_mod(a: np.ndarray, p: int, inv: np.ndarray):
-    """Row-reduced echelon form mod p; returns (reduced rows, pivot columns)."""
-    a = a.copy() % p
-    nrows, ncols = a.shape
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        rr = row + int(nz[0])
-        if rr != row:
-            a[[row, rr]] = a[[rr, row]]
-        a[row] = a[row] * inv[a[row, col]] % p
-        factors = a[:, col].copy()
-        factors[row] = 0
-        a = (a - factors[:, None] * a[row][None, :]) % p
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return a[:row], pivots
-
-
-def nullspace_mod(a: np.ndarray, p: int,
-                  inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Basis of the right nullspace of a mod p, from one RREF: one row per
-    free column, the identity on the free columns.  Returns (basis, free)."""
-    reduced, pivots = rref_mod(a, p, inv)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -reduced[:, free].T % p
-    return basis, free
-
-
-def charpoly_mod(a: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    """Coefficients of det(x*I - a) mod p, constant term first: a similar
-    Hessenberg form, then the recurrence for the characteristic polynomials
-    of its leading blocks, O(m^3) (Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, Algorithm 2.2.9)."""
-    h = a % p
-    m = h.shape[0]
-    for k in range(1, m - 1):
-        nz = np.flatnonzero(h[k:, k - 1])
-        if nz.size == 0:
-            continue
-        i = k + int(nz[0])
-        h[[k, i]] = h[[i, k]]
-        h[:, [k, i]] = h[:, [i, k]]
-        u = h[k + 1:, k - 1] * inv[h[k, k - 1]] % p
-        h[k + 1:] = (h[k + 1:] - u[:, None] * h[k]) % p
-        h[:, k] = (h[:, k] + h[:, k + 1:] @ u) % p
-    # polys[k]: characteristic polynomial of the leading k x k block;
-    # t[i - 1] = h[k-1, k-2] * h[k-2, k-3] * ... (i subdiagonal entries)
-    polys = np.zeros((m + 1, m + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    t = np.zeros(0, dtype=np.int64)
-    for k in range(1, m + 1):
-        poly = (np.concatenate(([0], polys[k - 1, :-1]))
-                - h[k - 1, k - 1] * polys[k - 1])
-        if k > 1:
-            t = np.concatenate(([1], t)) * h[k - 1, k - 2] % p
-            poly -= t * h[k - 2::-1, k - 1] % p @ polys[k - 2::-1]
-        polys[k] = poly % p
-    return polys[m]
-
-
-def eigenvalues_mod(a: np.ndarray, p: int, inv: np.ndarray) -> list[int]:
-    """All t in F_p with det(a - t*I) = 0: the characteristic polynomial
-    evaluated at every point of F_p by one vectorised Horner pass."""
-    ts = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in charpoly_mod(a, p, inv)[::-1]:
-        acc = (acc * ts + c) % p
-    return np.flatnonzero(acc == 0).tolist()
-
-
-# -- the splitting ----------------------------------------------------------
 
 # Most array elements one image gather in the split may hold.  The gather
 # replaces the dense product where a row's nonzeros are at most r / 16: at
@@ -170,19 +98,125 @@ _IMAGE_ELEMENTS = 1 << 21
 _SPARSE_RATIO = 16
 
 
+def _action(a: np.ndarray, p: int):
+    """v -> v @ a.T mod p on a stack of rows v, for a reduced class matrix
+    a: a gather and sum over each row's at most |C_i| nonzeros, padded with
+    zero entries, where they are few against r, else a dense product."""
+    r = len(a)
+    width = max(1, (a != 0).sum(axis=1).max())
+    if width * _SPARSE_RATIO > r:
+        return lambda v: v @ a.T % p
+    gather = np.argpartition(a == 0, width - 1, axis=1)[:, :width]
+    weights = np.take_along_axis(a, gather, axis=1)
+    step = max(1, _IMAGE_ELEMENTS // gather.size)
+    return lambda v: np.concatenate([
+        (v[lo:lo + step, gather] * weights).sum(axis=2) % p
+        for lo in range(0, len(v), step)])
+
+
+def _scalar(xs: np.ndarray, ys: np.ndarray, p: int) -> np.ndarray:
+    """Whether each row y of ys is c x for its row x of xs, compared at the
+    first nonzero entry of x (entry 0 of a branch can vanish mod p)."""
+    at = np.arange(len(xs)), (xs != 0).argmax(axis=1)
+    return (ys * xs[at][:, None] % p == xs * ys[at][:, None] % p).all(axis=1)
+
+
+def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int,
+                   inv: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(roots, components) of each row x of xs on the eigenspaces of A,
+    which act applies to a stack of rows; ys = act(xs).
+
+    The Krylov sequences x, Ax, A^2 x, ... of all rows grow together, one
+    act per step, each row (A^j x, e_j) reduced in echelon form on its
+    first r entries: at the first j where those vanish, the last j + 1
+    hold the minimal polynomial m of A on x.  If x is a sum of eigenvectors
+    of A, m has j distinct roots t in F_p, and the component of x at t is
+    q_t(A) x / q_t(t), with q_t = m / (X - t).
+    """
+    n, r = xs.shape
+    krylov = [[x] for x in xs]
+    found = [None] * n
+    live = np.arange(n)
+    # echelon rows, 1 at their own pivot and 0 at the others' pivots
+    rows = np.zeros((n, 0, 2 * r + 1), dtype=np.int64)
+    pivots = np.zeros((n, 0), dtype=np.int64)
+    v = xs
+    for j in range(r + 1):
+        c = np.take_along_axis(v, pivots, axis=1)
+        e_j = np.eye(1, r + 1, j, dtype=np.int64).repeat(len(v), axis=0)
+        residue = (np.append(v, e_j, axis=1) - (c[:, None] @ rows)[:, 0]) % p
+        done = ~residue[:, :r].any(axis=1)
+        for b in np.flatnonzero(done):
+            found[live[b]] = _components(np.array(krylov[live[b]]),
+                                         residue[b, r:r + j + 1], p, inv)
+        if done.all():
+            return found
+        live, v, residue, rows, pivots = (
+            t[~done] for t in (live, v, residue, rows, pivots))
+        pivot = (residue[:, :r] != 0).argmax(axis=1)
+        row = residue * inv[residue[np.arange(len(live)), pivot]][:, None] % p
+        f = np.take_along_axis(rows, pivot[:, None, None], axis=2)
+        rows = np.append((rows - f * row[:, None]) % p, row[:, None], axis=1)
+        pivots = np.append(pivots, pivot[:, None], axis=1)
+        v = ys[live] if j == 0 else act(v)
+        for b, y in zip(live, v):
+            krylov[b].append(y)
+    raise TableError("Krylov sequence without dependency (implementation bug)")
+
+
+def _components(krylov: np.ndarray, poly: np.ndarray, p: int,
+                inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The s roots of the monic poly m, constant term first, and the
+    Lagrange combinations of the rows x, Ax, ..., A^(s-1) x of krylov at
+    them.  Checked exactly: m has s distinct roots, each combination x_t has
+    A x_t = t x_t (the same product with the rows shifted by one), and they
+    sum to x."""
+    s = len(poly) - 1
+    ts = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for coeff in poly[::-1]:
+        acc = (acc * ts + coeff) % p
+    roots = np.flatnonzero(acc == 0)
+    if len(roots) != s:
+        raise TableError("minimal polynomial without distinct roots in F_p "
+                         "(implementation bug)")
+    # row k of quotient: m / (X - roots[k]), constant term first
+    quotient = np.zeros((s, s), dtype=np.int64)
+    quotient[:, -1] = 1
+    for e in range(s - 1, 0, -1):
+        quotient[:, e - 1] = (poly[e] + roots * quotient[:, e]) % p
+    # q_t(t) = prod over the other roots u of (t - u)
+    denominator = np.ones(s, dtype=np.int64)
+    for u in roots:
+        denominator = denominator * np.where(roots == u, 1, roots - u) % p
+    lagrange = quotient * inv[denominator][:, None] % p
+    parts = lagrange @ krylov[:s] % p
+    if not (np.array_equal(lagrange @ krylov[1:] % p,
+                           roots[:, None] * parts % p)
+            and np.array_equal(parts.sum(axis=0) % p, krylov[0])):
+        raise TableError("components are not eigenvectors summing to the "
+                         "vector (implementation bug)")
+    return roots, parts
+
+
 def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
     """All r common eigenvectors of the class matrices, one per row,
-    normalized so the identity-class coordinate is 1.  Each row lists the
-    central character values (omega_k mod p) of one irreducible character.
+    normalized so the identity-class coordinate is 1: the central
+    character values (omega_k mod p) of each irreducible character.
 
-    Class i is skipped when its class sum is K_z K_C, z in the group
-    generated by the central classes used and C a used class or the
-    identity: K_z K_C = K_{zC}, so A_i = A_z A_C acts as a scalar on every
-    subspace left, each lying in one eigenspace of every matrix used."""
+    By column orthogonality e_0 = sum_chi (chi(1)^2 / |G|) omega_chi, no
+    coefficient 0 mod p as p does not divide |G|.  split_branches cuts each
+    branch, a sum of some of these terms, into its components on the
+    eigenspaces of each class matrix not a scalar on it.  Class i is
+    skipped when its class sum is K_z K_C, z in the group generated by the
+    central classes used and C a used class or the identity: K_z K_C =
+    K_{zC}, so A_i = A_z A_C is a scalar on every branch left.  All
+    products stay in int64: each sums at most r terms below p^2, and
+    r p^2 < 2^63 for p < 10^6 and r < 9 * 10^6.
+    """
     r = cd.num_classes
     inv = _inverse_table(p)
-    # each subspace: a basis and the columns on which that basis is I
-    subspaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    branches = np.eye(1, r, dtype=np.int64)
     # the classes z*C; a used central z moves class k to that of z^-1 rep_k
     covered = np.zeros(r, dtype=bool)
     covered[0] = True
@@ -190,7 +224,7 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
     for i in sorted(range(1, r), key=lambda i: (cd.sizes[i], i)):
         if covered[i]:
             continue
-        if all(b.shape[0] == 1 for b, _ in subspaces):
+        if len(branches) == r:
             break
         a = class_matrix(cd, i) % p
         if cd.sizes[i] == 1:
@@ -202,56 +236,21 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
                 covered[move[covered]] = True
             if np.count_nonzero(covered) == before:
                 break
-        # a row of a has at most |C_i| nonzeros; where they are few against
-        # r, image = basis @ a.T is a gather and sum over each row's
-        # nonzeros, padded with zero entries of a, else a dense product
-        width = max(1, (a != 0).sum(axis=1).max())
-        sparse = width * _SPARSE_RATIO <= r
-        if sparse:
-            gather = np.argpartition(a == 0, width - 1, axis=1)[:, :width]
-            weights = np.take_along_axis(a, gather, axis=1)
-            step = max(1, _IMAGE_ELEMENTS // gather.size)
-        new_subspaces = []
-        for basis, pivots in subspaces:
-            m = basis.shape[0]
-            if m == 1:
-                new_subspaces.append((basis, pivots))
-                continue
-            image = basis @ a.T % p if not sparse else np.concatenate([
-                (basis[lo:lo + step, gather] * weights).sum(axis=2) % p
-                for lo in range(0, m, step)])
-            # a scalar action c*I on an invariant subspace is image = c*basis
-            if np.array_equal(image, image[0, pivots[0]] * basis % p):
-                new_subspaces.append((basis, pivots))
-                continue
-            # image = action @ basis holds on the pivots, where basis is I
-            action = image[:, pivots]
-            rest = np.ones(r, dtype=bool)
-            rest[pivots] = False
-            if not np.array_equal(action @ basis[:, rest] % p, image[:, rest]):
-                raise TableError("subspace not invariant (implementation bug)")
-            eye = np.eye(m, dtype=np.int64)
-            split_dim = 0
-            for t in eigenvalues_mod(action, p, inv):
-                coords, free = nullspace_mod((action.T - t * eye) % p, p, inv)
-                if coords.shape[0] == 0:
-                    raise TableError("singular value without nullspace "
-                                     "(implementation bug)")
-                new_subspaces.append((coords @ basis % p,
-                                      [pivots[f] for f in free]))
-                split_dim += coords.shape[0]
-            if split_dim != m:
-                raise TableError("eigenspace dimensions do not sum "
-                                 "(implementation bug)")
-        subspaces = new_subspaces
-    if any(b.shape[0] > 1 for b, _ in subspaces):
-        raise TableError("class matrices exhausted before eigenspaces "
+        act = _action(a, p)
+        images = act(branches)
+        scalar = _scalar(branches, images, p)
+        if not scalar.all():
+            split = split_branches(branches[~scalar], images[~scalar], act,
+                                   p, inv)
+            branches = np.concatenate(
+                [branches[scalar]] + [parts for _, parts in split])
+    if len(branches) != r:
+        raise TableError("class matrices exhausted before the branches "
                          "fully split (implementation bug)")
-    w = np.concatenate([b for b, _ in subspaces])
-    if not w[:, 0].all():
+    if not branches[:, 0].all():
         raise TableError("central character vanishes at the identity "
                          "(implementation bug)")
-    return w * inv[w[:, 0]][:, None] % p
+    return branches * inv[branches[:, 0]][:, None] % p
 
 
 # Most array elements one lift_character gather may hold.

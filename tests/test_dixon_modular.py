@@ -2,9 +2,8 @@
 
 The references are the straightforward algorithms the array passes in
 ``chardeg.dixon`` replace: a batched singularity test at every t in F_p for
-the eigenvalues, a nullspace brought to canonical RREF by a second
-elimination, and a per-character degree search and Fourier loop for the
-lift.
+the eigenvalues the split finds, and a per-character degree search and
+Fourier loop for the lift.
 """
 
 from math import lcm
@@ -14,8 +13,9 @@ import pytest
 
 from chardeg import dixon
 from chardeg.dixon import (central_character_vectors, class_matrix,
-                           dixon_prime, eigenvalues_mod, lift_character,
-                           nullspace_mod, primitive_root, rref_mod)
+                           dixon_prime, lift_character, primitive_root,
+                           split_branches)
+from chardeg.errors import TableError
 from chardeg.groups import Group, conjugacy_classes
 from chardeg.perms import parse_cycles
 
@@ -24,10 +24,14 @@ GROUPS = {
     "S5": (5, ["(1 2 3 4 5)", "(1 2)"]),
     "M11": (11, ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]),
 }
+ABELIAN = {
+    "C2^4": (8, ["(1 2)", "(3 4)", "(5 6)", "(7 8)"]),
+    "C3^3": (9, ["(1 2 3)", "(4 5 6)", "(7 8 9)"]),
+}
 
 
 def make(name):
-    degree, gens = GROUPS[name]
+    degree, gens = {**GROUPS, **ABELIAN}[name]
     return Group([parse_cycles(s, degree) for s in gens], degree, name=name)
 
 
@@ -82,22 +86,6 @@ def singular_values_reference(m, p, inv):
     return [int(t) for t in np.where(singular)[0]]
 
 
-def nullspace_reference(a, p, inv):
-    """Canonical basis (RREF rows) of the right nullspace of a mod p."""
-    reduced, pivots = rref_mod(a, p, inv)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return np.zeros((0, ncols), dtype=np.int64)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, c in enumerate(pivots):
-            basis[bi, c] = (-int(reduced[ri, f])) % p
-    reduced_basis, _ = rref_mod(basis, p, inv)
-    return reduced_basis
-
-
 def degree_reference(w, cd, p):
     """chi(1) from one row of central character values, by trial roots."""
     total = 0
@@ -134,59 +122,114 @@ def lift_reference(w, degree, cd, p, z):
     return values
 
 
-# -- eigenvalues ----------------------------------------------------------------
+# -- the split ----------------------------------------------------------------
+
+def split_one(a, x, p):
+    """(roots, components) of the vector x on the eigenspaces of a mod p."""
+    act = dixon._action(a % p, p)
+    [(roots, parts)] = split_branches(x[None], act(x[None]), act, p,
+                                      dixon._inverse_table(p))
+    return roots, parts
+
+
+def assert_eigencomponents(a, x, roots, parts, p):
+    """parts are nonzero eigenvectors of a at the roots, summing to x."""
+    assert parts.any(axis=1).all()
+    assert np.array_equal(parts @ a.T % p, roots[:, None] * parts % p)
+    assert np.array_equal(parts.sum(axis=0) % p, x % p)
+
 
 def random_matrices(rng, p):
-    """Dense, sparse (zero pivots in the Hessenberg reduction), triangular,
-    scalar and conjugated block-diagonal matrices with repeated
-    eigenvalues."""
+    """Matrices L D L^-1, L unit lower triangular and D diagonal, from
+    scalars and repeated eigenvalues to m distinct ones."""
     out = [np.zeros((3, 3), dtype=np.int64), 5 * np.eye(4, dtype=np.int64),
            np.array([[7]])]
     for m in range(1, 9):
-        out.append(rng.integers(0, p, (m, m)))
-        out.append(rng.integers(0, p, (m, m)) * (rng.random((m, m)) < 0.3))
-        out.append(np.triu(rng.integers(0, p, (m, m))))
-        diag = rng.integers(0, 3, m)
-        lower = np.tril(rng.integers(0, p, (m, m)), -1) + np.eye(m, dtype=int)
-        lower_inv = rref_mod(np.hstack([lower, np.eye(m, dtype=int)]), p,
-                             dixon._inverse_table(p))[0][:, m:]
-        block = np.diag(diag) + np.diag(rng.integers(0, 2, m - 1), 1)
-        out.append(lower @ block % p @ lower_inv % p)
+        strict = np.tril(rng.integers(0, p, (m, m)), -1)
+        lower = lower_inv = np.eye(m, dtype=np.int64)
+        power = lower
+        for _ in range(m - 1):  # (I + N)^-1 = sum_k (-N)^k, N nilpotent
+            power = -power @ strict % p
+            lower_inv = lower_inv + power
+        lower = lower + strict
+        for diag in (rng.integers(0, p, m), rng.integers(0, 3, m)):
+            out.append(lower @ np.diag(diag) % p @ lower_inv % p)
     return [np.asarray(a, dtype=np.int64) % p for a in out]
 
 
 @pytest.mark.parametrize("p", [5, 31, 61, 211])
 def test_eigenvalues_match_singularity_scan_random(p):
+    # a random x has nonzero coefficients on every eigenvector with
+    # probability about (1 - 1/p)^m; it is drawn again until the Krylov
+    # sequence of x reaches every eigenvalue, as e_0 does on class matrices
     rng = np.random.default_rng(p)
     inv = dixon._inverse_table(p)
     for a in random_matrices(rng, p):
-        assert eigenvalues_mod(a, p, inv) == singular_values_reference(a, p, inv)
+        expected = singular_values_reference(a, p, inv)
+        while True:
+            x = rng.integers(0, p, len(a))
+            if not x.any():
+                continue
+            roots, parts = split_one(a, x, p)
+            assert set(roots.tolist()) <= set(expected)
+            assert_eigencomponents(a, x, roots, parts, p)
+            if roots.tolist() == expected:
+                break
 
 
-def recorded_actions(monkeypatch, group):
-    """Every matrix the split hands to eigenvalues_mod for this group."""
+@pytest.mark.parametrize("p", [3, 5, 31, 9241])
+def test_inverse_table(p):
+    inv = dixon._inverse_table(p)
+    assert inv[0] == 0
+    assert (np.arange(1, p) * inv[1:] % p == 1).all()
+
+
+def test_scalar_test_reads_the_first_nonzero_entry():
+    # a branch whose entry 0 vanishes mod p: read at entry 0, every image
+    # would pass as a multiple of it
+    p = 7
+    xs = np.array([[0, 1, 2], [0, 3, 0], [4, 0, 1]])
+    ys = np.array([[0, 2, 5], [0, 6, 0], [1, 0, 2]])
+    assert dixon._scalar(xs, ys, p).tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize("a,p", [
+    ([[2, 1], [0, 2]], 5), ([[2, 1], [0, 2]], 31),  # (X - 2)^2: one root
+    ([[0, 30], [1, 0]], 31),  # X^2 + 1: no root, since 31 = 3 (mod 4)
+])
+def test_split_rejects_an_action_that_is_not_diagonalizable(a, p):
+    with pytest.raises(TableError, match="distinct roots"):
+        split_one(np.array(a, dtype=np.int64), np.array([0, 1]), p)
+
+
+def recorded_branches(monkeypatch, group):
+    """p and the (branches, images) of every split_branches call of the
+    split."""
     seen = []
-    original = dixon.eigenvalues_mod
+    original = dixon.split_branches
 
-    def spy(a, p, inv):
-        seen.append(a.copy())
-        return original(a, p, inv)
-    monkeypatch.setattr(dixon, "eigenvalues_mod", spy)
+    def spy(xs, ys, act, p, inv):
+        seen.append((xs.copy(), ys.copy()))
+        return original(xs, ys, act, p, inv)
+    monkeypatch.setattr(dixon, "split_branches", spy)
     cd, p, _ = modular_data(group)
     central_character_vectors(cd, p)
     monkeypatch.undo()
-    return cd, p, seen
+    return p, seen
 
 
-@pytest.mark.parametrize("name", sorted(GROUPS))
-def test_eigenvalues_match_singularity_scan_on_class_matrices(monkeypatch,
-                                                              name):
-    cd, p, actions = recorded_actions(monkeypatch, make(name))
-    assert actions
-    actions += [class_matrix(cd, i) % p for i in range(cd.num_classes)]
+@pytest.mark.parametrize("name", sorted(GROUPS) + sorted(ABELIAN))
+def test_eigenvalues_match_singularity_scan_on_class_matrices(name):
+    # from e_0 = sum_chi (chi(1)^2/|G|) omega_chi, every coefficient nonzero
+    # mod p, the split reaches every eigenvalue of every class matrix
+    cd, p, _ = modular_data(make(name))
     inv = dixon._inverse_table(p)
-    for a in actions:
-        assert eigenvalues_mod(a, p, inv) == singular_values_reference(a, p, inv)
+    e0 = np.eye(1, cd.num_classes, dtype=np.int64)[0]
+    for i in range(cd.num_classes):
+        a = class_matrix(cd, i) % p
+        roots, parts = split_one(a, e0, p)
+        assert roots.tolist() == singular_values_reference(a, p, inv)
+        assert_eigencomponents(a, e0, roots, parts, p)
 
 
 @pytest.mark.parametrize("gens,degree", [
@@ -197,29 +240,32 @@ def test_eigenvalues_match_singularity_scan_on_class_matrices(monkeypatch,
 def test_no_eigenvalue_search_where_a_matrix_acts_as_a_scalar(monkeypatch,
                                                               gens, degree):
     # in groups with central elements, some class matrices act on a
-    # partly split space as scalars; those must be passed over
+    # partly split space as scalars; those branches must be passed over
     group = Group([parse_cycles(s, degree) for s in gens], degree)
-    _, _, actions = recorded_actions(monkeypatch, group)
-    for a in actions:
-        assert not np.array_equal(a, a[0, 0] * np.eye(len(a), dtype=np.int64))
+    p, calls = recorded_branches(monkeypatch, group)
+    assert calls
+    for xs, ys in calls:
+        for x, y in zip(xs, ys):
+            f = np.flatnonzero(x)[0]
+            assert not np.array_equal(y * x[f] % p, x * y[f] % p)
 
 
 def formed_and_splitting(monkeypatch, group):
     """The classes whose matrices the split forms, in order, and the set of
-    those whose matrix it hands to eigenvalues_mod."""
+    those whose matrix it hands to split_branches."""
     formed, splitting = [], set()
-    original_matrix, original_eigenvalues = (dixon.class_matrix,
-                                             dixon.eigenvalues_mod)
+    original_matrix, original_split = (dixon.class_matrix,
+                                       dixon.split_branches)
 
     def matrix_spy(cd, i):
         formed.append(i)
         return original_matrix(cd, i)
 
-    def eigenvalues_spy(a, p, inv):
+    def split_spy(*args):
         splitting.add(formed[-1])
-        return original_eigenvalues(a, p, inv)
+        return original_split(*args)
     monkeypatch.setattr(dixon, "class_matrix", matrix_spy)
-    monkeypatch.setattr(dixon, "eigenvalues_mod", eigenvalues_spy)
+    monkeypatch.setattr(dixon, "split_branches", split_spy)
     cd, p, _ = modular_data(group)
     central_character_vectors(cd, p)
     monkeypatch.undo()
@@ -249,24 +295,6 @@ def test_split_skips_products_of_central_and_used_classes(monkeypatch, cat,
     # groups with a nontrivial center (11, 27 and 5 matrices before)
     formed, _ = formed_and_splitting(monkeypatch, cat.group(name))
     assert len(formed) == count
-
-
-# -- nullspaces -------------------------------------------------------------------
-
-@pytest.mark.parametrize("p", [7, 61])
-def test_nullspace_single_rref_spans_the_reference(p):
-    rng = np.random.default_rng(p)
-    inv = dixon._inverse_table(p)
-    for rows, cols, rank in [(4, 4, 2), (5, 7, 3), (6, 6, 6), (3, 5, 0),
-                             (8, 8, 1), (7, 5, 4)]:
-        a = rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))
-        basis, free = nullspace_mod(a % p, p, inv)
-        expected = nullspace_reference(a % p, p, inv)
-        assert basis.shape == expected.shape
-        assert not (a @ basis.T % p).any()
-        assert np.array_equal(basis[:, free], np.eye(len(free), dtype=int))
-        if len(basis):
-            assert np.array_equal(rref_mod(basis, p, inv)[0], expected)
 
 
 # -- the lift ---------------------------------------------------------------------

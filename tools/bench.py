@@ -67,6 +67,7 @@ GROUPS = {
     "C2^6": (12, [f"({2 * i + 1} {2 * i + 2})" for i in range(6)]),
     "C2^7": (14, [f"({2 * i + 1} {2 * i + 2})" for i in range(7)]),
     "C2^8": (16, [f"({2 * i + 1} {2 * i + 2})" for i in range(8)]),
+    "C2^9": (18, [f"({2 * i + 1} {2 * i + 2})" for i in range(9)]),
     "M22": (22, ["(1 2 3 4 5 6 7 8 9 10 11)(12 13 14 15 16 17 18 19 20 21 22)",
                  "(1 4 5 9 3)(2 8 10 7 6)(12 15 16 20 14)(13 19 21 18 17)",
                  "(1 21)(2 10 8 6)(3 13 4 17)(5 19 9 18)(11 22)(12 14 16 20)"]),

@@ -43,7 +43,9 @@ QUOTIENTS_OUT = Path("tests/golden_quotients.json")
 
 # name -> (degree, generators in 1-based cycle notation).  S8, M12, C2^6 and
 # C3^4 are the benchmark's table groups at seed 0 (perfbench/workloads.py);
-# C2^7 extends the C2^k pattern; M22's exponent 9240 has five prime factors.
+# C2^7 extends the C2^k pattern; the split cuts each vector of C3^5 and C4^4
+# into 3 and 4 components, where that of C2^k cuts it into 2; M22's exponent
+# 9240 has five prime factors.
 SCALE_GROUPS = {
     "S8": (8, ["(1 2 3 4 5 6 7 8)", "(1 2)"]),
     "M12": (12, ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
@@ -51,6 +53,9 @@ SCALE_GROUPS = {
     "C2^6": (12, [f"({2 * i + 1} {2 * i + 2})" for i in range(6)]),
     "C3^4": (12, [f"({3 * i + 1} {3 * i + 2} {3 * i + 3})" for i in range(4)]),
     "C2^7": (14, [f"({2 * i + 1} {2 * i + 2})" for i in range(7)]),
+    "C3^5": (15, [f"({3 * i + 1} {3 * i + 2} {3 * i + 3})" for i in range(5)]),
+    "C4^4": (16, [f"({4 * i + 1} {4 * i + 2} {4 * i + 3} {4 * i + 4})"
+                  for i in range(4)]),
     "M22": (22, ["(1 2 3 4 5 6 7 8 9 10 11)(12 13 14 15 16 17 18 19 20 21 22)",
                  "(1 4 5 9 3)(2 8 10 7 6)(12 15 16 20 14)(13 19 21 18 17)",
                  "(1 21)(2 10 8 6)(3 13 4 17)(5 19 9 18)(11 22)(12 14 16 20)"]),
