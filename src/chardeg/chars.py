@@ -26,7 +26,7 @@ from math import lcm
 import numpy as np
 
 from . import dixon
-from .cyclotomic import CycValue, reduce_to_power_basis
+from .cyclotomic import CycValue, product_dtype, reduce_to_power_basis
 from .errors import TableError
 from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
                      conjugacy_classes)
@@ -260,31 +260,40 @@ def _inner_products(table: CharacterTable, orders, f: np.ndarray,
     Per root order n, coefficient t of sum_k size_k f_k conj(g_k) in
     Z[x]/(x^n-1) is one matmul of f's columns against the shifted slice
     g_k[i - t] of g's columns written twice, and lands at t e/n in
-    Z[x]/(x^e-1); then one fold of the total into a basis of Q(zeta_e)
-    with 1 first, a block subtraction per prime-power factor of e.  int64
-    where sum_k size_k |f_k|_1 |g_k|_1 (row maxima, in floats, far within
-    the factor 2) is below 2^62.  Raises TableError when a value lies
-    outside Q(zeta_e) or an entry is not rational.
+    Z[x]/(x^e-1); for g the same array as f, coefficient n - t is
+    coefficient t transposed, which halves the matmuls.  Then one fold of
+    the total into a basis of Q(zeta_e) with 1 first, a block subtraction
+    per prime-power factor of e.  The products and the total run in the
+    dtype product_dtype picks for sum_k size_k |f_k|_1 |g_k|_1 (row
+    maxima), which bounds every entry's terms: float64 (BLAS), int64, or
+    Python objects, the last also for stacks that are not int64.  Raises
+    TableError when a value lies outside Q(zeta_e) or an entry is not
+    rational.
     """
     cd, e = table.classes, table.exponent
     dtype = object
-    if f.dtype == g.dtype == np.int64 and np.prod([np.add.reduceat(
+    if f.dtype == g.dtype == np.int64:
+        dtype = product_dtype(np.prod([np.add.reduceat(
             np.abs(x, dtype=np.float64), np.cumsum(orders) - orders,
-            axis=1).max(axis=0) for x in (f, g)], axis=0) @ cd.sizes < 2**62:
-        dtype = np.int64
+            axis=1).max(axis=0) for x in (f, g)], axis=0) @ cd.sizes)
     sizes = np.array(cd.sizes, dtype=dtype)
     total = np.zeros((len(f), len(g), e), dtype=dtype)
     for n, ks, cols in _buckets(orders):
         if e % n:
             raise TableError(f"a class function value needs the {n}-th roots "
                              f"of unity, not in Q(zeta_{e})")
-        a = f[:, cols].astype(dtype, copy=False)
-        a *= sizes[ks, None]
+        a = f[:, cols.T].astype(dtype, copy=False)  # a[j, i, k] = f_j[k][i]
+        a *= sizes[ks]
         a = a.reshape(len(f), -1)
-        b = g[:, np.hstack([cols, cols])].astype(dtype, copy=False)
-        for t in range(n):  # b[j, k, n - t + i] = g_j[k][i - t]
-            total[:, :, t * e // n] += a @ b[:, :, n - t:2 * n - t].reshape(
-                len(g), -1).T
+        b = g.T[np.vstack([cols.T, cols.T])].astype(dtype, copy=False)
+        for t in range(n // 2 + 1 if f is g else n):
+            # b[n - t + i, k, j] = g_j[k][i - t]
+            c = a @ b[n - t:2 * n - t].reshape(-1, len(g))
+            total[:, :, t * e // n] += c
+            if f is g and 0 < t < n - t:
+                total[:, :, (n - t) * e // n] += c.T
+    if dtype is np.float64:
+        total = total.astype(np.int64)
     coords = reduce_to_power_basis(total, e)
     if coords[:, :, 1:].any():
         raise TableError("inner product of class functions is not rational")
@@ -319,13 +328,15 @@ def equal(table: CharacterTable, fs, gs) -> np.ndarray:
 def tensor(a: Character, b: Character) -> Character:
     """The pointwise product of two characters: per root order n,
     coefficient t of a_k b_k in Z[x]/(x^n-1) is sum_i a_k[i] b_k[t-i], one
-    sum over shifted slices per t; in int64 where n max|a| max|b| (in
-    floats) is below 2^62, else over Python objects."""
+    sum over shifted slices per t, in the dtype product_dtype picks for
+    n max|a| max|b|, the row in int64 when that is float64 or int64."""
     orders, xy = _stack([a, b])
-    if xy.dtype != np.int64 or max(orders) * np.prod(
-            np.abs(xy, dtype=np.float64).max(1)) >= 2**62:
-        xy = xy.astype(object)
-    (x, y), row = xy, np.empty_like(xy[0])
+    dtype = object
+    if xy.dtype == np.int64:
+        dtype = product_dtype(max(orders) * np.prod(
+            np.abs(xy, dtype=np.float64).max(1)))
+    x, y = xy.astype(dtype, copy=False)
+    row = np.empty(len(x), dtype=object if dtype is object else np.int64)
     for n, _, cols in _buckets(orders):
         for t in range(n):
             row[cols[:, t]] = (x[cols] * y[cols[:, t - np.arange(n)]]).sum(1)

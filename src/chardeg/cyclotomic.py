@@ -42,6 +42,27 @@ def _is_prime(p: int) -> bool:
     return _prime_factors(p) == [p]
 
 
+def product_dtype(bound: float):
+    """The dtype in which sums of products of integer arrays are exact,
+    given a bound (computed in floats) on sum_k |x_ik| |y_kj| over every
+    entry of x @ y, or on the terms of any other such sum: float64 below
+    2^50, where BLAS runs it; int64 below 2^62; Python objects above.
+
+    Why float64 is exact: a term x_ik y_kj with both factors nonzero has
+    |x_ik|, |y_kj| <= |x_ik y_kj| <= bound, and a factor whose partners are
+    all 0 only ever meets 0, so every nonzero operand, product and partial
+    sum is an integer of size below 2^53 and is held exactly, whatever the
+    summation order and with or without fused multiply-adds (BLAS does no
+    Strassen-type recombination).  A bound summed in floats over m
+    nonnegative terms is within a factor 1 + m 2^-52 of the exact one while
+    m < 2^51, so a computed bound below 2^50 puts the true one below 2^53.
+    The int64 threshold leaves a factor 2 against 2^63 in the same way.
+    """
+    if bound < 2**50:
+        return np.float64
+    return np.int64 if bound < 2**62 else object
+
+
 def reduce_to_power_basis(coeffs, n: int):
     """Coordinates of sum(coeffs[..., k] * zeta_n^k) in a basis of Q(zeta_n)
     made of powers of zeta_n, 1 first (the power basis if n is a prime

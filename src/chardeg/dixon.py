@@ -14,6 +14,15 @@ scalar is cut into its eigencomponents, read off its Krylov sequence; scale
 each term to central character values; then lift all characters at once:
 degrees from one sum mod p, values by one inverse discrete Fourier
 transform per element order.
+
+Products of residues mod p (a class matrix's action, the Lagrange
+combinations of a Krylov sequence, the lift's inverse transform) sum k
+terms below p^2 each, and run in the dtype cyclotomic.product_dtype picks
+for k (p - 1)^2: float64, through BLAS, below 2^50 (k < 1024 at p near
+10^6); int64 below 2^62; Python objects above, which needs k >= 2^22 at the
+prime ceiling, more classes than the default element bound allows.  The
+echelon products of the split stay in int64: they are one vector per row,
+where BLAS gains nothing on the casts.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from .cyclotomic import _is_prime, _prime_factors
+from .cyclotomic import _is_prime, _prime_factors, product_dtype
 from .errors import TableError
 from .groups import ClassData
 
@@ -54,6 +63,9 @@ def primitive_root(p: int) -> int:
 # Most rows one class_matrix gather may hold; reps are gathered in chunks
 # below it, several at once where classes are small.
 _GATHER_ROWS = 1 << 16
+# Most array elements one lift_character gather, or one chunk of the root
+# scan in _components, may hold.
+_LIFT_ELEMENTS = 1 << 21
 
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
@@ -91,27 +103,18 @@ def _inverse_table(p: int) -> np.ndarray:
     return inv
 
 
-# Most array elements one image gather in the split may hold.  The gather
-# replaces the dense product where a row's nonzeros are at most r / 16: at
-# r = 128 a dense product costs as much as a gather over 12 per row.
-_IMAGE_ELEMENTS = 1 << 21
-_SPARSE_RATIO = 16
-
-
 def _action(a: np.ndarray, p: int):
     """v -> v @ a.T mod p on a stack of rows v, for a reduced class matrix
-    a: a gather and sum over each row's at most |C_i| nonzeros, padded with
-    zero entries, where they are few against r, else a dense product."""
-    r = len(a)
-    width = max(1, (a != 0).sum(axis=1).max())
-    if width * _SPARSE_RATIO > r:
-        return lambda v: v @ a.T % p
-    gather = np.argpartition(a == 0, width - 1, axis=1)[:, :width]
-    weights = np.take_along_axis(a, gather, axis=1)
-    step = max(1, _IMAGE_ELEMENTS // gather.size)
-    return lambda v: np.concatenate([
-        (v[lo:lo + step, gather] * weights).sum(axis=2) % p
-        for lo in range(0, len(v), step)])
+    a."""
+    dtype = product_dtype(len(a) * (p - 1) ** 2)
+    at = a.T.astype(dtype)
+    return lambda v: _residues(v.astype(dtype) @ at, p)
+
+
+def _residues(x: np.ndarray, p: int) -> np.ndarray:
+    """An exact integer product, in the dtype product_dtype picked, mod p in
+    int64 (remainders run faster in int64 than in float64)."""
+    return (x % p if x.dtype == object else x).astype(np.int64) % p
 
 
 def _scalar(xs: np.ndarray, ys: np.ndarray, p: int) -> np.ndarray:
@@ -126,74 +129,91 @@ def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int,
     """(roots, components) of each row x of xs on the eigenspaces of A,
     which act applies to a stack of rows; ys = act(xs).
 
-    The Krylov sequences x, Ax, A^2 x, ... of all rows grow together, one
-    act per step, each row (A^j x, e_j) reduced in echelon form on its
-    first r entries: at the first j where those vanish, the last j + 1
-    hold the minimal polynomial m of A on x.  If x is a sum of eigenvectors
-    of A, m has j distinct roots t in F_p, and the component of x at t is
-    q_t(A) x / q_t(t), with q_t = m / (X - t).
+    The Krylov sequences x, Ax, A^2 x, ... of all rows grow together in one
+    array, one act per step, each row (A^j x, e_j) reduced in echelon form
+    on its first r entries: at the first j where those vanish, the last
+    j + 1 hold the minimal polynomial m of A on x, and every row that
+    closes at j goes to one _components call.  If x is a sum of
+    eigenvectors of A, m has j distinct roots t in F_p, and the component
+    of x at t is q_t(A) x / q_t(t), with q_t = m / (X - t).
     """
     n, r = xs.shape
-    krylov = [[x] for x in xs]
     found = [None] * n
     live = np.arange(n)
     # echelon rows, 1 at their own pivot and 0 at the others' pivots
     rows = np.zeros((n, 0, 2 * r + 1), dtype=np.int64)
     pivots = np.zeros((n, 0), dtype=np.int64)
-    v = xs
+    krylov, v, at = xs[:, None], xs, np.arange(n)
     for j in range(r + 1):
-        c = np.take_along_axis(v, pivots, axis=1)
-        e_j = np.eye(1, r + 1, j, dtype=np.int64).repeat(len(v), axis=0)
-        residue = (np.append(v, e_j, axis=1) - (c[:, None] @ rows)[:, 0]) % p
+        c = v[at[:, None], pivots]
+        residue = np.zeros((len(v), 2 * r + 1), dtype=np.int64)
+        residue[:, :r], residue[:, r + j] = v, 1
+        residue = (residue - (c[:, None] @ rows)[:, 0]) % p
         done = ~residue[:, :r].any(axis=1)
-        for b in np.flatnonzero(done):
-            found[live[b]] = _components(np.array(krylov[live[b]]),
-                                         residue[b, r:r + j + 1], p, inv)
-        if done.all():
-            return found
-        live, v, residue, rows, pivots = (
-            t[~done] for t in (live, v, residue, rows, pivots))
+        if done.any():
+            roots, parts = _components(krylov[done],
+                                       residue[done, r:r + j + 1], p, inv)
+            for b, t, x in zip(live[done], roots, parts):
+                found[b] = t, x
+            if done.all():
+                return found
+            live, v, residue, rows, pivots, krylov = (
+                t[~done] for t in (live, v, residue, rows, pivots, krylov))
+            at = np.arange(len(live))
         pivot = (residue[:, :r] != 0).argmax(axis=1)
-        row = residue * inv[residue[np.arange(len(live)), pivot]][:, None] % p
-        f = np.take_along_axis(rows, pivot[:, None, None], axis=2)
+        row = residue * inv[residue[at, pivot]][:, None] % p
+        f = rows[at, :, pivot][:, :, None]
         rows = np.append((rows - f * row[:, None]) % p, row[:, None], axis=1)
         pivots = np.append(pivots, pivot[:, None], axis=1)
         v = ys[live] if j == 0 else act(v)
-        for b, y in zip(live, v):
-            krylov[b].append(y)
+        krylov = np.append(krylov, v[:, None], axis=1)
     raise TableError("Krylov sequence without dependency (implementation bug)")
 
 
-def _components(krylov: np.ndarray, poly: np.ndarray, p: int,
+def _components(krylov: np.ndarray, polys: np.ndarray, p: int,
                 inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The s roots of the monic poly m, constant term first, and the
-    Lagrange combinations of the rows x, Ax, ..., A^(s-1) x of krylov at
-    them.  Checked exactly: m has s distinct roots, each combination x_t has
-    A x_t = t x_t (the same product with the rows shifted by one), and they
-    sum to x."""
-    s = len(poly) - 1
+    """The s roots of each monic poly m, a row of polys with its constant
+    term first, and the Lagrange combinations at them of the rows x, Ax,
+    ..., A^(s-1) x of its stack in krylov: (b, s) roots and (b, s, r)
+    components.  Checked exactly for each: m has s distinct roots, each
+    combination x_t has A x_t = t x_t (the same product with the rows
+    shifted by one), and they sum to x.  The roots are found by one Horner
+    scan over F_p, a few polys at a time within _LIFT_ELEMENTS."""
+    b, s = len(polys), polys.shape[1] - 1
     ts = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for coeff in poly[::-1]:
-        acc = (acc * ts + coeff) % p
-    roots = np.flatnonzero(acc == 0)
-    if len(roots) != s:
-        raise TableError("minimal polynomial without distinct roots in F_p "
-                         "(implementation bug)")
-    # row k of quotient: m / (X - roots[k]), constant term first
-    quotient = np.zeros((s, s), dtype=np.int64)
-    quotient[:, -1] = 1
+    step = max(1, _LIFT_ELEMENTS // p)
+    roots = []
+    for lo in range(0, b, step):
+        chunk = polys[lo:lo + step]
+        acc = np.zeros((len(chunk), p), dtype=np.int64)
+        for coeff in chunk[:, ::-1].T:
+            acc = (acc * ts + coeff[:, None]) % p
+        # a monic m of degree s has at most s roots, so b s roots in all
+        # are s distinct roots on every row
+        t = np.nonzero(acc == 0)[1]
+        if len(t) != len(chunk) * s:
+            raise TableError("minimal polynomial without distinct roots in "
+                             "F_p (implementation bug)")
+        roots.append(t.reshape(len(chunk), s))
+    roots = np.concatenate(roots)
+    # quotient[:, k]: m / (X - roots[:, k]), constant term first
+    quotient = np.zeros((b, s, s), dtype=np.int64)
+    quotient[:, :, -1] = 1
     for e in range(s - 1, 0, -1):
-        quotient[:, e - 1] = (poly[e] + roots * quotient[:, e]) % p
+        quotient[:, :, e - 1] = (polys[:, e, None]
+                                 + roots * quotient[:, :, e]) % p
     # q_t(t) = prod over the other roots u of (t - u)
-    denominator = np.ones(s, dtype=np.int64)
-    for u in roots:
-        denominator = denominator * np.where(roots == u, 1, roots - u) % p
-    lagrange = quotient * inv[denominator][:, None] % p
-    parts = lagrange @ krylov[:s] % p
-    if not (np.array_equal(lagrange @ krylov[1:] % p,
-                           roots[:, None] * parts % p)
-            and np.array_equal(parts.sum(axis=0) % p, krylov[0])):
+    denominator = np.ones((b, s), dtype=np.int64)
+    for u in roots.T:
+        diff = roots - u[:, None]
+        denominator = denominator * np.where(diff == 0, 1, diff) % p
+    dtype = product_dtype(s * (p - 1) ** 2)
+    lagrange = (quotient * inv[denominator][:, :, None] % p).astype(dtype)
+    basis = krylov.astype(dtype)
+    parts = _residues(lagrange @ basis[:, :s], p)
+    if not (np.array_equal(_residues(lagrange @ basis[:, 1:], p),
+                           roots[:, :, None] * parts % p)
+            and np.array_equal(parts.sum(axis=1) % p, krylov[:, 0])):
         raise TableError("components are not eigenvectors summing to the "
                          "vector (implementation bug)")
     return roots, parts
@@ -210,9 +230,9 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
     eigenspaces of each class matrix not a scalar on it.  Class i is
     skipped when its class sum is K_z K_C, z in the group generated by the
     central classes used and C a used class or the identity: K_z K_C =
-    K_{zC}, so A_i = A_z A_C is a scalar on every branch left.  All
-    products stay in int64: each sums at most r terms below p^2, and
-    r p^2 < 2^63 for p < 10^6 and r < 9 * 10^6.
+    K_{zC}, so A_i = A_z A_C is a scalar on every branch left.  Each
+    product sums at most r terms below p^2, in float64, int64 or objects as
+    the module docstring says.
     """
     r = cd.num_classes
     inv = _inverse_table(p)
@@ -253,10 +273,6 @@ def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
     return branches * inv[branches[:, 0]][:, None] % p
 
 
-# Most array elements one lift_character gather may hold.
-_LIFT_ELEMENTS = 1 << 21
-
-
 def lift_character(w: np.ndarray, cd: ClassData, p: int,
                    z: int) -> tuple[list[int], np.ndarray]:
     """Exact (degrees, mult) of every character, from the rows of w: row j
@@ -267,7 +283,8 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
     multiplicity of zeta_n^j among the eigenvalues of a representing matrix
     at g (n the order of g) is the inverse discrete Fourier transform of chi
     along the power map of g, and lifts exactly because it is below p.  The
-    matmuls stay in int64: their sums are below n * p^2 < p^3 <= 10^18.
+    matmuls sum n terms below p^2, in the dtype product_dtype picks for the
+    largest n (float64 for n (p - 1)^2 < 2^50, else int64 or objects).
     """
     h_inv = np.array([pow(h, p - 2, p) for h in cd.sizes], dtype=np.int64)
     total = (w * w[:, cd.inverse_class] % p * h_inv % p).sum(axis=1) % p
@@ -281,18 +298,21 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
     if not degrees.all():
         raise TableError("no square root for degree found "
                          "(implementation bug)")
-    chi = degrees[:, None] * w % p * h_inv % p
+    dtype = product_dtype(max(cd.orders) * (p - 1) ** 2)
+    chi = (degrees[:, None] * w % p * h_inv % p).astype(dtype)
     starts = np.cumsum(cd.orders) - cd.orders
     mult = np.empty((len(degrees), sum(cd.orders)), dtype=np.int64)
     for n in set(cd.orders):
         ks = [k for k, order in enumerate(cd.orders) if order == n]
         powers = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
         e = np.arange(n)
-        dft = powers[-np.outer(e, e) % n] * pow(n, p - 2, p) % p
+        dft = (powers[-np.outer(e, e) % n] * pow(n, p - 2, p) % p).astype(
+            dtype)
         step = max(1, _LIFT_ELEMENTS // (len(degrees) * n))
         for lo in range(0, len(ks), step):
             chunk = ks[lo:lo + step]
-            block = chi[:, [cd.power_class[k] for k in chunk]] @ dft % p
+            block = _residues(
+                chi[:, [cd.power_class[k] for k in chunk]] @ dft, p)
             if (block.sum(axis=2) != degrees[:, None]).any():
                 raise TableError("multiplicities do not sum to the degree "
                                  "(implementation bug)")

@@ -368,3 +368,25 @@ def test_kernel_subgroup_rejects_classes_that_do_not_close(s5):
     fake.kernel_classes = frozenset({0, k})
     with pytest.raises(TableError):
         kernel_subgroup(s5, fake)
+
+
+@pytest.mark.parametrize("cycles,degree,powers", [
+    ("(1 2 3 4 5 6)", 6, [1, 4]),  # zeta_6 + zeta_6^4 = 0
+    ("(1 2 3)(4 5 6 7 8)", 8, [1, 6, 11]),  # zeta_15 (1 + zeta_3 + zeta_3^2)
+])
+def test_gram_of_a_stack_against_itself_matches_the_general_path(
+        cycles, degree, powers):
+    # every other row rewritten at a class of order n by a sum of powers
+    # that vanishes: the same values, but vectors that are not the
+    # conjugates of those at the inverse class, so the coefficient of
+    # zeta^-t in the Gram of the stack against itself is not that of zeta^t
+    # transposed; a copy of the stack takes the general path
+    group = Group([parse_cycles(cycles, degree)], degree)
+    table = character_table(group)
+    orders, rows = chars._stack(table.chars)
+    k = orders.index(max(orders))
+    rows[::2, sum(orders[:k]) + np.array(powers)] += 1
+    gram = chars._inner_products(table, orders, rows, rows)
+    assert np.array_equal(gram, chars._inner_products(table, orders, rows,
+                                                      rows.copy()))
+    assert np.array_equal(gram, group.order * np.eye(len(rows)))

@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from chardeg.cyclotomic import CycValue, reduce_to_power_basis
+from chardeg.cyclotomic import CycValue, product_dtype, reduce_to_power_basis
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -243,3 +243,48 @@ def test_batch_fractions_stay_exact():
     out = reduce_to_power_basis(batch, 4)
     assert out.tolist() == [[Fraction(1, 6), 0], [0, Fraction(1, 7)]]
     assert reduce_to_power_basis((half, half), 2) == (0,)
+
+
+# -- the product dtype ---------------------------------------------------------
+
+def test_product_dtype_thresholds():
+    assert product_dtype(0) is np.float64
+    assert product_dtype(2.0**50 - 1) is np.float64
+    assert product_dtype(2**50) is np.int64
+    assert product_dtype(2.0**62 - 2**10) is np.int64
+    assert product_dtype(2**62) is object
+    assert product_dtype(2.0**70) is object
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float64_products_at_the_edge_of_the_bound_are_exact(seed):
+    # k entries near 2^22 per row and column, odd and of mixed signs: the
+    # true sums reach about 2^50 and their low bits are all live, so a
+    # rounded partial sum would show against the int64 and object products
+    rng = np.random.default_rng(seed)
+    k, top = 64, 2**22 - 1
+    x = rng.choice([-1, 1], (20, k)) * (top - 2 * rng.integers(0, 50, (20, k)))
+    y = rng.choice([-1, 1], (k, 30)) * (top - 2 * rng.integers(0, 50, (k, 30)))
+    bound = (np.abs(x, dtype=np.float64) @ np.abs(y, dtype=np.float64)).max()
+    assert 2**49 < bound < 2**50
+    assert product_dtype(bound) is np.float64
+    exact = x.astype(object) @ y.astype(object)
+    assert np.array_equal(x @ y, exact)
+    floats = x.astype(np.float64) @ y.astype(np.float64)
+    assert np.array_equal(floats.astype(np.int64), exact)
+
+
+def test_tensor_above_2_53_takes_the_int64_path():
+    # one class over zeta_2 with coefficients (u, v) = (2^27 + 1, 2^27 - 1):
+    # the square's coefficient of 1 is u^2 + v^2 = 2^55 + 2, which float64
+    # (spacing 8 there) cannot hold; n max|a| max|b| is about 2^55
+    from chardeg.chars import Character, tensor
+    u, v = 2**27 + 1, 2**27 - 1
+    bound = 2 * float(u) * float(u)
+    assert 2**53 < bound < 2**60
+    assert product_dtype(bound) is np.int64
+    a = Character._of_row(1, [1, 2], np.array([1, u, v], dtype=np.int64))
+    square = tensor(a, a)
+    assert square.row.dtype == np.int64
+    assert square.row.tolist() == [1, u * u + v * v, 2 * u * v]
+    assert float(u) * u + float(v) * v != u * u + v * v

@@ -202,6 +202,90 @@ def test_split_rejects_an_action_that_is_not_diagonalizable(a, p):
         split_one(np.array(a, dtype=np.int64), np.array([0, 1]), p)
 
 
+WIDE = {
+    "C2^6": (12, [f"({2 * i + 1} {2 * i + 2})" for i in range(6)]),
+    "C3^4": (12, [f"({3 * i + 1} {3 * i + 2} {3 * i + 3})" for i in range(4)]),
+}
+
+
+def second_step(monkeypatch, name):
+    """p and the (branches, images, action) of the named group's second
+    split_branches call: the branches that its first matrix cut from e_0
+    and the next matrix formed is not a scalar on."""
+    degree, gens = WIDE[name]
+    cd, p, _ = modular_data(
+        Group([parse_cycles(s, degree) for s in gens], degree))
+    calls = []
+    original = dixon.split_branches
+
+    def spy(xs, ys, act, p, inv):
+        calls.append((xs.copy(), ys.copy(), act))
+        return original(xs, ys, act, p, inv)
+    monkeypatch.setattr(dixon, "split_branches", spy)
+    central_character_vectors(cd, p)
+    monkeypatch.undo()
+    return (p, *calls[1])
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_split_of_a_stack_equals_the_split_of_each_row(monkeypatch, name):
+    # C2^6 and C3^4: after the first matrix, 2 and 3 branches that the
+    # second cuts, all closing at the same Krylov step, so that one
+    # _components call takes them all
+    p, branches, images, act = second_step(monkeypatch, name)
+    inv = dixon._inverse_table(p)
+    batches = []
+    original = dixon._components
+
+    def spy(krylov, polys, p, inv):
+        batches.append(len(polys))
+        return original(krylov, polys, p, inv)
+    monkeypatch.setattr(dixon, "_components", spy)
+    stacked = split_branches(branches, images, act, p, inv)
+    monkeypatch.undo()
+    assert batches == [len(branches)] == [len(stacked)]
+    assert len(branches) > 1
+    for x, (roots, parts) in zip(branches, stacked):
+        [(alone, alone_parts)] = split_branches(x[None], act(x[None]), act,
+                                                p, inv)
+        assert np.array_equal(roots, alone) and len(roots) > 1
+        assert np.array_equal(parts, alone_parts)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_chunked_root_scan_finds_the_same_roots(monkeypatch, name):
+    # a budget below 2p scans one polynomial per chunk, 2p + 1 two
+    p, branches, images, act = second_step(monkeypatch, name)
+    inv = dixon._inverse_table(p)
+    expected = split_branches(branches, images, act, p, inv)
+    for budget in (3, 2 * p + 1):
+        monkeypatch.setattr(dixon, "_LIFT_ELEMENTS", budget)
+        got = split_branches(branches, images, act, p, inv)
+        for (roots, parts), (want, want_parts) in zip(got, expected):
+            assert np.array_equal(roots, want)
+            assert np.array_equal(parts, want_parts)
+
+
+@pytest.mark.parametrize("bad", [
+    [[2, 1], [0, 2]],  # (X - 2)^2: one root
+    [[0, 30], [1, 0]],  # X^2 + 1: no root mod 31
+])
+def test_one_bad_row_in_a_batch_raises(bad):
+    # a diagonal block, on which (0, 0, 1, 1) has minimal polynomial
+    # (X - 3)(X - 4), beside the bad block, on which (0, 1, 0, 0) or
+    # (1, 0, 0, 0) also closes after two steps: one _components call
+    p = 31
+    a = np.zeros((4, 4), dtype=np.int64)
+    a[:2, :2], a[2:, 2:] = bad, np.diag([3, 4])
+    act = dixon._action(a, p)
+    xs = np.array([[0, 0, 1, 1], [0, 1, 0, 0] if bad[0][0] else [1, 0, 0, 0]])
+    inv = dixon._inverse_table(p)
+    [(roots, _)] = split_branches(xs[:1], act(xs[:1]), act, p, inv)
+    assert roots.tolist() == [3, 4]
+    with pytest.raises(TableError, match="distinct roots"):
+        split_branches(xs, act(xs), act, p, inv)
+
+
 def recorded_branches(monkeypatch, group):
     """p and the (branches, images) of every split_branches call of the
     split."""

@@ -6,11 +6,13 @@ and of the two corpus commands end to end.
 
 Each ``--tree LABEL=PATH`` names a chardeg checkout (a directory holding
 ``src/chardeg``); the default is this checkout, labelled ``change``.  Every
-group of GROUPS is built REPEAT times per tree, each time in a fresh
-process that imports chardeg from that tree's ``src``, and the JSON written
-to ``--out`` holds the median seconds of each stage, the peak RSS reached
-by the end of each stage (the largest over the repeats), and the SHA-256 of
-the table's JSON export, so that the trees can be checked to agree.
+group of GROUPS is built REPEAT times per tree (REPEATS for the slowest),
+each time in a fresh process that imports chardeg from that tree's ``src``
+with one BLAS thread per CPU, and the JSON written to ``--out`` holds the
+median seconds of each stage, the peak RSS reached by the end of each stage
+(the largest over the repeats), and the SHA-256 of the table's JSON export,
+so that the trees can be checked to agree; it also records the BLAS that
+numpy uses and its thread setting, since the products run there.
 
 The stages are those of ``chars.character_table``, called one at a time
 from here; nothing in the program is changed:
@@ -56,6 +58,8 @@ import time
 from math import lcm
 from pathlib import Path
 
+import numpy as np
+
 # name -> (degree, generators in 1-based cycle notation)
 GROUPS = {
     "S8": (8, ["(1 2 3 4 5 6 7 8)", "(1 2)"]),
@@ -75,6 +79,9 @@ GROUPS = {
     "C3^5": (15, [f"({3 * i + 1} {3 * i + 2} {3 * i + 3})" for i in range(5)]),
     "C4^4": (16, [f"({4 * i + 1} {4 * i + 2} {4 * i + 3} {4 * i + 4})"
                   for i in range(4)]),
+    "C_120": (16, ["(1 2 3)(4 5 6 7 8 9 10 11)(12 13 14 15 16)"]),
+    "D_400": (200, ["(" + " ".join(map(str, range(1, 201))) + ")",
+                    "".join(f"({i} {202 - i})" for i in range(2, 101))]),
 }
 CORPUS_COMMANDS = (["verify", "paper", "--json"],
                    ["scan", "--check", "question:7", "--json"])
@@ -82,6 +89,11 @@ ENTRIES = (*GROUPS, "corpus")
 STAGES = ("chain", "elements", "classes", "class_matrices", "split", "lift",
           "validate")
 REPEAT = 5  # builds per group and tree; the JSON holds their medians
+# fewer builds of the groups whose Gram check took 10-30 s in int64 products
+REPEATS = {"C_120": 3, "D_400": 3}
+# BLAS threads of each worker, as perfbench/run.py sets them
+THREADS = len(os.sched_getaffinity(0))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _peak_rss_mb() -> float:
@@ -172,7 +184,8 @@ def measure_corpus() -> dict:
 
 
 def run_worker(tree: Path, name: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               **{var: str(THREADS) for var in THREAD_VARS})
     out = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--worker", name],
         env=env, capture_output=True, text=True)
@@ -252,7 +265,7 @@ def main(argv=None) -> int:
                for label, tree in trees.items()}
     for name in ENTRIES:
         runs = {label: [] for label in trees}
-        for repeat in range(REPEAT):
+        for repeat in range(REPEATS.get(name, REPEAT)):
             # alternate which tree runs first, so drift hits each alike
             for label, tree in list(trees.items())[::(-1) ** repeat]:
                 runs[label].append(run_worker(tree, name))
@@ -277,13 +290,18 @@ def main(argv=None) -> int:
         "tool": "tools/bench.py",
         "stages": list(STAGES),
         "repeat": REPEAT,
+        "repeats": REPEATS,
         "statistic": "median seconds over the repeats; peak RSS is the "
                      "process high-water mark at the end of each stage, "
                      "the largest over the repeats",
         "machine": {"platform": platform.platform(),
                     "cpus": os.cpu_count(),
                     "python": platform.python_version(),
-                    "numpy": importlib.metadata.version("numpy")},
+                    "numpy": importlib.metadata.version("numpy"),
+                    "blas": np.show_config(mode="dicts")[
+                        "Build Dependencies"]["blas"]["name"],
+                    "blas_threads": {var: str(THREADS)
+                                     for var in THREAD_VARS}},
         "groups": {name: {"degree": GROUPS[name][0],
                           "generators": GROUPS[name][1]}
                    for name in GROUPS},

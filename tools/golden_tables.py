@@ -45,7 +45,9 @@ QUOTIENTS_OUT = Path("tests/golden_quotients.json")
 # C3^4 are the benchmark's table groups at seed 0 (perfbench/workloads.py);
 # C2^7 extends the C2^k pattern; the split cuts each vector of C3^5 and C4^4
 # into 3 and 4 components, where that of C2^k cuts it into 2; M22's exponent
-# 9240 has five prime factors.
+# 9240 has five prime factors; the Gram checks of C_120 and of D_400 (the
+# dihedral group of order 400) sum over 32 and 40 classes of order 120 and
+# 200, each value with 120 and 200 coefficients.
 SCALE_GROUPS = {
     "S8": (8, ["(1 2 3 4 5 6 7 8)", "(1 2)"]),
     "M12": (12, ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
@@ -59,6 +61,9 @@ SCALE_GROUPS = {
     "M22": (22, ["(1 2 3 4 5 6 7 8 9 10 11)(12 13 14 15 16 17 18 19 20 21 22)",
                  "(1 4 5 9 3)(2 8 10 7 6)(12 15 16 20 14)(13 19 21 18 17)",
                  "(1 21)(2 10 8 6)(3 13 4 17)(5 19 9 18)(11 22)(12 14 16 20)"]),
+    "C_120": (16, ["(1 2 3)(4 5 6 7 8 9 10 11)(12 13 14 15 16)"]),
+    "D_400": (200, ["(" + " ".join(map(str, range(1, 201))) + ")",
+                    "".join(f"({i} {202 - i})" for i in range(2, 101))]),
 }
 
 # the center of SL2_5, as in the README's `acd --rel` example
