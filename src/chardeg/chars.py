@@ -4,15 +4,16 @@ The table rows come from the modular engine in ``dixon``; this module owns
 the exact layer: canonical ordering, validation, inner products,
 restriction, tensor products, kernels and extension tests, on stacks:
 class functions as one coefficient array.
-Characters are rows: a table's are rows of the lift's array, and
-restrictions and products are rows too.  CycValues are built only when
-something reads ``values``.
+A character is its row of eigenvalue multiplicities: a table's are rows of
+the lift's array, and restrictions and products are rows too.  Kernels and
+equality are read off the rows; CycValues are built only when something
+reads ``values``.
 
-Inner products, table validation and equality of class functions share
-one exact routine, ``_inner_products``, a whole matrix of inner products of
-two stacks in Q(zeta_e), e the group exponent.  A table is certified by one
-Gram check, rows against rows equal to the identity; since the table is
-square this implies the column relations too (see ``CharacterTable``).
+Inner products and table validation share one exact routine,
+``_inner_products``, a whole matrix of inner products of two stacks in
+Q(zeta_e), e the group exponent.  A table is certified by one Gram check,
+rows against rows equal to the identity; since the table is square this
+implies the column relations too (see ``CharacterTable``).
 """
 
 from __future__ import annotations
@@ -33,27 +34,22 @@ from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
 
 
 class Character:
-    """A character: degree, kernel classes and one stack row, class k over
-    the orders[k]-th roots of unity.  The kernel classes, and the
-    ``values`` (a CycValue per class) of a character built from its row,
-    are read off the row on first use."""
+    """A character given by its stack row: class k is a block of orders[k]
+    multiplicities, entry a counting the eigenvalue zeta_{orders[k]}^a of a
+    representation at the class's elements.  The multiplicities are
+    nonnegative and each block sums to the degree; chi on <g> fixes those of
+    rho(g), so equal characters have equal rows.  The kernel classes and
+    ``values`` (a CycValue per class) are read off the row on first use."""
 
-    def __init__(self, degree: int, values):
-        self.degree = degree
-        self.values = tuple(values)
-        self.orders, self.row = _row(self.values)
-
-    @classmethod
-    def _of_row(cls, degree: int, orders, row: np.ndarray):
-        """A character given by its stack row, values unbuilt."""
-        chi = cls.__new__(cls)
-        chi.degree, chi.orders, chi.row = degree, orders, row
-        return chi
+    def __init__(self, degree: int, orders, row: np.ndarray):
+        self.degree, self.orders, self.row = degree, orders, row
 
     @cached_property
     def kernel_classes(self) -> frozenset:
-        (kernel,) = _kernels(self.orders, self.row[None], [self.degree])
-        return kernel
+        # chi(g) = chi(1) iff every eigenvalue of rho(g) is 1
+        starts = np.cumsum(self.orders) - self.orders
+        return frozenset(np.flatnonzero(self.row[starts] == self.degree)
+                         .tolist())
 
     def _coefficients(self) -> list:
         """(n, coefficient list) per class, sliced off the row."""
@@ -184,17 +180,9 @@ def character_table(group: Group) -> CharacterTable:
         exponent = lcm(*cd.orders)
         p = dixon.dixon_prime(group.order, exponent)
         z = dixon.primitive_root(p)
-        omegas = dixon.central_character_vectors(cd, p)
+        omegas = dixon.central_character_vectors(cd, p, z)
         degrees, mult = dixon.lift_character(omegas, cd, p, z)
-        chars = [Character._of_row(d, cd.orders, row)
-                 for d, row in zip(degrees, mult)]
-        # the lift checked that each row's multiplicities are nonnegative
-        # and sum to the degree, so chi(g) = chi(1) iff the multiplicity
-        # of 1 (the first of each class) is the degree
-        starts = np.cumsum(cd.orders) - cd.orders
-        kernel = mult[:, starts] == np.array(degrees)[:, None]
-        for chi, row in zip(chars, kernel):
-            chi.kernel_classes = frozenset(np.flatnonzero(row).tolist())
+        chars = [Character(d, cd.orders, row) for d, row in zip(degrees, mult)]
         group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
     return group._cache[key]
 
@@ -240,17 +228,6 @@ def _buckets(orders):
     for n in sorted(set(orders)):
         ks = np.flatnonzero(np.equal(orders, n))
         yield n, ks, starts[ks][:, None] + np.arange(n)
-
-
-def _kernels(orders, coeffs: np.ndarray, degrees) -> list[frozenset]:
-    """Kernel classes of each stack row, where chi(g) - chi(1) vanishes:
-    all rows and classes of one root order n in one reduction."""
-    kernel = np.empty((len(coeffs), len(orders)), dtype=bool)
-    for n, ks, cols in _buckets(orders):
-        diff = coeffs[:, cols]
-        diff[:, :, 0] -= np.array(degrees, dtype=coeffs.dtype)[:, None]
-        kernel[:, ks] = ~reduce_to_power_basis(diff, n).astype(bool).any(2)
-    return [frozenset(np.flatnonzero(row).tolist()) for row in kernel]
 
 
 def _inner_products(table: CharacterTable, orders, f: np.ndarray,
@@ -314,15 +291,12 @@ def inner_product(table: CharacterTable, a, b) -> Fraction:
     return _gram(table, [a], [b])[0][0]
 
 
-def equal(table: CharacterTable, fs, gs) -> np.ndarray:
-    """Bool matrix, [i, j] true iff fs[i] = gs[j], i.e. iff the positive
-    definite <f-g, f-g> = <f,f> + <g,g> - 2<f,g> is 0: exact, from one Gram
-    matrix of fs + gs, raising TableError unless it is rational."""
+def equal(fs, gs) -> np.ndarray:
+    """Bool matrix, [i, j] true iff the characters fs[i] and gs[j] are
+    equal, which is iff their rows are, on the orders of one stack."""
     fs = list(fs)
-    orders, coeffs = _stack(fs + list(gs))
-    gram = _inner_products(table, orders, coeffs, coeffs)
-    norms, k = gram.diagonal(), len(fs)
-    return norms[:k, None] + norms[k:] - 2 * gram[:k, k:] == 0
+    _, rows = _stack(fs + list(gs))
+    return (rows[:len(fs), None] == rows[None, len(fs):]).all(axis=2)
 
 
 def tensor(a: Character, b: Character) -> Character:
@@ -340,7 +314,7 @@ def tensor(a: Character, b: Character) -> Character:
     for n, _, cols in _buckets(orders):
         for t in range(n):
             row[cols[:, t]] = (x[cols] * y[cols[:, t - np.arange(n)]]).sum(1)
-    return Character._of_row(a.degree * b.degree, orders, row)
+    return Character(a.degree * b.degree, orders, row)
 
 
 def _on_classes(funcs, classes) -> list[Character]:
@@ -354,7 +328,7 @@ def _on_classes(funcs, classes) -> list[Character]:
     at = np.cumsum([0, *orders])
     cols = np.concatenate([np.arange(at[k], at[k + 1]) for k in classes])
     orders = [orders[k] for k in classes]
-    return [Character._of_row(f.degree, orders, row)
+    return [Character(f.degree, orders, row)
             for f, row in zip(funcs, rows[:, cols])]
 
 
@@ -386,5 +360,5 @@ def extensions_of(group: Group, n: Group, theta: Character,
     same = [chi for chi in character_table(group).chars
             if chi.degree == theta.degree]
     restricted = _on_classes(same, class_fusion(group, n))
-    hits = equal(character_table(n), restricted, [theta])
+    hits = equal(restricted, [theta])
     return [chi for chi, hit in zip(same, hits[:, 0]) if hit]

@@ -106,7 +106,7 @@ def transport_character(target_table, lam: Character, source_group,
         source_group.elements(), s_cd.element_index.tolist())})
     if len(pairs) != s_cd.num_classes:
         raise ChardegError("the identification splits a source class")
-    hits = equal(source_table, _on_classes([lam], [b for _, b in pairs]),
+    hits = equal(_on_classes([lam], [b for _, b in pairs]),
                  source_table.chars)[0]
     if not hits.any():
         raise ChardegError("no matching character under the identification")
@@ -292,7 +292,7 @@ def paper_check_suite(cat: Catalogue) -> Report:
     res = gallagher_check(s5, a5_sub, psi)
     t_s5 = character_table(s5)
     deg5_rows = [c for c in t_s5.chars if c.degree == 5]
-    matched = equal(t_s5, res.products, deg5_rows).any(axis=1).all()
+    matched = equal(res.products, deg5_rows).any(axis=1).all()
     add(Check("gallagher_S5", "multiplication by the degree-5 extension",
               "beta -> beta*psi maps Irr(S5/A5) onto the two degree-5 "
               "characters of S5",

@@ -29,6 +29,7 @@ from pathlib import Path
 from .constructions import (CentralProduct, MatrixGroupSpec, central_product,
                             direct_product, fiber_product, matrix_to_perm,
                             perm_from_matrix_group)
+from .cyclotomic import _is_prime
 from .errors import ParseError, ValidationError
 from .groups import (Group, center, conjugacy_classes, is_perfect, is_solvable,
                      quotient_group)
@@ -92,6 +93,10 @@ def parse_group_file(text: str) -> GroupSpec:
             elif directive == "mat":
                 kind = "mat"
                 p, k, n = (int(x) for x in rest.split())
+                # trial division would not finish on a large p
+                if not (p < 2**31 and _is_prime(p) and k >= 1 and n >= 1):
+                    raise ValueError("mat needs p k n with p a prime below "
+                                     f"2^31, k >= 1 and n >= 1, got {rest!r}")
             elif directive == "poly":
                 poly = tuple(int(x) for x in rest.split())
             elif directive == "action":

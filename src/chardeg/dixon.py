@@ -91,10 +91,10 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
 
 # -- the splitting ----------------------------------------------------------
 
-def _inverse_table(p: int) -> np.ndarray:
-    """v^-1 mod the odd prime p at index v, and 0 at 0.  For a primitive
-    root z, z^k has inverse z^(p-1-k), and z^(b*i + j) = z^(b*i) * z^j."""
-    z, b = primitive_root(p), isqrt(p) + 1
+def _inverse_table(p: int, z: int) -> np.ndarray:
+    """v^-1 mod the odd prime p at index v, and 0 at 0, from a primitive
+    root z: z^k has inverse z^(p-1-k), and z^(b*i + j) = z^(b*i) * z^j."""
+    b = isqrt(p) + 1
     small = np.array([pow(z, j, p) for j in range(b)], dtype=np.int64)
     large = np.array([pow(z, b * i, p) for i in range(b)], dtype=np.int64)
     powers = (large[:, None] * small % p).ravel()[:p - 1]
@@ -219,25 +219,25 @@ def _components(krylov: np.ndarray, polys: np.ndarray, p: int,
     return roots, parts
 
 
-def central_character_vectors(cd: ClassData, p: int) -> np.ndarray:
-    """All r common eigenvectors of the class matrices, one per row,
-    normalized so the identity-class coordinate is 1: the central
-    character values (omega_k mod p) of each irreducible character.
+def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
+    """All r common eigenvectors of the class matrices, one per row, with
+    identity-class coordinate 1: the central character values (omega_k mod
+    p) of each irreducible character; z is a primitive root mod p.
 
     By column orthogonality e_0 = sum_chi (chi(1)^2 / |G|) omega_chi, no
     coefficient 0 mod p as p does not divide |G|.  split_branches cuts each
     branch, a sum of some of these terms, into its components on the
     eigenspaces of each class matrix not a scalar on it.  Class i is
-    skipped when its class sum is K_z K_C, z in the group generated by the
-    central classes used and C a used class or the identity: K_z K_C =
-    K_{zC}, so A_i = A_z A_C is a scalar on every branch left.  Each
+    skipped when its class sum is K_y K_C, y in the group generated by the
+    central classes used and C a used class or the identity: K_y K_C =
+    K_{yC}, so A_i = A_y A_C is a scalar on every branch left.  Each
     product sums at most r terms below p^2, in float64, int64 or objects as
     the module docstring says.
     """
     r = cd.num_classes
-    inv = _inverse_table(p)
+    inv = _inverse_table(p, z)
     branches = np.eye(1, r, dtype=np.int64)
-    # the classes z*C; a used central z moves class k to that of z^-1 rep_k
+    # the classes y*C; a used central y moves class k to that of y^-1 rep_k
     covered = np.zeros(r, dtype=bool)
     covered[0] = True
     moves = []

@@ -72,7 +72,7 @@ def test_sign_times_degree5(s5):
     # equals the other degree-5 character, as rows: both are canonical
     assert prod.row.tolist() == deg5[1].row.tolist()
     assert prod.row.tolist() != deg5[0].row.tolist()
-    assert chars.equal(t, [prod], deg5).tolist() == [[False, True]]
+    assert chars.equal([prod], deg5).tolist() == [[False, True]]
 
 
 def test_products_and_restrictions_know_their_kernels(s5, a5_in_s5):
@@ -276,9 +276,10 @@ def test_table_rejects_corrupted_rows(cat):
     chi = t.chars[-1]
     k = next(k for k, v in enumerate(chi.values)
              if t.classes.orders[k] != 1 and v.rational() != 0)
-    negated = Character(chi.degree, [
-        CycValue(v.n, [-c for c in v.coeffs]) if j == k else v
-        for j, v in enumerate(chi.values)])
+    at = np.cumsum([0, *chi.orders])
+    row = chi.row.copy()
+    row[at[k]:at[k + 1]] *= -1
+    negated = Character(chi.degree, chi.orders, row)
     with pytest.raises(TableError):
         rebuild(t.chars[:-1] + (negated,))
 
@@ -308,48 +309,6 @@ def test_gram_reduces_once(cat, monkeypatch):
     assert calls == [(r, r, t.exponent)]
 
 
-def test_kernel_classes_exact_values():
-    # chi(g) = chi(1) = 2 is tested exactly for Fraction and big-int values
-    big = 2 ** 70
-    chi = Character(2, [
-        CycValue(1, (2,)),
-        CycValue(2, (Fraction(5, 2), Fraction(1, 2))),  # 5/2 - 1/2 = 2
-        CycValue(2, (Fraction(3, 2), Fraction(1, 2))),  # 1
-        CycValue(4, (big + 2, 0, big, 0)),  # 2
-        CycValue(4, (big + 2, 0, big - 1, 0)),  # 3
-        CycValue(6, (1, 0, 0, 0, 0, 1)),  # 1 + z6^5, not real
-        CycValue(3, (1, 1, 1)),  # 0
-        CycValue(6, (0, 1, 0, 0, 0, 1)),  # z6 + z6^5 = 1
-        CycValue(6, (0, 2, 0, 0, 0, 2)),  # 2
-    ])
-    assert chi.kernel_classes == frozenset({0, 1, 3, 8})
-
-
-def test_equal_decides_equality_of_class_functions(cat):
-    t = character_table(cat.group("A5"))
-    one, c3a, c3b, c4, c5 = t.chars
-    # f = chi2 + chi3 and g = chi2 + chi4 meet in <f, g> = 1 at norms 2
-    f, g = combination(t, [0, 1, 1, 0, 0]), combination(t, [0, 1, 0, 1, 0])
-    assert inner_product(t, f, g) == 1
-    assert chars.equal(t, [f, g], [f, g]).tolist() == [[True, False],
-                                                       [False, True]]
-    assert not chars.equal(t, [c3a], [c3b])[0, 0]
-    # the same rows over zeta_30 in every class are the same functions
-    embedded = [[v.embed(30) for v in c.values] for c in t.chars]
-    assert (chars.equal(t, embedded, t.chars) == np.eye(len(t.chars))).all()
-
-
-def test_equal_rejects_irrational_inner_products(cat):
-    # zeta_5 on one class of 5-cycles is no virtual character: its inner
-    # product with the principal character is 12 zeta_5 / 60
-    t = character_table(cat.group("A5"))
-    k = t.classes.orders.index(5)
-    f = [CycValue.from_rational(0)] * t.classes.num_classes
-    f[k] = CycValue(5, (0, 1, 0, 0, 0))
-    with pytest.raises(TableError):
-        chars.equal(t, [f], [t.principal()])
-
-
 def test_extensions_of_reducible_theta(s5, a5_in_s5):
     # S5's degree-6 character restricts to A5 as the sum of its two
     # degree-3 characters; it is the one degree-6 extension of that sum
@@ -363,9 +322,13 @@ def test_kernel_subgroup_rejects_classes_that_do_not_close(s5):
     cd = character_table(s5).classes
     k = next(i for i, (o, s) in enumerate(zip(cd.orders, cd.sizes))
              if (o, s) == (2, 10))
-    chi = character_table(s5).chars[0]
-    fake = Character(chi.degree, chi.values)
-    fake.kernel_classes = frozenset({0, k})
+    # a degree-1 row: eigenvalue 1 at those classes, another root elsewhere
+    at = np.cumsum([0, *cd.orders])
+    row = np.zeros(at[-1], dtype=np.int64)
+    row[at[:-1] + [0 if j in (0, k) else o // 2
+                   for j, o in enumerate(cd.orders)]] = 1
+    fake = Character(1, cd.orders, row)
+    assert fake.kernel_classes == {0, k}
     with pytest.raises(TableError):
         kernel_subgroup(s5, fake)
 

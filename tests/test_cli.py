@@ -74,6 +74,17 @@ def test_bad_file_exits_2(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("header", ["mat 1 1 2", "mat 2 0 2", "mat 2 1 -1"])
+def test_malformed_mat_header_exits_2(capsys, tmp_path, header):
+    # p not prime, k < 1, n < 1: each named at its line, not a traceback
+    f = tmp_path / "M.grp"
+    f.write_text(f"name M\n{header}\ngen 1 0 0 1\n")
+    code, out, err = run(capsys, "table", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
 def test_acd_rel_mod(capsys):
     z = "(1 4)(2 3)(5 20)(6 24)(7 23)(8 22)(9 21)(10 15)(11 19)(12 18)(13 17)(14 16)"
     code, out, _ = run(capsys, "acd", "SL2_5", "--rel", z)

@@ -283,7 +283,7 @@ def test_tensor_above_2_53_takes_the_int64_path():
     bound = 2 * float(u) * float(u)
     assert 2**53 < bound < 2**60
     assert product_dtype(bound) is np.int64
-    a = Character._of_row(1, [1, 2], np.array([1, u, v], dtype=np.int64))
+    a = Character(1, [1, 2], np.array([1, u, v], dtype=np.int64))
     square = tensor(a, a)
     assert square.row.dtype == np.int64
     assert square.row.tolist() == [1, u * u + v * v, 2 * u * v]

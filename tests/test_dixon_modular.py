@@ -127,8 +127,8 @@ def lift_reference(w, degree, cd, p, z):
 def split_one(a, x, p):
     """(roots, components) of the vector x on the eigenspaces of a mod p."""
     act = dixon._action(a % p, p)
-    [(roots, parts)] = split_branches(x[None], act(x[None]), act, p,
-                                      dixon._inverse_table(p))
+    inv = dixon._inverse_table(p, primitive_root(p))
+    [(roots, parts)] = split_branches(x[None], act(x[None]), act, p, inv)
     return roots, parts
 
 
@@ -163,7 +163,7 @@ def test_eigenvalues_match_singularity_scan_random(p):
     # probability about (1 - 1/p)^m; it is drawn again until the Krylov
     # sequence of x reaches every eigenvalue, as e_0 does on class matrices
     rng = np.random.default_rng(p)
-    inv = dixon._inverse_table(p)
+    inv = dixon._inverse_table(p, primitive_root(p))
     for a in random_matrices(rng, p):
         expected = singular_values_reference(a, p, inv)
         while True:
@@ -179,7 +179,7 @@ def test_eigenvalues_match_singularity_scan_random(p):
 
 @pytest.mark.parametrize("p", [3, 5, 31, 9241])
 def test_inverse_table(p):
-    inv = dixon._inverse_table(p)
+    inv = dixon._inverse_table(p, primitive_root(p))
     assert inv[0] == 0
     assert (np.arange(1, p) * inv[1:] % p == 1).all()
 
@@ -213,7 +213,7 @@ def second_step(monkeypatch, name):
     split_branches call: the branches that its first matrix cut from e_0
     and the next matrix formed is not a scalar on."""
     degree, gens = WIDE[name]
-    cd, p, _ = modular_data(
+    cd, p, z = modular_data(
         Group([parse_cycles(s, degree) for s in gens], degree))
     calls = []
     original = dixon.split_branches
@@ -222,7 +222,7 @@ def second_step(monkeypatch, name):
         calls.append((xs.copy(), ys.copy(), act))
         return original(xs, ys, act, p, inv)
     monkeypatch.setattr(dixon, "split_branches", spy)
-    central_character_vectors(cd, p)
+    central_character_vectors(cd, p, z)
     monkeypatch.undo()
     return (p, *calls[1])
 
@@ -233,7 +233,7 @@ def test_split_of_a_stack_equals_the_split_of_each_row(monkeypatch, name):
     # second cuts, all closing at the same Krylov step, so that one
     # _components call takes them all
     p, branches, images, act = second_step(monkeypatch, name)
-    inv = dixon._inverse_table(p)
+    inv = dixon._inverse_table(p, primitive_root(p))
     batches = []
     original = dixon._components
 
@@ -256,7 +256,7 @@ def test_split_of_a_stack_equals_the_split_of_each_row(monkeypatch, name):
 def test_chunked_root_scan_finds_the_same_roots(monkeypatch, name):
     # a budget below 2p scans one polynomial per chunk, 2p + 1 two
     p, branches, images, act = second_step(monkeypatch, name)
-    inv = dixon._inverse_table(p)
+    inv = dixon._inverse_table(p, primitive_root(p))
     expected = split_branches(branches, images, act, p, inv)
     for budget in (3, 2 * p + 1):
         monkeypatch.setattr(dixon, "_LIFT_ELEMENTS", budget)
@@ -279,7 +279,7 @@ def test_one_bad_row_in_a_batch_raises(bad):
     a[:2, :2], a[2:, 2:] = bad, np.diag([3, 4])
     act = dixon._action(a, p)
     xs = np.array([[0, 0, 1, 1], [0, 1, 0, 0] if bad[0][0] else [1, 0, 0, 0]])
-    inv = dixon._inverse_table(p)
+    inv = dixon._inverse_table(p, primitive_root(p))
     [(roots, _)] = split_branches(xs[:1], act(xs[:1]), act, p, inv)
     assert roots.tolist() == [3, 4]
     with pytest.raises(TableError, match="distinct roots"):
@@ -296,8 +296,8 @@ def recorded_branches(monkeypatch, group):
         seen.append((xs.copy(), ys.copy()))
         return original(xs, ys, act, p, inv)
     monkeypatch.setattr(dixon, "split_branches", spy)
-    cd, p, _ = modular_data(group)
-    central_character_vectors(cd, p)
+    cd, p, z = modular_data(group)
+    central_character_vectors(cd, p, z)
     monkeypatch.undo()
     return p, seen
 
@@ -306,8 +306,8 @@ def recorded_branches(monkeypatch, group):
 def test_eigenvalues_match_singularity_scan_on_class_matrices(name):
     # from e_0 = sum_chi (chi(1)^2/|G|) omega_chi, every coefficient nonzero
     # mod p, the split reaches every eigenvalue of every class matrix
-    cd, p, _ = modular_data(make(name))
-    inv = dixon._inverse_table(p)
+    cd, p, z = modular_data(make(name))
+    inv = dixon._inverse_table(p, z)
     e0 = np.eye(1, cd.num_classes, dtype=np.int64)[0]
     for i in range(cd.num_classes):
         a = class_matrix(cd, i) % p
@@ -350,8 +350,7 @@ def formed_and_splitting(monkeypatch, group):
         return original_split(*args)
     monkeypatch.setattr(dixon, "class_matrix", matrix_spy)
     monkeypatch.setattr(dixon, "split_branches", split_spy)
-    cd, p, _ = modular_data(group)
-    central_character_vectors(cd, p)
+    central_character_vectors(*modular_data(group))
     monkeypatch.undo()
     return formed, splitting
 
@@ -385,7 +384,7 @@ def test_split_skips_products_of_central_and_used_classes(monkeypatch, cat,
 
 def assert_lift_matches_reference(group, rows=None):
     cd, p, z = modular_data(group)
-    w = central_character_vectors(cd, p)
+    w = central_character_vectors(cd, p, z)
     degrees, mult = lift_character(w, cd, p, z)
     at = np.cumsum([0, *cd.orders]).tolist()
     for j in range(len(w)) if rows is None else rows:

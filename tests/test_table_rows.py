@@ -96,8 +96,9 @@ def test_stack_of_mixed_inputs_equals_stack_of_their_values(scale):
                for j, v in enumerate(rows[1].values)]
     scaled = [CycValue(v.n, [scale * c for c in v.coeffs])
               for v in rows[2].values]
-    mixed = [rows[0], Character(rows[1].degree, doubled), rows[3],
-             scaled, Character(rows[4].degree, rows[4].values), doubled]
+    mixed = [rows[0], Character(rows[1].degree, *chars._row(doubled)),
+             rows[3], scaled,
+             Character(rows[4].degree, *chars._row(rows[4].values)), doubled]
     values = [f.values if isinstance(f, Character) else f for f in mixed]
     orders, coeffs = chars._stack(mixed)
     want_orders, want_coeffs = chars._stack(values)
@@ -109,13 +110,3 @@ def test_stack_of_mixed_inputs_equals_stack_of_their_values(scale):
         embedded_reference(values)[1]
     if coeffs.dtype == object:  # Python numbers, not numpy scalars
         assert not any(isinstance(c, np.generic) for c in coeffs.ravel())
-
-
-def test_hand_built_character_keeps_its_values():
-    vals = (CycValue(1, (2,)), CycValue(2, (Fraction(1, 2), 0)),
-            CycValue(4, (0, 1, 0, -1)))
-    chi = Character(2, vals)
-    assert chi.values is vals
-    assert Character(2, list(vals)).values == vals
-    assert chi.orders == [1, 2, 4]
-    assert chi.row.tolist() == [2, Fraction(1, 2), 0, 0, 1, 0, -1]

@@ -1,10 +1,12 @@
 """The table build on stacks: the block Gram routine and the tensor
-product against a per-pair reference product, the batched kernels against
-the one-row ones, the canonical row order against the old embedded sort
-key, and the element rank where levels skip their inverse gather.
+product against a per-pair reference product, kernels and equality read
+off the multiplicity rows against the values and the Gram routine, the
+canonical row order against the old embedded sort key, and the element
+rank where levels skip their inverse gather.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +14,12 @@ import pytest
 
 from cyclic_reference import cyclic_product
 
-from chardeg import chars
-from chardeg.chars import Character, CharacterTable, character_table, tensor
+from chardeg import chars, checks
+from chardeg.chars import (Character, CharacterTable, _on_classes,
+                           character_table, tensor)
 from chardeg.cyclotomic import CycValue
 from chardeg.errors import TableError
-from chardeg.groups import Group
+from chardeg.groups import Group, Subgroup, class_fusion
 from chardeg.perms import Permutation, parse_cycles
 
 
@@ -138,10 +141,12 @@ def test_tensor_of_hand_built_characters_over_mixed_orders():
     # the second class of b is written over zeta_4 where a's is over
     # zeta_2, so the product's stack takes the lcm; a has Fractions
     half = Fraction(1, 2)
-    a = Character(2, [CycValue(1, (2,)), CycValue(2, (half, Fraction(3, 2))),
-                      CycValue(4, (0, 1, 0, 1)), CycValue(3, (1, -1, 0))])
-    b = Character(3, [CycValue(1, (3,)), CycValue(4, (1, 0, 2, 0)),
-                      CycValue(4, (0, 2, 1, 0)), CycValue(6, (0, 1, 0, 0, 2, 0))])
+    a = Character(2, *chars._row([
+        CycValue(1, (2,)), CycValue(2, (half, Fraction(3, 2))),
+        CycValue(4, (0, 1, 0, 1)), CycValue(3, (1, -1, 0))]))
+    b = Character(3, *chars._row([
+        CycValue(1, (3,)), CycValue(4, (1, 0, 2, 0)),
+        CycValue(4, (0, 2, 1, 0)), CycValue(6, (0, 1, 0, 0, 2, 0))]))
     assert reference_tensor(a, b)[0] == [1, 4, 4, 6]
     for x, y in ((a, b), (b, a), (b, b)):
         prod = tensor(x, y)
@@ -156,11 +161,11 @@ def test_tensor_on_either_side_of_the_int64_bound(big, exact):
     # one class over zeta_2 with coefficients (big, big) in both factors:
     # each product coefficient is 2 big^2, so n max|a| max|b| = 2 big^2 is
     # 2^61 below the bound and 2^63, past int64, above it
-    a = Character._of_row(1, [1, 2], np.array([1, big, big], dtype=np.int64))
+    a = Character(1, [1, 2], np.array([1, big, big], dtype=np.int64))
     prod = tensor(a, a)
     assert prod.row.dtype == exact
     assert prod.row.tolist() == [1, 2 * big**2, 2 * big**2]
-    as_objects = Character._of_row(1, [1, 2], a.row.astype(object))
+    as_objects = Character(1, [1, 2], a.row.astype(object))
     assert tensor(as_objects, as_objects).row.tolist() == prod.row.tolist()
     assert reference_tensor(a, a) == (prod.orders, prod.row.tolist())
 
@@ -187,25 +192,100 @@ def scale_tables():
     return {name: character_table(build()) for name, build in SCALE.items()}
 
 
-def assert_kernels(table):
-    # character_table reads the kernels off the lift's multiplicities; a
-    # Character built from the values alone reduces its one row in _kernels
-    for chi in table.chars:
-        assert Character(chi.degree, chi.values).kernel_classes == \
-            chi.kernel_classes
-        # for a character, chi(g) = chi(1) iff every eigenvalue is 1
-        assert chi.kernel_classes == {
-            k for k, v in enumerate(chi.values) if v.coeffs[0] == chi.degree}
+def assert_multiplicity_rows(chis):
+    """The invariant the kernel read and the row equality rely on: every
+    multiplicity is nonnegative, and each class block sums to the degree."""
+    for chi in chis:
+        starts = np.cumsum(chi.orders) - chi.orders
+        assert (chi.row >= 0).all()
+        assert (np.add.reduceat(chi.row, starts) == chi.degree).all()
+
+
+def assert_kernels(chis):
+    # the multiplicity of 1 against chi(g) = chi(1) on the exact values,
+    # also for the row rebuilt from the values
+    assert_multiplicity_rows(chis)
+    for chi in chis:
+        kernel = {k for k, v in enumerate(chi.values)
+                  if v.rational() == chi.degree}
+        assert chi.kernel_classes == kernel
+        assert Character(chi.degree, *chars._row(chi.values)).kernel_classes \
+            == kernel
 
 
 def test_batched_kernels_equal_one_row_kernels_on_the_corpus(cat):
     for _, table in tables(cat):
-        assert_kernels(table)
+        assert_kernels(table.chars)
 
 
 @pytest.mark.parametrize("name", list(SCALE))
 def test_batched_kernels_equal_one_row_kernels_at_scale(scale_tables, name):
-    assert_kernels(scale_tables[name])
+    assert_kernels(scale_tables[name].chars)
+
+
+def s5_and_a5():
+    s5 = make(["(1 2 3 4 5)", "(1 2)"], 5)
+    return s5, Subgroup(s5, [parse_cycles("(1 2 3 4 5)", 5),
+                             parse_cycles("(1 2 3)", 5)])
+
+
+def test_kernels_of_products_and_restrictions():
+    s5, a5 = s5_and_a5()
+    for group in (s5, a5):
+        rows = character_table(group).chars
+        assert_kernels([tensor(a, b) for a in rows for b in rows])
+    restricted = _on_classes(character_table(s5).chars, class_fusion(s5, a5))
+    assert_kernels(restricted)
+    assert_kernels([tensor(a, b) for a in restricted for b in restricted])
+
+
+# -- equality of rows ---------------------------------------------------------
+
+def reference_equal(table, fs, gs):
+    """[i, j] true iff <f - g, f - g> = <f, f> + <g, g> - 2 <f, g> is 0, by
+    the Gram routine."""
+    both = list(fs) + list(gs)
+    gram, k = np.array(chars._gram(table, both, both)), len(fs)
+    norms = gram.diagonal()
+    return norms[:k, None] + norms[k:] - 2 * gram[:k, k:] == 0
+
+
+def test_equal_matches_the_gram_on_the_paper_comparisons(cat, monkeypatch):
+    # every comparison the paper checks make, against the Gram on the table
+    # of the group the compared characters live on
+    tables_of = {
+        "extensions_of": lambda scope: character_table(scope["n"]),
+        "transport_character": lambda scope: scope["source_table"],
+        "paper_check_suite": lambda scope: scope["t_s5"],
+    }
+    seen = []
+    real = chars.equal
+
+    def spy(fs, gs):
+        fs, gs = list(fs), list(gs)
+        caller = sys._getframe(1)
+        table = tables_of[caller.f_code.co_name](caller.f_locals)
+        hits = real(fs, gs)
+        assert hits.tolist() == reference_equal(table, fs, gs).tolist()
+        seen.append((caller.f_code.co_name, hits))
+        return hits
+
+    monkeypatch.setattr(chars, "equal", spy)
+    monkeypatch.setattr(checks, "equal", spy)
+    assert checks.paper_check_suite(cat).failed == 0
+    assert {name for name, _ in seen} == set(tables_of)
+    entries = np.concatenate([hits.ravel() for _, hits in seen])
+    assert entries.any() and not entries.all()
+
+
+@pytest.mark.parametrize("name", ["S5", "SL2_5"])
+def test_equal_matches_the_gram_on_rows_and_products(cat, name):
+    table = character_table(cat.group(name))
+    rows = table.chars
+    products = [tensor(a, b) for a in rows for b in rows]
+    hits = chars.equal(rows, products)
+    assert hits.tolist() == reference_equal(table, rows, products).tolist()
+    assert (hits.sum(axis=0) <= 1).all() and hits.any()
 
 
 def embedded_key(table):
@@ -233,13 +313,15 @@ def test_hand_built_rows_sort_like_the_lift(name):
         chi = rows[0]
         k = next(k for k, n in enumerate(table.classes.orders)
                  if table.exponent % (2 * n) == 0 and n > 1)
-        rows[0] = Character(chi.degree, [CycValue(2, (0, -chi.degree))] + [
-            v.embed(2 * v.n) if j == k else v
-            for j, v in enumerate(chi.values) if j])
+        rows[0] = Character(chi.degree, *chars._row(
+            [CycValue(2, (0, -chi.degree))] + [
+                v.embed(2 * v.n) if j == k else v
+                for j, v in enumerate(chi.values) if j]))
     rebuilt = CharacterTable(table.group, table.classes, rows, table.exponent,
                              table.dixon_prime, table.primitive_root)
-    assert [c.kernel_classes for c in rebuilt.chars] == \
-        [c.kernel_classes for c in table.chars]
+    # rows[0] is no multiplicity row, so only the others' kernels are read
+    assert [c.kernel_classes for c in rebuilt.chars[:-1]] == \
+        [c.kernel_classes for c in table.chars[:-1]]
     assert sorted(rows, key=embedded_key(table)) == list(rebuilt.chars)
     assert rebuilt.chars[-1] is rows[0]
 

@@ -8,7 +8,9 @@ Each ``--tree LABEL=PATH`` names a chardeg checkout (a directory holding
 ``src/chardeg``); the default is this checkout, labelled ``change``.  Every
 group of GROUPS is built REPEAT times per tree (REPEATS for the slowest),
 each time in a fresh process that imports chardeg from that tree's ``src``
-with one BLAS thread per CPU, and the JSON written to ``--out`` holds the
+with one BLAS thread per CPU.  Each such worker pins itself to one CPU, as
+perfbench/run.py pins its workers: unpinned, mid-size BLAS products were
+seen to stall for about 16 ms.  The JSON written to ``--out`` holds the
 median seconds of each stage, the peak RSS reached by the end of each stage
 (the largest over the repeats), and the SHA-256 of the table's JSON export,
 so that the trees can be checked to agree; it also records the BLAS that
@@ -25,12 +27,13 @@ from here; nothing in the program is changed:
   peak RSS is the split's), and how many it formed;
 * split: ``dixon.central_character_vectors`` less its class matrices;
 * lift: ``dixon.lift_character``;
-* validate: the rest of ``character_table`` (the ``Character`` objects and
-  their kernels, then ``CharacterTable``, whose constructor sorts the rows
-  and runs the exact Gram check), with the split and lift above handed in
-  (``dixon``'s two functions are replaced in the worker process only).
-  Each tree's own ``character_table`` consumes its own lift output, so the
-  stage means the same in trees whose lift returns different types.
+* validate: the rest of ``character_table`` (the ``Character`` objects,
+  then ``CharacterTable``, whose constructor sorts the rows and runs the
+  exact Gram check; kernels are read off the rows later, on first use),
+  with the split and lift above handed in (``dixon``'s two functions are
+  replaced in the worker process only).  Each tree's own
+  ``character_table`` consumes its own lift output, so the stage means the
+  same in trees whose lift returns different types.
 
 The entry ``corpus`` runs the commands of CORPUS_COMMANDS one after the
 other through ``chardeg.cli.main``, in a fresh process per tree and repeat
@@ -46,6 +49,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib.metadata
+import inspect
 import io
 import json
 import os
@@ -136,7 +140,10 @@ def measure(name: str) -> dict:
     exponent = lcm(*cd.orders)
     p = dixon.dixon_prime(group.order, exponent)
     z = dixon.primitive_root(p)
-    omegas = stage("split", lambda: dixon.central_character_vectors(cd, p))
+    # trees older than the primitive root argument take (cd, p)
+    split = dixon.central_character_vectors
+    args = (cd, p, z)[:len(inspect.signature(split).parameters)]
+    omegas = stage("split", lambda: split(*args))
     seconds["split"] -= spent["class_matrices"]
     seconds["class_matrices"] = spent["class_matrices"]
     rss["class_matrices"] = rss["split"]
@@ -250,6 +257,7 @@ def main(argv=None) -> int:
     parser.add_argument("--worker", choices=ENTRIES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         print(json.dumps(measure_corpus() if args.worker == "corpus"
                          else measure(args.worker)))
         return 0
