@@ -30,10 +30,12 @@ from math import prod
 
 import numpy as np
 
+from .errors import GroupTooLargeError
 from .perms import Permutation
 
 # Most rows one rank pass gathers at a time; longer inputs go in chunks.
 _RANK_ROWS = 1 << 14
+MAX_DEGREE = 1 << 16  # element rows are uint8 up to degree 256, else uint16
 
 
 class StabilizerChain:
@@ -60,6 +62,8 @@ class StabilizerChain:
 
     def __init__(self, generators, degree: int, base_prefix=(),
                  order_bound: int | None = None):
+        if degree > MAX_DEGREE:
+            raise GroupTooLargeError(f"degree {degree} exceeds {MAX_DEGREE}")
         self.degree = degree
         self.dtype = np.dtype(np.uint8 if degree <= 256 else np.uint16)
         gens = []

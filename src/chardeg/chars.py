@@ -10,10 +10,11 @@ equality are read off the rows; CycValues are built only when something
 reads ``values``.
 
 Inner products and table validation share one exact routine,
-``_inner_products``, a whole matrix of inner products of two stacks in
-Q(zeta_e), e the group exponent.  A table is certified by one Gram check,
-rows against rows equal to the identity; since the table is square this
-implies the column relations too (see ``CharacterTable``).
+``_inner_products``: a whole matrix of them as traces over Q, for two
+Galois-stable stacks on a table's classes (``_table_stack``).  A table is
+certified by one Gram check, rows against rows equal to the identity;
+since the table is square this implies the column relations too (see
+``CharacterTable``).
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from . import dixon
-from .cyclotomic import CycValue, product_dtype, reduce_to_power_basis
+from .cyclotomic import CycValue, mobius, product_dtype, totient
 from .errors import TableError
-from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
-                     conjugacy_classes)
+from .groups import (ClassData, Group, Subgroup, _orbits, class_fusion,
+                     class_union, conjugacy_classes)
 
 
 class Character:
@@ -75,10 +76,10 @@ class CharacterTable:
 
     Row orthogonality is one Gram check: with X the r x r value matrix and
     D = diag(class sizes), X D X* = |G| I over Q(zeta_e), conjugation being
-    the field automorphism zeta -> zeta^-1.  X is square, so D X* / |G| is
-    a two-sided inverse of X, and X* X = |G| D^-1: the column relations, with
-    the centralizer orders on the diagonal.  Checking the rows therefore
-    certifies the columns as well.
+    the field automorphism zeta -> zeta^-1, compared as phi(e) times it,
+    its trace.  X is square, so D X* / |G| is a two-sided inverse of X, and
+    X* X = |G| D^-1: the column relations, with the centralizer orders on
+    the diagonal.  Checking the rows therefore certifies the columns too.
     """
 
     def __init__(self, group: Group, classes: ClassData, chars,
@@ -91,7 +92,7 @@ class CharacterTable:
         chars = list(chars)
         if len(chars) != classes.num_classes:
             raise TableError("character count differs from class count")
-        orders, rows = _stack(chars)
+        orders, rows = _table_stack(self, chars)
         rank = [i for *_, i in sorted(zip(
             [c.degree for c in chars], rows.tolist(), range(len(chars))))]
         self.chars = tuple(chars[i] for i in rank)
@@ -105,8 +106,8 @@ class CharacterTable:
             if g.order % c.degree:
                 raise TableError(f"degree {c.degree} does not divide |G|")
         gram = _inner_products(self, orders, rows, rows)[np.ix_(rank, rank)]
-        identity = g.order * np.eye(len(gram), dtype=int)
-        for i, j in np.argwhere(gram != identity)[:1].tolist():
+        trace = totient(self.exponent) * g.order * np.eye(len(gram), dtype=int)
+        for i, j in np.argwhere(gram != trace)[:1].tolist():
             raise TableError(f"row orthogonality fails at ({i},{j})")
 
     def degrees(self) -> list[int]:
@@ -190,104 +191,101 @@ def character_table(group: Group) -> CharacterTable:
 # -- class function arithmetic ---------------------------------------------
 
 def _stack(funcs) -> tuple[list[int], np.ndarray]:
-    """(orders, coefficients) of class functions (characters or CycValue
-    lists), class k over the least common orders[k]-th roots of unity: each
-    row as it is where it lies on these orders, else embedded, zeta_n^i in
-    class k moving to zeta^(i orders[k]/n)."""
-    pairs = [(f.orders, f.row) if isinstance(f, Character) else _row(f)
-             for f in funcs]
-    # rows of one table, or restricted to one subgroup, need no lcm
-    orders = pairs[0][0]
-    if any(o != orders for o, _ in pairs):
-        orders = np.lcm.reduce([o for o, _ in pairs]).tolist()
-    at, rows = np.cumsum([0, *orders]), []
-    for own, row in pairs:
-        if own != orders:
-            embedded = np.zeros(at[-1], dtype=row.dtype)
-            embedded[np.concatenate([at[k] + np.arange(0, m, m // n) for k, (
-                n, m) in enumerate(zip(own, orders))])] = row
-            row = embedded
-        rows.append(row)
+    """(orders, rows) of characters on one list of orders, else TableError."""
+    orders, rows = list(funcs[0].orders), [f.row for f in funcs]
+    if any(list(f.orders) != orders for f in funcs):
+        raise TableError("class functions on different classes")
     return orders, np.array(rows, dtype=np.result_type(*rows))
 
 
-def _row(values) -> tuple[list[int], np.ndarray]:
-    """(orders, coefficients) of a CycValue list, each value over its own
-    roots of unity, the one conversion from values to rows: int64 if every
-    coefficient is an int of size < 2^62, else Python objects."""
-    flat = [c for v in values for c in v.coeffs]
-    row = np.array(flat)
-    if row.dtype != np.int64 or not (-2**62 < row.min() and row.max() < 2**62):
-        row = np.array(flat, dtype=object)
-    return [v.n for v in values], row
-
-
-def _buckets(orders):
-    """(n, classes, their columns) for each root order n of a stack."""
-    starts = np.cumsum(orders) - orders
+def _buckets(orders, classes):
+    """(n, classes, their columns) per root order n, of listed classes."""
+    starts, classes = np.cumsum(orders) - orders, np.asarray(classes)
     for n in sorted(set(orders)):
-        ks = np.flatnonzero(np.equal(orders, n))
+        ks = classes[np.equal(orders, n)[classes]]
         yield n, ks, starts[ks][:, None] + np.arange(n)
+
+
+def _galois_maps(table: CharacterTable) -> list[tuple[int, list[int]]]:
+    """(t, pi_t) for generators t of (Z/e)^*, each the least unit outside
+    the group generated so far; pi_t[k] is the class of class k's t-th
+    powers."""
+    e, cd, maps, group = table.exponent, table.classes, [], {1}
+    for t in range(2, e):
+        if gcd(t, e) == 1 and t not in group:
+            maps.append((t, [c[t % len(c)] for c in cd.power_class]))
+            while more := {t * h % e for h in group} - group:
+                group |= more
+    return maps
+
+
+def _table_stack(table, funcs) -> tuple[list[int], np.ndarray]:
+    """The stack of class functions on the table's classes, checked to be
+    Galois-stable for ``_inner_products``: f_{pi_t(k)}[a t mod n_k] = f_k[a]
+    for each generator t, hence for all of (Z/e)^*.  Characters and their
+    Z- or Q-combinations are, as chi(g^t) = sigma_t(chi(g)); anything else
+    raises TableError."""
+    orders, rows = _stack(funcs)
+    if orders != table.classes.orders:
+        raise TableError("class functions must lie on the table's classes")
+    at = np.cumsum([0, *orders])
+    k = np.repeat(np.arange(len(orders)), orders)  # the class of a column
+    a, n = np.arange(at[-1]) - at[k], np.repeat(orders, orders)  # its a, n_k
+    for t, image in _galois_maps(table):
+        moved = at[np.array(image)[k]] + a * t % n
+        if not all(np.array_equal(row[moved], row) for row in rows):
+            raise TableError("class functions are not Galois-stable")
+    return orders, rows
 
 
 def _inner_products(table: CharacterTable, orders, f: np.ndarray,
                     g: np.ndarray) -> np.ndarray:
-    """|G| <f_i, g_j> for the rows of two stacks over the same orders, exact.
-
-    Per root order n, coefficient t of sum_k size_k f_k conj(g_k) in
-    Z[x]/(x^n-1) is one matmul of f's columns against the shifted slice
-    g_k[i - t] of g's columns written twice, and lands at t e/n in
-    Z[x]/(x^e-1); for g the same array as f, coefficient n - t is
-    coefficient t transposed, which halves the matmuls.  Then one fold of
-    the total into a basis of Q(zeta_e) with 1 first, a block subtraction
-    per prime-power factor of e.  The products and the total run in the
-    dtype product_dtype picks for sum_k size_k |f_k|_1 |g_k|_1 (row
-    maxima), which bounds every entry's terms: float64 (BLAS), int64, or
-    Python objects, the last also for stacks that are not int64.  Raises
-    TableError when a value lies outside Q(zeta_e) or an entry is not
-    rational.
-    """
-    cd, e = table.classes, table.exponent
+    """phi(e) |G| <f_i, g_j>, exact, for rows of stacks ``_table_stack``
+    made.  sigma_t maps the value at class k to that at pi_t(k), a class of
+    the same size, so it fixes <f_i, g_j>: that is rational and equals its
+    trace over Q divided by phi(e).  As Tr(zeta_n^c) = mu(d) phi(e) / phi(d),
+    d = n / gcd(n, c), class k adds size_k f_k W_n g_k^T to the trace, with
+    W_n[a, b] = Tr(zeta_n^(a - b)), and so does each class of its Galois
+    orbit O: one class per orbit is summed, weighted |O|.  The products run
+    in product_dtype's dtype for phi(e) sum_k weight_k |f_k|_1 |g_k|_1 (row
+    maxima), which bounds every term: an entry of g_k W_n meets only zeros
+    unless f_k is nonzero."""
+    cd, phi = table.classes, totient(table.exponent)
+    orbit = _orbits([image for _, image in _galois_maps(table)], len(orders))
+    reps = np.unique(orbit, return_index=True)[1]
+    weight = np.bincount(orbit)[orbit] * cd.sizes  # |orbit of k| size_k
+    blocks = [(n, weight[ks], f[:, cols], g[:, cols])
+              for n, ks, cols in _buckets(orders, reps)]
     dtype = object
     if f.dtype == g.dtype == np.int64:
-        dtype = product_dtype(np.prod([np.add.reduceat(
-            np.abs(x, dtype=np.float64), np.cumsum(orders) - orders,
-            axis=1).max(axis=0) for x in (f, g)], axis=0) @ cd.sizes)
-    sizes = np.array(cd.sizes, dtype=dtype)
-    total = np.zeros((len(f), len(g), e), dtype=dtype)
-    for n, ks, cols in _buckets(orders):
-        if e % n:
-            raise TableError(f"a class function value needs the {n}-th roots "
-                             f"of unity, not in Q(zeta_{e})")
-        a = f[:, cols.T].astype(dtype, copy=False)  # a[j, i, k] = f_j[k][i]
-        a *= sizes[ks]
-        a = a.reshape(len(f), -1)
-        b = g.T[np.vstack([cols.T, cols.T])].astype(dtype, copy=False)
-        for t in range(n // 2 + 1 if f is g else n):
-            # b[n - t + i, k, j] = g_j[k][i - t]
-            c = a @ b[n - t:2 * n - t].reshape(-1, len(g))
-            total[:, :, t * e // n] += c
-            if f is g and 0 < t < n - t:
-                total[:, :, (n - t) * e // n] += c.T
-    if dtype is np.float64:
-        total = total.astype(np.int64)
-    coords = reduce_to_power_basis(total, e)
-    if coords[:, :, 1:].any():
-        raise TableError("inner product of class functions is not rational")
-    return coords[:, :, 0]
+        dtype = product_dtype(phi * sum(np.prod([np.abs(
+            x, dtype=np.float64).sum(axis=2).max(axis=0) for x in (a, b)],
+            axis=0) @ w for _, w, a, b in blocks))
+    total = 0
+    for n, w, a, b in blocks:
+        c = np.arange(n)
+        trace = [mobius(d) * phi // totient(d)
+                 for d in (n // np.gcd(n, c)).tolist()]
+        a = a.astype(dtype, copy=False) * w.astype(dtype)[:, None]
+        b = b.astype(dtype, copy=False) @ np.array(trace, dtype=dtype)[
+            (c[:, None] - c) % n]
+        total = total + a.reshape(len(f), -1) @ b.reshape(len(g), -1).T
+    return total.astype(np.int64) if dtype is np.float64 else total
 
 
 def _gram(table: CharacterTable, fs, gs) -> list[list[Fraction]]:
-    """Exact inner products <fs[i], gs[j]>, from one stack of both lists."""
+    """Exact inner products <fs[i], gs[j]> of characters or Z- or
+    Q-combinations of them on the table's classes, else TableError."""
     fs = list(fs)
-    orders, coeffs = _stack(fs + list(gs))
-    gram = _inner_products(table, orders, coeffs[:len(fs)], coeffs[len(fs):])
-    return [[Fraction(c, table.group.order) for c in row]
-            for row in gram.tolist()]
+    orders, rows = _table_stack(table, fs + list(gs))
+    gram = _inner_products(table, orders, rows[:len(fs)], rows[len(fs):])
+    scale = totient(table.exponent) * table.group.order
+    return [[Fraction(c, scale) for c in row] for row in gram.tolist()]
 
 
 def inner_product(table: CharacterTable, a, b) -> Fraction:
-    """(1/|G|) sum over classes of size * a(g) * conj(b(g)), exact."""
+    """(1/|G|) sum over classes of size * a(g) * conj(b(g)), exact, as in
+    ``_gram``."""
     return _gram(table, [a], [b])[0][0]
 
 
@@ -311,7 +309,7 @@ def tensor(a: Character, b: Character) -> Character:
             np.abs(xy, dtype=np.float64).max(1)))
     x, y = xy.astype(dtype, copy=False)
     row = np.empty(len(x), dtype=object if dtype is object else np.int64)
-    for n, _, cols in _buckets(orders):
+    for n, _, cols in _buckets(orders, range(len(orders))):
         for t in range(n):
             row[cols[:, t]] = (x[cols] * y[cols[:, t - np.arange(n)]]).sum(1)
     return Character(a.degree * b.degree, orders, row)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ChardegError, NotMemberError
+from .bsgs import MAX_DEGREE
+from .errors import ChardegError, GroupTooLargeError, NotMemberError
 from .groups import Group, Quotient, Subgroup, quotient_group, word_table
 from .perms import Permutation
 
@@ -126,7 +127,12 @@ class MatrixGroupSpec:
 
 
 def matrix_domain(spec: MatrixGroupSpec):
-    """The point set the matrix group permutes, with its index map."""
+    """The point set the matrix group permutes, with its index map; checked
+    against MAX_DEGREE before the field or any vector is built."""
+    q = spec.p ** spec.k
+    size = (q ** spec.n - 1) // (q - 1 if spec.action == "projective" else 1)
+    if size > MAX_DEGREE:
+        raise GroupTooLargeError(f"degree {size} exceeds {MAX_DEGREE}")
     f = spec.field()
     vectors = [_int_to_vector(i, spec.n, f.q) for i in range(1, f.q ** spec.n)]
     if spec.action == "vectors":

@@ -5,13 +5,13 @@ multiplies zeta_n^k.  Character values carry their canonical form (the
 eigenvalue multiplicities of a representing matrix); other vectors may hold
 the same value.  Arithmetic is done on stacks of vectors in ``chars``.
 
-Exact questions (is this value zero / rational / equal to another) are
-answered by rewriting in a basis of Q(zeta_n) made of powers of zeta_n, 1
-first, by one fold per prime-power factor q of n.  For coprime factors
-Q(zeta_n) is the tensor product of the Q(zeta_q), zeta_n^a being the product
-of the roots zeta_q^(a mod q); and for q = p^k, Phi_q(y) = sum of y^(t q/p)
-over t < p, so rewriting modulo Phi_q subtracts the last of p blocks from
-the others.  For prime-power n the result is the power basis.
+Whether a value is rational is answered by rewriting it in a basis of
+Q(zeta_n) made of powers of zeta_n, 1 first, by one fold per prime-power
+factor q of n.  For coprime factors Q(zeta_n) is the tensor product of the
+Q(zeta_q), zeta_n^a being the product of the roots zeta_q^(a mod q); and
+for q = p^k, Phi_q(y) = sum of y^(t q/p) over t < p, so rewriting modulo
+Phi_q subtracts the last of p blocks from the others.  For prime-power n
+the result is the power basis.
 """
 
 from __future__ import annotations
@@ -42,6 +42,17 @@ def _is_prime(p: int) -> bool:
     return _prime_factors(p) == [p]
 
 
+def totient(n: int) -> int:
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
+def mobius(n: int) -> int:
+    primes = _prime_factors(n)
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+
 def product_dtype(bound: float):
     """The dtype in which sums of products of integer arrays are exact,
     given a bound (computed in floats) on sum_k |x_ik| |y_kj| over every
@@ -63,42 +74,23 @@ def product_dtype(bound: float):
     return np.int64 if bound < 2**62 else object
 
 
-def reduce_to_power_basis(coeffs, n: int):
-    """Coordinates of sum(coeffs[..., k] * zeta_n^k) in a basis of Q(zeta_n)
-    made of powers of zeta_n, 1 first (the power basis if n is a prime
-    power), exact: the value is zero iff every coordinate is, and rational
-    iff all but the first are, the first then being the value.
-
-    ``coeffs`` is one vector of length n, giving a tuple of phi(n) numbers,
-    or a batch of shape (..., n), giving an array of shape (..., phi(n)).
-    Coefficient a moves to (a mod q_1, ..., a mod q_m), n = q_1 ... q_m in
-    prime powers; each axis q = p^k is then cut into p blocks, and the last
-    is subtracted from the others, which are kept.  Each of the m folds at
-    most doubles an entry, so they run in int64 when 2^m times the largest
-    |coefficient| (in floats, far within the factor 2) is below 2^62, and
-    over Python objects otherwise, so big ints and Fractions stay exact.
-    """
+def reduce_to_power_basis(coeffs, n: int) -> tuple:
+    """Coordinates of sum(coeffs[k] * zeta_n^k) in the basis of Q(zeta_n)
+    above, as a tuple of phi(n) numbers, exact over Python ints and
+    Fractions: the value is zero iff every coordinate is, and rational iff
+    all but the first are, the first then being the value."""
     factors = [(p, gcd(n, p ** n.bit_length())) for p in _prime_factors(n)]
-    batch = np.asarray(coeffs)
-    if batch.dtype.kind in "iub" and 2 ** len(factors) * float(
-            np.abs(batch, dtype=np.float64).max(initial=0)) < 2**62:
-        batch = batch.astype(np.int64, copy=False)
-    else:
-        batch = batch.astype(object, copy=False)
     # order[r_1, ..., r_m] = the a < n with a = r_i mod q_i for each i
     order = np.zeros((), dtype=np.int64)
     for _, q in factors:
         unit = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
         order = (order[..., None] + unit * np.arange(q)) % n
-    out, rest, phi = batch.reshape(-1, n)[:, order.ravel()], n, n
+    out, rest = np.array(coeffs, dtype=object)[order.ravel()], n
     for p, q in factors:
         rest //= q
-        phi = phi // p * (p - 1)
         blocks = out.reshape(-1, p, q // p * rest)
-        blocks[:, :-1] -= blocks[:, -1:]
-        out = blocks[:, :-1]
-    out = out.reshape(batch.shape[:-1] + (phi,))
-    return tuple(out.tolist()) if batch.ndim == 1 else out
+        out = blocks[:, :-1] - blocks[:, -1:]
+    return tuple(out.ravel().tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +105,6 @@ class CycValue:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) != self.n:
             raise ValueError("coefficient vector must have length n")
-
-    @staticmethod
-    def from_rational(r, n: int = 1) -> "CycValue":
-        return CycValue(n, (r,) + (0,) * (n - 1))
 
     def embed(self, m: int) -> "CycValue":
         """Rewrite over the m-th roots (n must divide m)."""

@@ -1,15 +1,19 @@
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chardeg import chars
+from cyclic_reference import as_character
+
+from chardeg import chars, cyclotomic
 from chardeg.chars import (Character, CharacterTable, character_table,
                            extensions_of, inner_product,
                            kernel_classes_contain, kernel_subgroup,
                            restrict_character, tensor)
 from chardeg.invariants import gallagher_check
-from chardeg.cyclotomic import CycValue, reduce_to_power_basis
+from chardeg.cyclotomic import CycValue, reduce_to_power_basis, totient
 from chardeg.errors import TableError
 from chardeg.groups import Group, Subgroup, center
 from chardeg.perms import parse_cycles
@@ -30,12 +34,14 @@ def a5_in_s5(s5):
                          parse_cycles("(1 2 3)", 5)])
 
 
-def combination(table, coeffs) -> list[CycValue]:
-    """sum_i coeffs[i] chi_i, one coefficient list per class."""
+def combination(table, coeffs) -> Character:
+    """sum_i coeffs[i] chi_i, written by hand from its values."""
     row = sum(a * chi.row.astype(object) for a, chi in zip(coeffs, table.chars))
     at = np.cumsum([0, *table.classes.orders]).tolist()
-    return [CycValue(n, row[a:a + n].tolist())
-            for n, a in zip(table.classes.orders, at)]
+    return as_character(
+        sum(a * chi.degree for a, chi in zip(coeffs, table.chars)),
+        [CycValue(n, row[a:a + n].tolist())
+         for n, a in zip(table.classes.orders, at)])
 
 
 def sign(table) -> Character:
@@ -47,7 +53,7 @@ def test_inner_product_regular(s5):
     t = character_table(s5)
     # <1, regular> = 1: the regular character is sum of d * chi, |G| at 1
     regular = combination(t, t.degrees())
-    assert [v.rational() for v in regular] == [120] + [0] * 6
+    assert [v.rational() for v in regular.values] == [120] + [0] * 6
     assert inner_product(t, t.principal(), regular) == 1
 
 
@@ -249,13 +255,17 @@ def test_inner_product_rejects_value_outside_exponent(cat):
     # A5 has exponent 30, so the 4th root of unity i is not in Q(zeta_30).
     # f = i on one 5-class and -zeta_30^7 on the other, of equal size:
     # <f, 1> is not rational, and reading i as zeta_30^(30 // 4) would
-    # silently cancel it to 0.
+    # silently cancel it to 0.  f is not on the table's classes, so no
+    # inner product is taken.
     t = character_table(cat.group("A5"))
     cd = t.classes
     k, m = [j for j, o in enumerate(cd.orders) if o == 5]
-    f = [CycValue.from_rational(0)] * cd.num_classes
-    f[k] = CycValue(4, (0, 1, 0, 0))
-    f[m] = CycValue(30, [-1 if i == 7 else 0 for i in range(30)])
+    values = [CycValue(1, (0,))] * cd.num_classes
+    values[k] = CycValue(4, (0, 1, 0, 0))
+    values[m] = CycValue(30, [-1 if i == 7 else 0 for i in range(30)])
+    f = as_character(1, values)
+    with pytest.raises(TableError, match="table's classes"):
+        inner_product(t, f, f)
     with pytest.raises(TableError):
         inner_product(t, f, t.principal())
 
@@ -294,7 +304,7 @@ def test_inner_product_exact_beyond_int64(cat):
 
 
 def test_gram_reduces_once(cat, monkeypatch):
-    # every entry of a Gram matrix goes through one batched reduction
+    # the Gram is a trace over Q: no entry goes through a power basis
     t = character_table(cat.group("S5"))
     calls = []
 
@@ -302,11 +312,13 @@ def test_gram_reduces_once(cat, monkeypatch):
         calls.append(np.shape(coeffs))
         return reduce_to_power_basis(coeffs, n)
 
-    monkeypatch.setattr(chars, "reduce_to_power_basis", counting)
+    monkeypatch.setattr(cyclotomic, "reduce_to_power_basis", counting)
+    monkeypatch.setattr(chars, "reduce_to_power_basis", counting,
+                        raising=False)
     r = len(t.chars)
     assert chars._gram(t, t.chars, t.chars) == [
         [int(i == j) for j in range(r)] for i in range(r)]
-    assert calls == [(r, r, t.exponent)]
+    assert calls == []
 
 
 def test_extensions_of_reducible_theta(s5, a5_in_s5):
@@ -339,17 +351,64 @@ def test_kernel_subgroup_rejects_classes_that_do_not_close(s5):
 ])
 def test_gram_of_a_stack_against_itself_matches_the_general_path(
         cycles, degree, powers):
-    # every other row rewritten at a class of order n by a sum of powers
-    # that vanishes: the same values, but vectors that are not the
-    # conjugates of those at the inverse class, so the coefficient of
-    # zeta^-t in the Gram of the stack against itself is not that of zeta^t
-    # transposed; a copy of the stack takes the general path
+    # every other row rewritten at one class of order n by a sum of powers
+    # that vanishes: the same values, so the same rational inner products,
+    # but vectors that are no longer Galois-stable (the classes of the
+    # rewritten one's orbit are not), and the trace form is only sound on
+    # stable rows: the Gram and the table both reject them
     group = Group([parse_cycles(cycles, degree)], degree)
     table = character_table(group)
-    orders, rows = chars._stack(table.chars)
+    orders = table.classes.orders
     k = orders.index(max(orders))
-    rows[::2, sum(orders[:k]) + np.array(powers)] += 1
-    gram = chars._inner_products(table, orders, rows, rows)
-    assert np.array_equal(gram, chars._inner_products(table, orders, rows,
-                                                      rows.copy()))
-    assert np.array_equal(gram, group.order * np.eye(len(rows)))
+    n, at = orders[k], sum(orders[:k])
+    vanishing = np.zeros(n, dtype=np.int64)
+    vanishing[powers] = 1
+    assert not any(reduce_to_power_basis(vanishing.tolist(), n))
+    rewritten = []
+    for i, chi in enumerate(table.chars):
+        row = chi.row.copy()
+        if i % 2 == 0:
+            row[at:at + n] += vanishing
+        rewritten.append(Character(chi.degree, chi.orders, row))
+    for chi in rewritten[::2]:
+        with pytest.raises(TableError, match="Galois-stable"):
+            chars._gram(table, [chi], table.chars)
+    with pytest.raises(TableError, match="Galois-stable"):
+        CharacterTable(group, table.classes, rewritten, table.exponent,
+                       table.dixon_prime, table.primitive_root)
+
+
+@pytest.mark.parametrize("e, gens", [
+    (1, []), (2, []), (8, [3, 5]), (30, [7, 11]), (420, [11, 13, 17, 19])])
+def test_galois_maps_run_over_generators_of_the_units(e, gens):
+    # the least unit outside the group generated so far, repeatedly: their
+    # products reach every unit mod e, so stability under them is stability
+    # under all of Gal(Q(zeta_e)/Q)
+    table = SimpleNamespace(exponent=e,
+                            classes=SimpleNamespace(power_class=[[0]]))
+    assert [t for t, _ in chars._galois_maps(table)] == gens
+    reached = {1}
+    while more := {r * t % e for r in reached for t in gens} - reached:
+        reached |= more
+    assert reached == {u for u in range(1, max(e, 2)) if gcd(u, e) == 1}
+
+
+def test_table_rejects_rows_that_are_not_galois_stable():
+    # C3's rows (1, 1, 1), (1, w, w) and (1, w^2, w^2), w = zeta_3, as
+    # multiplicity rows: degrees 1, dividing 3, whose squares sum to 3, and
+    # a trace Gram of phi(3) |G| I, which is what the Gram check compares;
+    # only the stability check tells that g -> g^2, which swaps the two
+    # classes of order 3, does not permute the values as it must
+    group = Group([parse_cycles("(1 2 3)", 3)], 3)
+    table = character_table(group)
+    orders = table.classes.orders
+    assert orders == [1, 3, 3]
+    unit = np.eye(3, dtype=np.int64)
+    fake = [Character(1, orders, np.array([1, *unit[a], *unit[a]]))
+            for a in range(3)]
+    rows = np.array([chi.row for chi in fake])
+    assert np.array_equal(chars._inner_products(table, orders, rows, rows),
+                          totient(3) * 3 * np.eye(3, dtype=int))
+    with pytest.raises(TableError, match="Galois-stable"):
+        CharacterTable(group, table.classes, fake, table.exponent,
+                       table.dixon_prime, table.primitive_root)

@@ -85,6 +85,25 @@ def test_malformed_mat_header_exits_2(capsys, tmp_path, header):
     assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body", [
+    "perm 70000\ngen (1 70000)",
+    "mat 101 1 5\ngen " + " ".join("1" if i % 6 == 0 else "0"
+                                    for i in range(25)),
+    "mat 65537 1 2\ngen 1 0 0 1",
+])
+def test_degree_above_the_element_rows_exits_2(capsys, tmp_path, body):
+    # element rows hold at most 2^16 points: a larger permutation degree,
+    # or a matrix group acting on more vectors, is refused before the
+    # chain, the field tables or the vector list is built
+    f = tmp_path / "Big.grp"
+    f.write_text(f"name Big\n{body}\n")
+    code, out, err = run(capsys, "table", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "65536" in err
+
+
 def test_acd_rel_mod(capsys):
     z = "(1 4)(2 3)(5 20)(6 24)(7 23)(8 22)(9 21)(10 15)(11 19)(12 18)(13 17)(14 16)"
     code, out, _ = run(capsys, "acd", "SL2_5", "--rel", z)

@@ -209,39 +209,33 @@ def test_fold_matches_long_division(ns):
                 assert coords == reference, (n, coeffs)
 
 
-# -- batched reduction ------------------------------------------------------
+# -- one vector at a time ---------------------------------------------------
 
 def test_batch_equals_row_by_row():
     rng = random.Random(3)
     for n in (1, 2, 12, 30, 840):
-        batch = np.array([[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
-                          for _ in range(6)], dtype=np.int64).reshape(2, 3, n)
-        out = reduce_to_power_basis(batch, n)
-        assert out.shape == (2, 3, totient(n))
-        for idx in np.ndindex(2, 3):
-            single = reduce_to_power_basis(tuple(batch[idx].tolist()), n)
-            assert isinstance(single, tuple)
+        for _ in range(6):
+            coeffs = [rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
+            single = reduce_to_power_basis(tuple(coeffs), n)
+            assert isinstance(single, tuple) and len(single) == totient(n)
             assert all(type(c) is int for c in single)
-            assert tuple(out[idx].tolist()) == single
 
 
 def test_batch_beyond_int64_takes_exact_path():
-    # 1 + z3 = -z3^2 = 1 + z3 in the power basis, and so is -z3^2 alone;
-    # past 2^62 the sums no longer provably fit int64
+    # 1 + z3 = -z3^2 = 1 + z3 in the power basis, and so is -z3^2 alone,
+    # also past 2^62
     big = 2 ** 62 + 1
-    batch = np.array([[big, big, 0], [0, 0, -big]], dtype=np.int64)
-    out = reduce_to_power_basis(batch, 3)
-    assert out.dtype == object
-    assert out.tolist() == [[big, big], [big, big]]
+    assert reduce_to_power_basis((big, big, 0), 3) == (big, big)
+    assert reduce_to_power_basis((0, 0, -big), 3) == (big, big)
     assert reduce_to_power_basis((2 ** 80, 0, 2 ** 80), 3) == (0, -2 ** 80)
 
 
 def test_batch_fractions_stay_exact():
     half = Fraction(1, 2)
-    batch = np.array([[half, 0, Fraction(1, 3), 0],
-                      [0, Fraction(1, 7), 0, 0]], dtype=object)
-    out = reduce_to_power_basis(batch, 4)
-    assert out.tolist() == [[Fraction(1, 6), 0], [0, Fraction(1, 7)]]
+    assert reduce_to_power_basis((half, 0, Fraction(1, 3), 0), 4) == \
+        (Fraction(1, 6), 0)
+    assert reduce_to_power_basis((0, Fraction(1, 7), 0, 0), 4) == \
+        (0, Fraction(1, 7))
     assert reduce_to_power_basis((half, half), 2) == (0,)
 
 

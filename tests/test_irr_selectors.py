@@ -3,6 +3,8 @@ filter, Irr(G/N), Irr(G|N)) and ``irr_over`` (Irr(G|theta))."""
 
 import pytest
 
+from cyclic_reference import as_character
+
 from chardeg.chars import (character_table, inner_product,
                            kernel_classes_contain, restrict_character)
 from chardeg.checks import transport_character
@@ -54,8 +56,9 @@ def test_irr_over_rejects_a_reducible_theta(cat):
     g = cat.group("SL2_5")
     z = center(g)
     tz = character_table(z)
-    doubled = [CycValue(n, [2 * c for c in coeffs])
-               for n, coeffs in tz.chars[0]._coefficients()]
+    doubled = as_character(2 * tz.chars[0].degree, [
+        CycValue(n, [2 * c for c in coeffs])
+        for n, coeffs in tz.chars[0]._coefficients()])
     with pytest.raises(ChardegError):
         irr_over(character_table(g), z, tz, doubled)
 

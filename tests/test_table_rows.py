@@ -1,8 +1,8 @@
 """A table character is one row of the lift's multiplicity array: the table
 build and its JSON export read the rows and make no CycValue, nor do the
 paper's check suite and corpus scan, ``values`` is sliced off the row on
-first read, and ``_stack`` takes rows as they are or embeds them, like the
-values they stand for.
+first read, and ``_stack`` takes rows on one list of root orders as they
+are and rejects rows on different ones.
 """
 
 from fractions import Fraction
@@ -10,9 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclic_reference import as_character
+
 from chardeg import chars, cli
-from chardeg.chars import Character, character_table
+from chardeg.chars import character_table, tensor
 from chardeg.cyclotomic import CycValue
+from chardeg.errors import TableError
 from chardeg.groups import Group
 from chardeg.invariants import acd
 from chardeg.perms import parse_cycles
@@ -29,9 +32,9 @@ def assert_values_match_rows(table):
     for chi, (degree, coefficients) in zip(table.chars, exported):
         assert degree == chi.degree
         assert [(v.n, list(v.coeffs)) for v in chi.values] == coefficients
-        orders, (row,) = chars._stack([chi.values])
-        assert orders == list(chi.orders) == table.classes.orders
-        assert row.tolist() == chi.row.tolist()
+        back = as_character(degree, chi.values)
+        assert back.orders == list(chi.orders) == table.classes.orders
+        assert back.row.tolist() == chi.row.tolist()
 
 
 def count_cycvalues(monkeypatch) -> list:
@@ -78,35 +81,31 @@ def test_values_match_rows_on_the_corpus(cat):
 
 # -- _stack on mixed inputs -------------------------------------------------
 
-def embedded_reference(funcs):
-    """The stack of value lists by CycValue.embed, one value at a time."""
-    orders = np.lcm.reduce([[v.n for v in f] for f in funcs]).tolist()
-    flat = [[c for v, n in zip(f, orders) for c in v.embed(n).coeffs]
-            for f in funcs]
-    return orders, flat
-
-
 @pytest.mark.parametrize("scale", [1, Fraction(1, 3), 2**64])
 def test_stack_of_mixed_inputs_equals_stack_of_their_values(scale):
+    # rows on the table's orders stack as they are, whatever their dtype;
+    # a row with one value written over twice its root order is on other
+    # orders, and everything that stacks rejects it, embedding nothing
     table = character_table(Group([parse_cycles("(1 2 3 4 5)", 5),
                                    parse_cycles("(1 2 3)", 5)], 5))
     rows = table.chars
     k = table.classes.orders.index(3)  # 3-elements: 6 divides exponent 30
-    doubled = [v.embed(2 * v.n) if j == k else v
-               for j, v in enumerate(rows[1].values)]
-    scaled = [CycValue(v.n, [scale * c for c in v.coeffs])
-              for v in rows[2].values]
-    mixed = [rows[0], Character(rows[1].degree, *chars._row(doubled)),
-             rows[3], scaled,
-             Character(rows[4].degree, *chars._row(rows[4].values)), doubled]
-    values = [f.values if isinstance(f, Character) else f for f in mixed]
-    orders, coeffs = chars._stack(mixed)
-    want_orders, want_coeffs = chars._stack(values)
-    assert orders == want_orders == embedded_reference(values)[0]
-    assert orders[k] == 6 and table.classes.orders[k] == 3
-    assert coeffs.dtype == want_coeffs.dtype
+    scaled = as_character(rows[2].degree, [
+        CycValue(v.n, [scale * c for c in v.coeffs]) for v in rows[2].values])
+    orders, coeffs = chars._stack([rows[0], scaled, rows[3]])
+    assert orders == table.classes.orders
     assert coeffs.dtype == (np.int64 if scale == 1 else object)
-    assert coeffs.tolist() == want_coeffs.tolist() == \
-        embedded_reference(values)[1]
+    assert coeffs.tolist() == [rows[0].row.tolist(),
+                               [scale * c for c in rows[2].row.tolist()],
+                               rows[3].row.tolist()]
     if coeffs.dtype == object:  # Python numbers, not numpy scalars
         assert not any(isinstance(c, np.generic) for c in coeffs.ravel())
+    doubled = as_character(rows[1].degree, [
+        v.embed(2 * v.n) if j == k else v
+        for j, v in enumerate(rows[1].values)])
+    mixed = [rows[0], doubled, scaled]
+    for stacks in (chars._stack, lambda fs: chars.equal(fs, fs),
+                   lambda fs: chars._gram(table, fs, fs),
+                   lambda fs: tensor(*fs[:2])):
+        with pytest.raises(TableError, match="different classes"):
+            stacks(mixed)

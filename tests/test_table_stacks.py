@@ -1,8 +1,8 @@
 """The table build on stacks: the block Gram routine and the tensor
 product against a per-pair reference product, kernels and equality read
 off the multiplicity rows against the values and the Gram routine, the
-canonical row order against the old embedded sort key, and the element
-rank where levels skip their inverse gather.
+canonical row order against the embedded sort key, and the element rank
+where levels skip their inverse gather.
 """
 
 import random
@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclic_reference import cyclic_product
+from cyclic_reference import as_character, cyclic_product
 
 from chardeg import chars, checks
 from chardeg.chars import (Character, CharacterTable, _on_classes,
@@ -52,7 +52,7 @@ def reference_inner_product(table, f, g):
     unity; None if irrational."""
     e = table.exponent
     total = [0] * e
-    for size, x, y in zip(table.classes.sizes, f, g):
+    for size, x, y in zip(table.classes.sizes, f.values, g.values):
         m, prod = cyclic_product((x.n, x.coeffs), (y.n, y.coeffs), True)
         for i, c in enumerate(prod):
             total[i * e // m] += size * c
@@ -61,20 +61,15 @@ def reference_inner_product(table, f, g):
 
 
 def combination(rng, table, scale):
-    """sum_i a_i chi_i over a few rows, a_i random multiples of scale, with
-    some values rewritten over twice their root order where Q(zeta_e)
-    allows: equal as numbers, different as vectors."""
+    """sum_i a_i chi_i over a few rows, a_i random multiples of scale,
+    written by hand from its values."""
     picks = rng.sample(range(len(table.chars)), min(4, len(table.chars)))
     coeffs = {i: rng.randint(-3, 3) * scale for i in picks}
     row = sum(a * table.chars[i].row.astype(object) for i, a in coeffs.items())
     orders = table.classes.orders
-    values = []
-    for n, at in zip(orders, np.cumsum([0, *orders]).tolist()):
-        value = CycValue(n, row[at:at + n].tolist())
-        if table.exponent % (2 * n) == 0 and rng.random() < 0.5:
-            value = value.embed(2 * n)
-        values.append(value)
-    return coeffs, values
+    return coeffs, as_character(0, [
+        CycValue(n, row[at:at + n].tolist())
+        for n, at in zip(orders, np.cumsum([0, *orders]).tolist())])
 
 
 SCALES = {
@@ -102,30 +97,18 @@ def test_block_gram_matches_per_pair_reference(name, scale):
 
 @pytest.mark.parametrize("name", list(SMALL))
 def test_block_gram_rejects_what_the_reference_finds_irrational(name):
+    # random coefficients on the table's classes are no Galois-stable row,
+    # so the Gram rejects each, whether or not the reference finds its
+    # inner product irrational
     table = character_table(SMALL[name]())
     rng = random.Random(name)
     orders = table.classes.orders
     for _ in range(5):
-        f = [CycValue(n, [rng.randint(-5, 5) for _ in range(n)])
-             for n in orders]
-        g = table.chars[-1].values
-        if reference_inner_product(table, f, g) is None:
-            with pytest.raises(TableError):
-                chars._gram(table, [f], [g])
-        else:
-            assert chars._gram(table, [f], [g])[0][0] == \
-                reference_inner_product(table, f, g)
-
-
-def test_stack_dtype():
-    one = [CycValue(2, (1, 2))]
-    assert chars._stack([one])[1].dtype == np.int64
-    for big in (2**62, -2**62, 2**70, Fraction(1, 2)):
-        assert chars._stack([[CycValue(2, (1, big))]])[1].dtype == object
-    orders, coeffs = chars._stack([[CycValue(1, (3,)), CycValue(2, (1, 2))],
-                                   [CycValue(2, (4, 5)), CycValue(4, (6,) * 4)]])
-    assert orders == [2, 4]
-    assert coeffs.tolist() == [[3, 0, 1, 0, 2, 0], [4, 5, 6, 6, 6, 6]]
+        f = as_character(1, [CycValue(n, [rng.randint(-5, 5)
+                                          for _ in range(n)])
+                             for n in orders])
+        with pytest.raises(TableError, match="Galois-stable"):
+            chars._gram(table, [f], [table.chars[-1]])
 
 
 # -- the tensor product -------------------------------------------------------
@@ -138,15 +121,15 @@ def reference_tensor(a, b):
 
 
 def test_tensor_of_hand_built_characters_over_mixed_orders():
-    # the second class of b is written over zeta_4 where a's is over
-    # zeta_2, so the product's stack takes the lcm; a has Fractions
+    # classes over zeta_1, zeta_4, zeta_4 and zeta_6; a has Fractions, so
+    # its row holds Python objects
     half = Fraction(1, 2)
-    a = Character(2, *chars._row([
-        CycValue(1, (2,)), CycValue(2, (half, Fraction(3, 2))),
-        CycValue(4, (0, 1, 0, 1)), CycValue(3, (1, -1, 0))]))
-    b = Character(3, *chars._row([
+    a = as_character(2, [
+        CycValue(1, (2,)), CycValue(4, (half, 0, Fraction(3, 2), 0)),
+        CycValue(4, (0, 1, 0, 1)), CycValue(6, (1, 0, -1, 0, 0, 0))])
+    b = as_character(3, [
         CycValue(1, (3,)), CycValue(4, (1, 0, 2, 0)),
-        CycValue(4, (0, 2, 1, 0)), CycValue(6, (0, 1, 0, 0, 2, 0))]))
+        CycValue(4, (0, 2, 1, 0)), CycValue(6, (0, 1, 0, 0, 2, 0))])
     assert reference_tensor(a, b)[0] == [1, 4, 4, 6]
     for x, y in ((a, b), (b, a), (b, b)):
         prod = tensor(x, y)
@@ -209,8 +192,7 @@ def assert_kernels(chis):
         kernel = {k for k, v in enumerate(chi.values)
                   if v.rational() == chi.degree}
         assert chi.kernel_classes == kernel
-        assert Character(chi.degree, *chars._row(chi.values)).kernel_classes \
-            == kernel
+        assert as_character(chi.degree, chi.values).kernel_classes == kernel
 
 
 def test_batched_kernels_equal_one_row_kernels_on_the_corpus(cat):
@@ -303,25 +285,17 @@ def test_row_order_equals_embedded_sort_on_the_corpus(cat):
 
 @pytest.mark.parametrize("name", ["A5", "M11", "C3^4"])
 def test_hand_built_rows_sort_like_the_lift(name):
-    # rows given in reverse and without a stack end in the same canonical
-    # order, also where the largest row writes its degree as -d * zeta_2
-    # (first coefficient 0, so only the degree in the key keeps it last)
-    # and some value over twice its root order
+    # rows given in reverse and rebuilt from their values end in the same
+    # canonical order, also where the largest row holds Python objects, so
+    # that the stack and the Gram take the object path
     table = character_table(SMALL[name]())
-    rows = list(table.chars[::-1])
-    if table.exponent % 2 == 0:
-        chi = rows[0]
-        k = next(k for k, n in enumerate(table.classes.orders)
-                 if table.exponent % (2 * n) == 0 and n > 1)
-        rows[0] = Character(chi.degree, *chars._row(
-            [CycValue(2, (0, -chi.degree))] + [
-                v.embed(2 * v.n) if j == k else v
-                for j, v in enumerate(chi.values) if j]))
+    rows = [as_character(chi.degree, chi.values) for chi in table.chars[::-1]]
+    rows[0] = Character(rows[0].degree, rows[0].orders,
+                        rows[0].row.astype(object))
     rebuilt = CharacterTable(table.group, table.classes, rows, table.exponent,
                              table.dixon_prime, table.primitive_root)
-    # rows[0] is no multiplicity row, so only the others' kernels are read
-    assert [c.kernel_classes for c in rebuilt.chars[:-1]] == \
-        [c.kernel_classes for c in table.chars[:-1]]
+    assert [c.kernel_classes for c in rebuilt.chars] == \
+        [c.kernel_classes for c in table.chars]
     assert sorted(rows, key=embedded_key(table)) == list(rebuilt.chars)
     assert rebuilt.chars[-1] is rows[0]
 

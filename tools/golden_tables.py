@@ -47,7 +47,8 @@ QUOTIENTS_OUT = Path("tests/golden_quotients.json")
 # into 3 and 4 components, where that of C2^k cuts it into 2; M22's exponent
 # 9240 has five prime factors; the Gram checks of C_120 and of D_400 (the
 # dihedral group of order 400) sum over 32 and 40 classes of order 120 and
-# 200, each value with 120 and 200 coefficients.
+# 200, each value with 120 and 200 coefficients; C_240's 64 classes of
+# order 240 form one Galois orbit, which the Gram check sums once.
 SCALE_GROUPS = {
     "S8": (8, ["(1 2 3 4 5 6 7 8)", "(1 2)"]),
     "M12": (12, ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
@@ -64,6 +65,8 @@ SCALE_GROUPS = {
     "C_120": (16, ["(1 2 3)(4 5 6 7 8 9 10 11)(12 13 14 15 16)"]),
     "D_400": (200, ["(" + " ".join(map(str, range(1, 201))) + ")",
                     "".join(f"({i} {202 - i})" for i in range(2, 101))]),
+    "C_240": (24, ["(1 2 3)(4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19)"
+                   "(20 21 22 23 24)"]),
 }
 
 # the center of SL2_5, as in the README's `acd --rel` example
