@@ -89,16 +89,16 @@ class CharacterTable:
         self.exponent = exponent
         self.dixon_prime = prime
         self.primitive_root = root
+        self.galois_maps = _galois_maps(self)
         chars = list(chars)
         if len(chars) != classes.num_classes:
             raise TableError("character count differs from class count")
         orders, rows = _table_stack(self, chars)
-        rank = [i for *_, i in sorted(zip(
-            [c.degree for c in chars], rows.tolist(), range(len(chars))))]
+        rank = _canonical_order(np.array([c.degree for c in chars]), rows)
         self.chars = tuple(chars[i] for i in rank)
         self._validate(orders, rows, rank)
 
-    def _validate(self, orders, rows: np.ndarray, rank: list[int]) -> None:
+    def _validate(self, orders, rows: np.ndarray, rank: np.ndarray) -> None:
         g = self.group
         if sum(c.degree ** 2 for c in self.chars) != g.order:
             raise TableError("degree squares do not sum to the group order")
@@ -188,6 +188,22 @@ def character_table(group: Group) -> CharacterTable:
     return group._cache[key]
 
 
+def _canonical_order(degrees: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row indices by degree, then lexicographically by row, ties by index:
+    one stable lexsort of the shortest prefix of 2^k columns that leaves no
+    ties, which decides the order of the full rows (a lexsort of all the
+    columns allocates about as much as the rows again)."""
+    width = 1
+    while True:
+        keys = rows[:, :width]
+        rank = np.lexsort((*keys.T[::-1], degrees))
+        ties = ((degrees[rank][1:] == degrees[rank][:-1])
+                & (keys[rank][1:] == keys[rank][:-1]).all(axis=1))
+        if width >= rows.shape[1] or not ties.any():
+            return rank
+        width *= 2
+
+
 # -- class function arithmetic ---------------------------------------------
 
 def _stack(funcs) -> tuple[list[int], np.ndarray]:
@@ -231,10 +247,13 @@ def _table_stack(table, funcs) -> tuple[list[int], np.ndarray]:
     at = np.cumsum([0, *orders])
     k = np.repeat(np.arange(len(orders)), orders)  # the class of a column
     a, n = np.arange(at[-1]) - at[k], np.repeat(orders, orders)  # its a, n_k
-    for t, image in _galois_maps(table):
+    step = max(1, dixon._LIFT_ELEMENTS // at[-1])
+    for t, image in table.galois_maps:
         moved = at[np.array(image)[k]] + a * t % n
-        if not all(np.array_equal(row[moved], row) for row in rows):
-            raise TableError("class functions are not Galois-stable")
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            if not (np.take(block, moved, axis=1) == block).all():
+                raise TableError("class functions are not Galois-stable")
     return orders, rows
 
 
@@ -251,7 +270,7 @@ def _inner_products(table: CharacterTable, orders, f: np.ndarray,
     maxima), which bounds every term: an entry of g_k W_n meets only zeros
     unless f_k is nonzero."""
     cd, phi = table.classes, totient(table.exponent)
-    orbit = _orbits([image for _, image in _galois_maps(table)], len(orders))
+    orbit = _orbits([image for _, image in table.galois_maps], len(orders))
     reps = np.unique(orbit, return_index=True)[1]
     weight = np.bincount(orbit)[orbit] * cd.sizes  # |orbit of k| size_k
     blocks = [(n, weight[ks], f[:, cols], g[:, cols])

@@ -6,23 +6,26 @@ and p > 2*sqrt(|G|) makes every eigenvalue land in F_p and keeps all the
 lifted integer quantities (degrees, root-of-unity multiplicities) below p,
 so the finite-field computation determines the exact table.
 
-Steps (Dixon 1967): take class matrices smallest class first (Schneider
-1990), skipping a class that is a central product of classes taken, and
-split e_0 = sum_chi (chi(1)^2/|G|) omega_chi (column orthogonality) into
-its r terms: a branch, a sum of some of them, on which a matrix is not a
-scalar is cut into its eigencomponents, read off its Krylov sequence; scale
-each term to central character values; then lift all characters at once:
-degrees from one sum mod p, values by one inverse discrete Fourier
-transform per element order.
+Steps (Dixon 1967): take classes smallest first (Schneider 1990), skipping
+a class that is a central product of classes taken, and split e_0 =
+sum_chi (chi(1)^2/|G|) omega_chi (column orthogonality) into its r terms.
+A central class, which comes first, permutes the classes, and its
+eigenvalues are roots of unity known in advance: every branch, a sum of
+some of the terms, is cut by one short Fourier transform of its gathers
+along that permutation.  Any other class is formed as a matrix, and a
+branch on which it is not a scalar is cut into its eigencomponents, read
+off its Krylov sequence.  Scale each term to central character values;
+then lift all characters at once: degrees from one sum mod p, values by
+one inverse discrete Fourier transform per element order.
 
 Products of residues mod p (a class matrix's action, the Lagrange
-combinations of a Krylov sequence, the lift's inverse transform) sum k
-terms below p^2 each, and run in the dtype cyclotomic.product_dtype picks
-for k (p - 1)^2: float64, through BLAS, below 2^50 (k < 1024 at p near
-10^6); int64 below 2^62; Python objects above, which needs k >= 2^22 at the
-prime ceiling, more classes than the default element bound allows.  The
-echelon products of the split stay in int64: they are one vector per row,
-where BLAS gains nothing on the casts.
+combinations of a Krylov sequence, the central classes' transforms, the
+lift's inverse transform) sum k terms below p^2 each, and run in the dtype
+cyclotomic.product_dtype picks for k (p - 1)^2: float64, through BLAS,
+below 2^50 (k < 1024 at p near 10^6); int64 below 2^62; Python objects
+above, which needs k >= 2^22 at the prime ceiling, more classes than the
+default element bound allows.  The echelon products of the split stay in
+int64: they are one vector per row, where BLAS gains nothing on the casts.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ def primitive_root(p: int) -> int:
 # Most rows one class_matrix gather may hold; reps are gathered in chunks
 # below it, several at once where classes are small.
 _GATHER_ROWS = 1 << 16
-# Most array elements one lift_character gather, or one chunk of the root
-# scan in _components, may hold.
+# Most array elements one lift_character gather, one chunk of the root scan
+# in _components, or one block of chars' Galois-stability check may hold.
 _LIFT_ELEMENTS = 1 << 21
 
 
@@ -219,20 +222,81 @@ def _components(krylov: np.ndarray, polys: np.ndarray, p: int,
     return roots, parts
 
 
+def class_permutation(cd: ClassData, i: int) -> np.ndarray:
+    """The class of y^-1 rep_k at index k, for the element y of the central
+    class i: A_i[j, k] is 1 at j = class_permutation(cd, i)[k] and 0
+    elsewhere.  One rank of the representatives at y^-1's base images, the
+    gather class_matrix makes for each element of its class."""
+    y_inv = cd.rows[cd.element_index == cd.inverse_class[i]][0, cd.base]
+    return cd.element_index[cd.group.chain.rank(cd.rep_rows[:, y_inv])]
+
+
+def split_central(xs: np.ndarray, move: np.ndarray, q: int, n: int, p: int,
+                  z: int, inv: np.ndarray) -> np.ndarray:
+    """The nonzero components of the rows x of xs on the eigenspaces of A_y,
+    one row each, for a central y of order n whose class permutation is
+    move, where A_y^q is a scalar c on every x (q divides n).
+
+    A_y x is the gather x[move^-1].  With c = zeta_n^(q j), zeta_n =
+    z^((p - 1)/n), the eigenvalues on x are the q-th roots of c, lambda_l =
+    zeta_n^(j + l n/q), and the component at lambda_l is (1/q) sum_{m<q}
+    lambda_l^-m A_y^m x: the gathers A_y^m x twisted by zeta_n^(-j m), then
+    one q x q inverse DFT, in the dtype product_dtype picks for q (p - 1)^2.
+    Checked exactly for each x: c is an (n/q)-th root of unity and A_y^q x
+    = c x (which makes every component an eigenvector), in one comparison,
+    and the components sum to x.
+    """
+    b, r = xs.shape
+    back = np.argsort(move)
+    gathers = np.empty((b, q + 1, r), dtype=np.int64)
+    gathers[:, 0] = xs
+    for m in range(q):
+        gathers[:, m + 1] = gathers[:, m, back]
+    zeta = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
+    at = np.arange(b), (xs != 0).argmax(axis=1)
+    c = gathers[:, q][at] * inv[xs[at]] % p
+    roots = zeta[::q]  # zeta_n^(q j) at j < n/q
+    order = np.argsort(roots)
+    j = order[np.searchsorted(roots, c, sorter=order) % len(roots)]
+    gathers *= zeta[-np.outer(j, np.arange(q + 1)) % n][:, :, None]
+    gathers %= p
+    # the q-th gather, twisted by zeta_n^(-q j), is x iff A_y^q x =
+    # zeta_n^(q j) x: c is that (n/q)-th root of unity, and A_y^q is c on x
+    if not np.array_equal(gathers[:, q], xs):
+        raise TableError("power of a central class is not a root of unity "
+                         "times the identity on a branch (implementation "
+                         "bug)")
+    ls = np.arange(q)
+    dft = zeta[-(n // q) * np.outer(ls, ls) % n] * inv[q] % p
+    dtype = product_dtype(q * (p - 1) ** 2)
+    parts = _residues(dft.astype(dtype) @ gathers[:, :q].astype(dtype), p)
+    if not np.array_equal(parts.sum(axis=1) % p, xs):
+        raise TableError("components do not sum to the branch "
+                         "(implementation bug)")
+    return parts[parts.any(axis=2)]
+
+
 def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     """All r common eigenvectors of the class matrices, one per row, with
     identity-class coordinate 1: the central character values (omega_k mod
     p) of each irreducible character; z is a primitive root mod p.
 
     By column orthogonality e_0 = sum_chi (chi(1)^2 / |G|) omega_chi, no
-    coefficient 0 mod p as p does not divide |G|.  split_branches cuts each
-    branch, a sum of some of these terms, into its components on the
-    eigenspaces of each class matrix not a scalar on it.  Class i is
-    skipped when its class sum is K_y K_C, y in the group generated by the
-    central classes used and C a used class or the identity: K_y K_C =
-    K_{yC}, so A_i = A_y A_C is a scalar on every branch left.  Each
-    product sums at most r terms below p^2, in float64, int64 or objects as
-    the module docstring says.
+    coefficient 0 mod p as p does not divide |G|.  Each class used cuts
+    every branch, a sum of some of these terms, into its components on the
+    eigenspaces of the class's matrix.  The classes come in size order, so
+    the central ones come first: the central y of class i acts on omega_chi
+    as lambda(y), lambda the central character under chi, and
+    split_central cuts the branches by a q-point transform of gathers along
+    class_permutation, q the order of y modulo the group Y generated by the
+    central classes used, as A_y^q = A_{y^q} is a scalar on every branch.
+    So the central classes sort Irr(G) into the sets Irr(G|lambda).  Every
+    other class forms its matrix, and split_branches cuts the branches that
+    matrix is not a scalar on.  Class i is skipped when its class sum is
+    K_y K_C, y in Y and C a used class or the identity: K_y K_C = K_{yC},
+    so A_i = A_y A_C is a scalar on every branch left.  Each product sums at
+    most r terms below p^2, in float64, int64 or objects as the module
+    docstring says.
     """
     r = cd.num_classes
     inv = _inverse_table(p, z)
@@ -246,9 +310,24 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
             continue
         if len(branches) == r:
             break
-        a = class_matrix(cd, i) % p
         if cd.sizes[i] == 1:
-            moves.append(a.argmax(axis=0))
+            # only central classes come before, so the central classes
+            # covered are the group Y they generate: y^q, q the order of y
+            # mod Y, is the first power of y in it
+            n = cd.orders[i]
+            q = next((m for m in range(1, n)
+                      if covered[cd.power_class[i][m]]), n)
+            moves.append(class_permutation(cd, i))
+            branches = split_central(branches, moves[-1], q, n, p, z, inv)
+        else:
+            act = _action(class_matrix(cd, i) % p, p)
+            images = act(branches)
+            scalar = _scalar(branches, images, p)
+            if not scalar.all():
+                split = split_branches(branches[~scalar], images[~scalar],
+                                       act, p, inv)
+                branches = np.concatenate(
+                    [branches[scalar]] + [parts for _, parts in split])
         covered[i] = True
         while True:
             before = np.count_nonzero(covered)
@@ -256,14 +335,6 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
                 covered[move[covered]] = True
             if np.count_nonzero(covered) == before:
                 break
-        act = _action(a, p)
-        images = act(branches)
-        scalar = _scalar(branches, images, p)
-        if not scalar.all():
-            split = split_branches(branches[~scalar], images[~scalar], act,
-                                   p, inv)
-            branches = np.concatenate(
-                [branches[scalar]] + [parts for _, parts in split])
     if len(branches) != r:
         raise TableError("class matrices exhausted before the branches "
                          "fully split (implementation bug)")

@@ -483,8 +483,13 @@ def quotient_group(group: Group, n: Group,
     gen_rows = np.array([g.images for g in group.generators], chain.dtype)
     reps = [np.arange(group.degree, dtype=chain.dtype)]
     coset_of = {int(_coset_names(chain, n_base, reps[0][None])[0]): 0}
-    for r in reps:  # a queue: cosets are numbered breadth-first
-        products = gen_rows[:, r]  # rows of r * g, g a generator
+    # a queue, taken a breadth-first layer at a time (at most |G:N| products
+    # a call, as act_cosets names): rows of r * g, rep-major, g a generator
+    done, step = 0, max(1, target // len(gen_rows))
+    while done < len(reps):
+        layer = np.array(reps[done:done + step])
+        done += len(layer)
+        products = gen_rows[:, layer].swapaxes(0, 1).reshape(-1, group.degree)
         names = _coset_names(chain, n_base, products).tolist()
         for row, name in zip(products, names):
             if name not in coset_of:

@@ -7,7 +7,7 @@ import pytest
 
 from cyclic_reference import as_character
 
-from chardeg import chars, cyclotomic
+from chardeg import chars, cyclotomic, dixon
 from chardeg.chars import (Character, CharacterTable, character_table,
                            extensions_of, inner_product,
                            kernel_classes_contain, kernel_subgroup,
@@ -412,3 +412,53 @@ def test_table_rejects_rows_that_are_not_galois_stable():
     with pytest.raises(TableError, match="Galois-stable"):
         CharacterTable(group, table.classes, fake, table.exponent,
                        table.dixon_prime, table.primitive_root)
+
+
+def test_stability_check_reads_the_rows_a_block_at_a_time(monkeypatch):
+    # room for one row per block: C3's fake rows (1, 1, 1), (1, w, w) and
+    # (1, w^2, w^2) pass the first block, the stable row, and fail in the
+    # second; the real table passes block by block
+    monkeypatch.setattr(dixon, "_LIFT_ELEMENTS", 1)
+    group = Group([parse_cycles("(1 2 3)", 3)], 3)
+    table = character_table(group)
+    orders = table.classes.orders
+    unit = np.eye(3, dtype=np.int64)
+    fake = [Character(1, orders, np.array([1, *unit[a], *unit[a]]))
+            for a in range(3)]
+    args = table.exponent, table.dixon_prime, table.primitive_root
+    with pytest.raises(TableError, match="Galois-stable"):
+        CharacterTable(group, table.classes, fake, *args)
+    rebuilt = CharacterTable(group, table.classes, table.chars[::-1], *args)
+    assert rebuilt.chars == table.chars
+
+
+def test_galois_maps_are_found_once_per_table(monkeypatch):
+    # A5 (e = 30, generators 7 and 11): the table's stability check, its
+    # Gram and every later inner product share one list of maps
+    found = []
+    original = chars._galois_maps
+
+    def spy(table):
+        found.append(table)
+        return original(table)
+    monkeypatch.setattr(chars, "_galois_maps", spy)
+    table = character_table(make(["(1 2 3 4 5)", "(1 2 3)"], 5))
+    assert [t for t, _ in table.galois_maps] == [7, 11]
+    for chi in table.chars:
+        assert inner_product(table, chi, chi) == 1
+    assert found == [table]
+
+
+@pytest.mark.parametrize("width,dtype", [
+    (1, np.int64), (7, np.int64), (40, np.int64), (40, object)])
+def test_canonical_order_is_degree_then_row_then_index(width, dtype):
+    # rows over {0, 1}, tied on every short prefix, ten of them equal to
+    # row 0, so that no prefix decides them and they keep their input order
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 2, (60, width))
+    rows[30:40] = rows[0]
+    degrees = rng.integers(1, 3, 60)
+    expected = [i for *_, i in sorted(zip(degrees.tolist(), rows.tolist(),
+                                          range(60)))]
+    assert chars._canonical_order(
+        degrees, rows.astype(dtype)).tolist() == expected

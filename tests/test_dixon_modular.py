@@ -205,33 +205,48 @@ def test_split_rejects_an_action_that_is_not_diagonalizable(a, p):
 WIDE = {
     "C2^6": (12, [f"({2 * i + 1} {2 * i + 2})" for i in range(6)]),
     "C3^4": (12, [f"({3 * i + 1} {3 * i + 2} {3 * i + 3})" for i in range(4)]),
+    "S3 x S3": (6, ["(1 2 3)", "(1 2)", "(4 5 6)", "(4 5)"]),
+    "A4 x C3": (7, ["(1 2 3)", "(2 3 4)", "(5 6 7)"]),
 }
 
 
 def second_step(monkeypatch, name):
-    """p and the (branches, images, action) of the named group's second
-    split_branches call: the branches that its first matrix cut from e_0
-    and the next matrix formed is not a scalar on."""
+    """p and the (branches, images, action) of the second class that cuts a
+    branch in the named group's split, as split_branches takes them: the
+    branches that the classes before it cut from e_0 and that its matrix
+    is not a scalar on.  A central class is split by its permutation, so
+    its matrix, 1 at (move[k], k), is formed here."""
     degree, gens = WIDE[name]
     cd, p, z = modular_data(
         Group([parse_cycles(s, degree) for s in gens], degree))
-    calls = []
-    original = dixon.split_branches
+    steps = []
+    split, central = dixon.split_branches, dixon.split_central
 
     def spy(xs, ys, act, p, inv):
-        calls.append((xs.copy(), ys.copy(), act))
-        return original(xs, ys, act, p, inv)
+        steps.append((xs.copy(), ys.copy(), act))
+        return split(xs, ys, act, p, inv)
+
+    def central_spy(xs, move, *args):
+        act = dixon._action(
+            np.eye(cd.num_classes, dtype=np.int64)[move].T, p)
+        ys = act(xs)
+        cut = ~dixon._scalar(xs, ys, p)
+        if cut.any():
+            steps.append((xs[cut], ys[cut], act))
+        return central(xs, move, *args)
     monkeypatch.setattr(dixon, "split_branches", spy)
+    monkeypatch.setattr(dixon, "split_central", central_spy)
     central_character_vectors(cd, p, z)
     monkeypatch.undo()
-    return (p, *calls[1])
+    return (p, *steps[1])
 
 
 @pytest.mark.parametrize("name", sorted(WIDE))
 def test_split_of_a_stack_equals_the_split_of_each_row(monkeypatch, name):
-    # C2^6 and C3^4: after the first matrix, 2 and 3 branches that the
-    # second cuts, all closing at the same Krylov step, so that one
-    # _components call takes them all
+    # C2^6 and S3 x S3, C3^4 and A4 x C3: 2 and 3 branches that the second
+    # class cuts, into 2 and 3 components each, all closing at the same
+    # Krylov step, so that one _components call takes them all (the
+    # abelian groups' classes are central, and give their matrices here)
     p, branches, images, act = second_step(monkeypatch, name)
     inv = dixon._inverse_table(p, primitive_root(p))
     batches = []
@@ -317,14 +332,15 @@ def test_eigenvalues_match_singularity_scan_on_class_matrices(name):
 
 
 @pytest.mark.parametrize("gens,degree", [
-    (["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8),
-    (["(1 2 3)", "(4 5 6)", "(7 8 9)"], 9),
+    (["(1 2 3 4)", "(1 3)", "(5 6 7 8)"], 8),
+    (["(1 2 3)", "(1 2)", "(4 5 6 7 8 9)"], 9),
     (["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], 8),
 ])
 def test_no_eigenvalue_search_where_a_matrix_acts_as_a_scalar(monkeypatch,
                                                               gens, degree):
-    # in groups with central elements, some class matrices act on a
-    # partly split space as scalars; those branches must be passed over
+    # D8 x C4, S3 x C6 and Q8: in groups with central elements, some class
+    # matrices act on a partly split space as scalars; those branches must
+    # be passed over (an abelian group forms no class matrix at all)
     group = Group([parse_cycles(s, degree) for s in gens], degree)
     p, calls = recorded_branches(monkeypatch, group)
     assert calls
@@ -334,25 +350,40 @@ def test_no_eigenvalue_search_where_a_matrix_acts_as_a_scalar(monkeypatch,
             assert not np.array_equal(y * x[f] % p, x * y[f] % p)
 
 
-def formed_and_splitting(monkeypatch, group):
-    """The classes whose matrices the split forms, in order, and the set of
-    those whose matrix it hands to split_branches."""
-    formed, splitting = [], set()
-    original_matrix, original_split = (dixon.class_matrix,
-                                       dixon.split_branches)
+def used_and_splitting(monkeypatch, group):
+    """The classes whose matrices the split forms and the central classes
+    whose permutations it reads, each in order, and the set of the classes
+    used that cut some branch."""
+    matrices, permutations, splitting = [], [], set()
+    used = []
+    original = {name: getattr(dixon, name) for name in (
+        "class_matrix", "class_permutation", "split_branches",
+        "split_central")}
 
-    def matrix_spy(cd, i):
-        formed.append(i)
-        return original_matrix(cd, i)
+    def use(name, seen):
+        def spy(cd, i):
+            seen.append(i)
+            used.append(i)
+            return original[name](cd, i)
+        return spy
 
     def split_spy(*args):
-        splitting.add(formed[-1])
-        return original_split(*args)
-    monkeypatch.setattr(dixon, "class_matrix", matrix_spy)
+        splitting.add(used[-1])
+        return original["split_branches"](*args)
+
+    def central_spy(xs, *args):
+        parts = original["split_central"](xs, *args)
+        if len(parts) > len(xs):
+            splitting.add(used[-1])
+        return parts
+    monkeypatch.setattr(dixon, "class_matrix", use("class_matrix", matrices))
+    monkeypatch.setattr(dixon, "class_permutation",
+                        use("class_permutation", permutations))
     monkeypatch.setattr(dixon, "split_branches", split_spy)
+    monkeypatch.setattr(dixon, "split_central", central_spy)
     central_character_vectors(*modular_data(group))
     monkeypatch.undo()
-    return formed, splitting
+    return matrices, permutations, splitting
 
 
 @pytest.mark.parametrize("gens,degree,count", [
@@ -363,21 +394,125 @@ def formed_and_splitting(monkeypatch, group):
 ])
 def test_abelian_split_forms_only_matrices_that_split(monkeypatch, gens,
                                                       degree, count):
-    # C2^4, C3^3, C4 x C4 x C2 and C60: every class is central, so a class
-    # that is a product of classes used is never formed (C4 x C4 x C2
-    # formed 12 matrices and C60 6 before the skip)
+    # C2^4, C3^3, C4 x C4 x C2 and C60: every class is central, so no class
+    # matrix is formed and a class that is a product of classes used is
+    # never used (C4 x C4 x C2 used 12 classes and C60 6 before the skip)
     group = Group([parse_cycles(s, degree) for s in gens], degree)
-    formed, splitting = formed_and_splitting(monkeypatch, group)
-    assert len(formed) == len(set(formed)) == count
-    assert set(formed) == splitting
+    matrices, permutations, splitting = used_and_splitting(monkeypatch,
+                                                           group)
+    assert not matrices
+    assert len(permutations) == len(set(permutations)) == count
+    assert set(permutations) == splitting
 
 
 @pytest.mark.parametrize("name,count", [("2A6", 7), ("6A6", 7), ("Q16", 4)])
 def test_split_skips_products_of_central_and_used_classes(monkeypatch, cat,
                                                           name, count):
     # groups with a nontrivial center (11, 27 and 5 matrices before)
-    formed, _ = formed_and_splitting(monkeypatch, cat.group(name))
-    assert len(formed) == count
+    matrices, permutations, _ = used_and_splitting(monkeypatch,
+                                                   cat.group(name))
+    assert permutations and matrices
+    assert len(matrices) + len(permutations) == count
+
+
+def central_splits(monkeypatch, group):
+    """cd, p and the (i, branches, q, n, components) of every split_central
+    call of the split, i the central class."""
+    cd, p, z = modular_data(group)
+    seen, classes = [], []
+    original_permutation, original_split = (dixon.class_permutation,
+                                            dixon.split_central)
+
+    def permutation_spy(cd, i):
+        classes.append(i)
+        return original_permutation(cd, i)
+
+    def split_spy(xs, move, q, n, *args):
+        parts = original_split(xs, move, q, n, *args)
+        seen.append((classes[-1], xs.copy(), q, n, parts))
+        return parts
+    monkeypatch.setattr(dixon, "class_permutation", permutation_spy)
+    monkeypatch.setattr(dixon, "split_central", split_spy)
+    central_character_vectors(cd, p, z)
+    monkeypatch.undo()
+    return cd, p, seen
+
+
+def sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
+
+
+@pytest.mark.parametrize("name", ["C16", "C3^4"])
+def test_central_split_equals_split_branches(monkeypatch, name):
+    # C16 splits by classes of order 4, 8 and 16 at q = 2 < n, C3^4 by
+    # four classes of order 3 at q = n = 3; the components of each step
+    # are those split_branches finds with the class matrix, whose one
+    # nonzero entry per column is at the class permutation
+    group = (cyclic(16) if name == "C16" else Group(
+        [parse_cycles(f"({3 * i + 1} {3 * i + 2} {3 * i + 3})", 12)
+         for i in range(4)], 12))
+    cd, p, seen = central_splits(monkeypatch, group)
+    inv = dixon._inverse_table(p, primitive_root(p))
+    qs = [(q, n) for _, _, q, n, _ in seen]
+    if name == "C16":
+        assert qs == [(2, 2), (2, 4), (2, 8), (2, 16)]
+    else:
+        assert qs == [(3, 3)] * 4
+    for i, xs, _, _, parts in seen:
+        a = class_matrix(cd, i)
+        move = dixon.class_permutation(cd, i)
+        assert np.array_equal(
+            a, np.eye(cd.num_classes, dtype=np.int64)[move].T)
+        act = dixon._action(a % p, p)
+        ys = act(xs)
+        scalar = dixon._scalar(xs, ys, p)
+        expected = [xs[scalar]] + [
+            found for _, found in split_branches(xs[~scalar], ys[~scalar],
+                                                 act, p, inv)]
+        assert len(parts) > len(xs)
+        assert np.array_equal(sorted_rows(parts),
+                              sorted_rows(np.concatenate(expected)))
+
+
+def test_central_transform_is_as_long_as_the_order_mod_the_classes_used(
+        monkeypatch):
+    # C256 = <y>: the class of order 2^k is taken when the group generated
+    # so far is that of order 2^(k-1), which holds its square, so every
+    # transform is 2 points long while n runs up to 256
+    _, _, seen = central_splits(monkeypatch, cyclic(256))
+    assert [(q, n) for _, _, q, n, _ in seen] == [(2, 2 ** k)
+                                                  for k in range(1, 9)]
+
+
+def test_corrupted_class_permutation_raises(monkeypatch):
+    # two entries of each permutation swapped: the gathers no longer come
+    # from a central element, and A_y^q is no scalar on the first branch
+    group = cyclic(16)
+    cd, p, z = modular_data(group)
+    original = dixon.class_permutation
+
+    def corrupted(cd, i):
+        move = original(cd, i)
+        move[[1, 2]] = move[[2, 1]]
+        return move
+    monkeypatch.setattr(dixon, "class_permutation", corrupted)
+    with pytest.raises(TableError, match="not a root of unity times the "
+                                         "identity"):
+        central_character_vectors(cd, p, z)
+
+
+def test_central_split_rejects_a_power_that_is_not_a_scalar():
+    # C16's class of order 4 on e_0 with q = 2: A_y^2 is the matrix of the
+    # class of order 2, which e_0 is no eigenvector of
+    cd, p, z = modular_data(cyclic(16))
+    i = cd.orders.index(4)
+    e0 = np.eye(1, cd.num_classes, dtype=np.int64)
+    inv = dixon._inverse_table(p, z)
+    move = dixon.class_permutation(cd, i)
+    assert len(dixon.split_central(e0, move, 4, 4, p, z, inv)) == 4
+    with pytest.raises(TableError, match="not a root of unity times the "
+                                         "identity"):
+        dixon.split_central(e0, move, 2, 4, p, z, inv)
 
 
 # -- the lift ---------------------------------------------------------------------

@@ -220,6 +220,28 @@ def test_project_equals_the_reference(quotients, label):
     assert q.gen_images == [reference(g) for g in q.source.generators]
 
 
+def test_cosets_are_named_a_layer_at_a_time(monkeypatch):
+    # C2^5 mod its diagonal on 10 points: every generator fixes every
+    # N-orbit, so G/N acts on its 16 cosets.  The enumeration names the
+    # identity, then at most 16 products of the queue's next reps by the
+    # 5 generators a call, 7 calls where one per coset made 17; the action
+    # then names the 16 cosets times each generator
+    g = _group(10, "(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)")
+    n = Subgroup(g, [parse_cycles("(1 2)(3 4)(5 6)(7 8)(9 10)", 10)])
+    sizes = []
+    original = groups._coset_names
+
+    def spy(chain, n_base, rows):
+        sizes.append(len(rows))
+        return original(chain, n_base, rows)
+    monkeypatch.setattr(groups, "_coset_names", spy)
+    q = quotient_group(g, n)
+    assert q.group.order == 16
+    assert sizes == [1, 5, 15, 15, 15, 15, 15] + [16] * 5
+    reference = reference_projection(g, n)
+    assert q.gen_images == [reference(x) for x in g.generators]
+
+
 def test_coset_action_checks_the_bound_before_enumerating():
     s4 = _group(4, "(1 2 3 4)", "(1 2)")
     v4 = Subgroup(s4, [parse_cycles("(1 2)(3 4)", 4),
