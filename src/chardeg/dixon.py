@@ -12,11 +12,12 @@ sum_chi (chi(1)^2/|G|) omega_chi (column orthogonality) into its r terms.
 A central class, which comes first, permutes the classes, and its
 eigenvalues are roots of unity known in advance: every branch, a sum of
 some of the terms, is cut by one short Fourier transform of its gathers
-along that permutation.  Any other class is formed as a matrix, and a
-branch on which it is not a scalar is cut into its eigencomponents, read
-off its Krylov sequence.  Scale each term to central character values;
-then lift all characters at once: degrees from one sum mod p, values by
-one inverse discrete Fourier transform per element order.
+along that permutation.  Any other class is formed as a matrix, and the
+branches on which it is not a scalar are cut into their eigencomponents,
+all read off one Krylov sequence, that of their sum.  Scale each term to
+central character values; then lift all characters at once: degrees from
+one sum mod p, values by one inverse discrete Fourier transform per
+element order.
 
 Products of residues mod p (a class matrix's action, the Lagrange
 combinations of a Krylov sequence, the central classes' transforms, the
@@ -25,7 +26,8 @@ cyclotomic.product_dtype picks for k (p - 1)^2: float64, through BLAS,
 below 2^50 (k < 1024 at p near 10^6); int64 below 2^62; Python objects
 above, which needs k >= 2^22 at the prime ceiling, more classes than the
 default element bound allows.  The echelon products of the split stay in
-int64: they are one vector per row, where BLAS gains nothing on the casts.
+int64: they reduce one vector per step, where BLAS gains nothing on the
+casts.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def primitive_root(p: int) -> int:
 # Most rows one class_matrix gather may hold; reps are gathered in chunks
 # below it, several at once where classes are small.
 _GATHER_ROWS = 1 << 16
-# Most array elements one lift_character gather, one chunk of the root scan
-# in _components, or one block of chars' Galois-stability check may hold.
+# Most array elements one lift_character gather or one block of chars'
+# Galois-stability check may hold.
 _LIFT_ELEMENTS = 1 << 21
 
 
@@ -120,106 +122,85 @@ def _residues(x: np.ndarray, p: int) -> np.ndarray:
     return (x % p if x.dtype == object else x).astype(np.int64) % p
 
 
-def _scalar(xs: np.ndarray, ys: np.ndarray, p: int) -> np.ndarray:
-    """Whether each row y of ys is c x for its row x of xs, compared at the
+def _scalar(xs: np.ndarray, ys: np.ndarray, p: int,
+            inv: np.ndarray) -> np.ndarray:
+    """Whether each row y of ys is c x for its row x of xs, c read at the
     first nonzero entry of x (entry 0 of a branch can vanish mod p)."""
     at = np.arange(len(xs)), (xs != 0).argmax(axis=1)
-    return (ys * xs[at][:, None] % p == xs * ys[at][:, None] % p).all(axis=1)
+    c = ys[at] * inv[xs[at]] % p
+    return (c[:, None] * xs % p == ys).all(axis=1)
 
 
 def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int,
-                   inv: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(roots, components) of each row x of xs on the eigenspaces of A,
-    which act applies to a stack of rows; ys = act(xs).
+                   inv: np.ndarray) -> np.ndarray:
+    """The nonzero components of the rows x of xs on the eigenspaces of A,
+    one row each, which act applies to a stack of rows; ys = act(xs).
 
-    The Krylov sequences x, Ax, A^2 x, ... of all rows grow together in one
-    array, one act per step, each row (A^j x, e_j) reduced in echelon form
-    on its first r entries: at the first j where those vanish, the last
-    j + 1 hold the minimal polynomial m of A on x, and every row that
-    closes at j goes to one _components call.  If x is a sum of
-    eigenvectors of A, m has j distinct roots t in F_p, and the component
-    of x at t is q_t(A) x / q_t(t), with q_t = m / (X - t).
+    The rows are branches, sums over disjoint sets of eigenvectors of A with
+    nonzero coefficients, so their sum y has the minimal polynomial m of A
+    on all of them.  The Krylov sequences x, Ax, A^2 x, ... of all rows grow
+    together, one act per step, and only the row (A^j y, e_j) is reduced in
+    echelon form on its first r entries: at the first j where those vanish,
+    the last j + 1 hold m.  Its s = j roots t in F_p come from one Horner
+    scan, and the component of x at t is q_t(A) x / q_t(t), with q_t = m /
+    (X - t) and q_t(t) = m'(t): one s x s Lagrange matrix applied to x, Ax,
+    ..., A^(s-1) x of every row.  Checked exactly: m has s distinct roots,
+    each component x_t has A x_t = t x_t (the same product on the sequence
+    shifted by one), and each row's components sum to it; rows whose
+    components cancel in y fail these checks.
     """
     n, r = xs.shape
-    found = [None] * n
-    live = np.arange(n)
-    # echelon rows, 1 at their own pivot and 0 at the others' pivots
-    rows = np.zeros((n, 0, 2 * r + 1), dtype=np.int64)
-    pivots = np.zeros((n, 0), dtype=np.int64)
-    krylov, v, at = xs[:, None], xs, np.arange(n)
-    for j in range(r + 1):
-        c = v[at[:, None], pivots]
-        residue = np.zeros((len(v), 2 * r + 1), dtype=np.int64)
-        residue[:, :r], residue[:, r + j] = v, 1
-        residue = (residue - (c[:, None] @ rows)[:, 0]) % p
-        done = ~residue[:, :r].any(axis=1)
-        if done.any():
-            roots, parts = _components(krylov[done],
-                                       residue[done, r:r + j + 1], p, inv)
-            for b, t, x in zip(live[done], roots, parts):
-                found[b] = t, x
-            if done.all():
-                return found
-            live, v, residue, rows, pivots, krylov = (
-                t[~done] for t in (live, v, residue, rows, pivots, krylov))
-            at = np.arange(len(live))
-        pivot = (residue[:, :r] != 0).argmax(axis=1)
-        row = residue * inv[residue[at, pivot]][:, None] % p
-        f = rows[at, :, pivot][:, :, None]
-        rows = np.append((rows - f * row[:, None]) % p, row[:, None], axis=1)
-        pivots = np.append(pivots, pivot[:, None], axis=1)
-        v = ys[live] if j == 0 else act(v)
-        krylov = np.append(krylov, v[:, None], axis=1)
-    raise TableError("Krylov sequence without dependency (implementation bug)")
-
-
-def _components(krylov: np.ndarray, polys: np.ndarray, p: int,
-                inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The s roots of each monic poly m, a row of polys with its constant
-    term first, and the Lagrange combinations at them of the rows x, Ax,
-    ..., A^(s-1) x of its stack in krylov: (b, s) roots and (b, s, r)
-    components.  Checked exactly for each: m has s distinct roots, each
-    combination x_t has A x_t = t x_t (the same product with the rows
-    shifted by one), and they sum to x.  The roots are found by one Horner
-    scan over F_p, a few polys at a time within _LIFT_ELEMENTS."""
-    b, s = len(polys), polys.shape[1] - 1
+    krylov = [xs, ys]
+    # rows[:s]: echelon rows, 1 at their own pivot and 0 at the others'
+    rows = np.zeros((r, 2 * r + 1), dtype=np.int64)
+    pivots = np.zeros(r, dtype=np.intp)
+    for s in range(r + 1):
+        residue = np.zeros(2 * r + 1, dtype=np.int64)
+        residue[:r], residue[r + s] = krylov[s].sum(axis=0) % p, 1
+        residue -= residue[pivots[:s]] @ rows[:s]
+        residue %= p
+        pivot = residue[:r].argmax()
+        if not residue[pivot]:
+            break
+        pivots[s] = pivot
+        rows[s] = residue * inv[residue[pivot]] % p
+        rows[:s] -= rows[:s, pivot, None] * rows[s]
+        rows[:s] %= p
+        if len(krylov) == s + 1:
+            krylov.append(act(krylov[s]))
+    m = residue[r:r + s + 1]  # constant term first
     ts = np.arange(p, dtype=np.int64)
-    step = max(1, _LIFT_ELEMENTS // p)
-    roots = []
-    for lo in range(0, b, step):
-        chunk = polys[lo:lo + step]
-        acc = np.zeros((len(chunk), p), dtype=np.int64)
-        for coeff in chunk[:, ::-1].T:
-            acc = (acc * ts + coeff[:, None]) % p
-        # a monic m of degree s has at most s roots, so b s roots in all
-        # are s distinct roots on every row
-        t = np.nonzero(acc == 0)[1]
-        if len(t) != len(chunk) * s:
-            raise TableError("minimal polynomial without distinct roots in "
-                             "F_p (implementation bug)")
-        roots.append(t.reshape(len(chunk), s))
-    roots = np.concatenate(roots)
-    # quotient[:, k]: m / (X - roots[:, k]), constant term first
-    quotient = np.zeros((b, s, s), dtype=np.int64)
-    quotient[:, :, -1] = 1
+    acc = np.zeros(p, dtype=np.int64)
+    for coeff in m[::-1]:
+        acc = (acc * ts + coeff) % p
+    roots = np.flatnonzero(acc == 0)
+    # a monic m of degree s has at most s roots
+    if len(roots) != s:
+        raise TableError("minimal polynomial without distinct roots in F_p "
+                         "(implementation bug)")
+    # quotient[k]: m / (X - roots[k]), constant term first
+    quotient = np.zeros((s, s), dtype=np.int64)
+    quotient[:, -1:] = 1  # q_t is monic
     for e in range(s - 1, 0, -1):
-        quotient[:, :, e - 1] = (polys[:, e, None]
-                                 + roots * quotient[:, :, e]) % p
-    # q_t(t) = prod over the other roots u of (t - u)
-    denominator = np.ones((b, s), dtype=np.int64)
-    for u in roots.T:
-        diff = roots - u[:, None]
-        denominator = denominator * np.where(diff == 0, 1, diff) % p
+        quotient[:, e - 1] = (m[e] + roots * quotient[:, e]) % p
+    # q_t(t) = m'(t), by Horner
+    derivative = np.zeros(s, dtype=np.int64)
+    for e in range(s, 0, -1):
+        derivative = (derivative * roots + e * m[e]) % p
     dtype = product_dtype(s * (p - 1) ** 2)
-    lagrange = (quotient * inv[denominator][:, :, None] % p).astype(dtype)
-    basis = krylov.astype(dtype)
-    parts = _residues(lagrange @ basis[:, :s], p)
-    if not (np.array_equal(_residues(lagrange @ basis[:, 1:], p),
-                           roots[:, :, None] * parts % p)
-            and np.array_equal(parts.sum(axis=1) % p, krylov[:, 0])):
+    # the Lagrange matrix on x, ..., A^(s-1) x above, on Ax, ..., A^s x
+    # below: the components and A times them, in one product
+    lagrange = np.zeros((2 * s, s + 1), dtype=dtype)
+    lagrange[:s, :s] = lagrange[s:, 1:] = (
+        quotient * inv[derivative][:, None] % p)
+    basis = np.array(krylov[:s + 1], dtype=dtype).reshape(s + 1, -1)
+    parts, shifted = np.split(_residues(lagrange @ basis, p), 2)
+    if not (np.array_equal(shifted, roots[:, None] * parts % p)
+            and np.array_equal(parts.reshape(s, n, r).sum(axis=0) % p, xs)):
         raise TableError("components are not eigenvectors summing to the "
                          "vector (implementation bug)")
-    return roots, parts
+    parts = parts.reshape(s, n, r).swapaxes(0, 1)
+    return parts[parts.any(axis=2)]
 
 
 def class_permutation(cd: ClassData, i: int) -> np.ndarray:
@@ -322,12 +303,10 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
         else:
             act = _action(class_matrix(cd, i) % p, p)
             images = act(branches)
-            scalar = _scalar(branches, images, p)
+            scalar = _scalar(branches, images, p, inv)
             if not scalar.all():
-                split = split_branches(branches[~scalar], images[~scalar],
-                                       act, p, inv)
-                branches = np.concatenate(
-                    [branches[scalar]] + [parts for _, parts in split])
+                branches = np.concatenate([branches[scalar], split_branches(
+                    branches[~scalar], images[~scalar], act, p, inv)])
         covered[i] = True
         while True:
             before = np.count_nonzero(covered)

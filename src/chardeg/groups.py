@@ -126,9 +126,8 @@ class ClassData:
     Classes are sorted by (element order, class size, lexicographically least
     member); the representative of a class is its least member.  Elements
     are the rows of ``group.element_array()``: ``element_index[e]`` is the
-    class of element e, an integer array of length |G|; the Permutations,
-    ``reps`` and ``members`` (one list per class, sorted), are built only
-    when first read.
+    class of element e, an integer array of length |G|; the representatives
+    as Permutations, ``reps``, are built only when first read.
 
     Classes are the orbits of the conjugation action.  Each generator acts
     as an index map on the element rows, and ``_orbits`` finds the orbits
@@ -201,15 +200,6 @@ class ClassData:
         return [Permutation._trusted(tuple(row))
                 for row in self.rep_rows.tolist()]
 
-    @cached_property
-    def members(self) -> list[list[Permutation]]:
-        """The elements of each class, each list in lexicographic order."""
-        by_class = np.lexsort((*self.rows.T[::-1], self.element_index))
-        perms = [Permutation._trusted(tuple(row))
-                 for row in self.rows[by_class].tolist()]
-        bounds = np.cumsum([0] + self.sizes).tolist()
-        return [perms[a:b] for a, b in zip(bounds, bounds[1:])]
-
     @property
     def num_classes(self) -> int:
         return len(self.sizes)
@@ -247,6 +237,9 @@ def _orbits(maps, size: int) -> np.ndarray:
 
 
 def conjugacy_classes(group: Group, bound: int = DEFAULT_ELEMENT_BOUND) -> ClassData:
+    """The group's ClassData (cached); raises GroupTooLargeError when the
+    order exceeds ``bound``, cached or not."""
+    group.element_array(bound)
     if "classes" not in group._cache:
         group._cache["classes"] = ClassData(group, bound)
     return group._cache["classes"]

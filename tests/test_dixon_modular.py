@@ -124,12 +124,21 @@ def lift_reference(w, degree, cd, p, z):
 
 # -- the split ----------------------------------------------------------------
 
+def eigenvalues(act, parts, p):
+    """The t with A part = t part, read at the first nonzero entry of each
+    part, for the matrix A that act applies."""
+    at = np.arange(len(parts)), (parts != 0).argmax(axis=1)
+    return act(parts)[at] * dixon._inverse_table(p, primitive_root(p))[
+        parts[at]] % p
+
+
 def split_one(a, x, p):
-    """(roots, components) of the vector x on the eigenspaces of a mod p."""
+    """The components of the vector x on the eigenspaces of a mod p, and
+    their eigenvalues."""
     act = dixon._action(a % p, p)
     inv = dixon._inverse_table(p, primitive_root(p))
-    [(roots, parts)] = split_branches(x[None], act(x[None]), act, p, inv)
-    return roots, parts
+    parts = split_branches(x[None], act(x[None]), act, p, inv)
+    return eigenvalues(act, parts, p), parts
 
 
 def assert_eigencomponents(a, x, roots, parts, p):
@@ -190,7 +199,8 @@ def test_scalar_test_reads_the_first_nonzero_entry():
     p = 7
     xs = np.array([[0, 1, 2], [0, 3, 0], [4, 0, 1]])
     ys = np.array([[0, 2, 5], [0, 6, 0], [1, 0, 2]])
-    assert dixon._scalar(xs, ys, p).tolist() == [False, True, True]
+    inv = dixon._inverse_table(p, primitive_root(p))
+    assert dixon._scalar(xs, ys, p, inv).tolist() == [False, True, True]
 
 
 @pytest.mark.parametrize("a,p", [
@@ -226,14 +236,14 @@ def second_step(monkeypatch, name):
         steps.append((xs.copy(), ys.copy(), act))
         return split(xs, ys, act, p, inv)
 
-    def central_spy(xs, move, *args):
+    def central_spy(xs, move, q, n, p, z, inv):
         act = dixon._action(
             np.eye(cd.num_classes, dtype=np.int64)[move].T, p)
         ys = act(xs)
-        cut = ~dixon._scalar(xs, ys, p)
+        cut = ~dixon._scalar(xs, ys, p, inv)
         if cut.any():
             steps.append((xs[cut], ys[cut], act))
-        return central(xs, move, *args)
+        return central(xs, move, q, n, p, z, inv)
     monkeypatch.setattr(dixon, "split_branches", spy)
     monkeypatch.setattr(dixon, "split_central", central_spy)
     central_character_vectors(cd, p, z)
@@ -244,41 +254,16 @@ def second_step(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(WIDE))
 def test_split_of_a_stack_equals_the_split_of_each_row(monkeypatch, name):
     # C2^6 and S3 x S3, C3^4 and A4 x C3: 2 and 3 branches that the second
-    # class cuts, into 2 and 3 components each, all closing at the same
-    # Krylov step, so that one _components call takes them all (the
-    # abelian groups' classes are central, and give their matrices here)
+    # class cuts, into 2 and 3 components each, read off the one Krylov
+    # sequence of their sum (the abelian groups' classes are central, and
+    # give their matrices here)
     p, branches, images, act = second_step(monkeypatch, name)
     inv = dixon._inverse_table(p, primitive_root(p))
-    batches = []
-    original = dixon._components
-
-    def spy(krylov, polys, p, inv):
-        batches.append(len(polys))
-        return original(krylov, polys, p, inv)
-    monkeypatch.setattr(dixon, "_components", spy)
-    stacked = split_branches(branches, images, act, p, inv)
-    monkeypatch.undo()
-    assert batches == [len(branches)] == [len(stacked)]
-    assert len(branches) > 1
-    for x, (roots, parts) in zip(branches, stacked):
-        [(alone, alone_parts)] = split_branches(x[None], act(x[None]), act,
-                                                p, inv)
-        assert np.array_equal(roots, alone) and len(roots) > 1
-        assert np.array_equal(parts, alone_parts)
-
-
-@pytest.mark.parametrize("name", sorted(WIDE))
-def test_chunked_root_scan_finds_the_same_roots(monkeypatch, name):
-    # a budget below 2p scans one polynomial per chunk, 2p + 1 two
-    p, branches, images, act = second_step(monkeypatch, name)
-    inv = dixon._inverse_table(p, primitive_root(p))
-    expected = split_branches(branches, images, act, p, inv)
-    for budget in (3, 2 * p + 1):
-        monkeypatch.setattr(dixon, "_LIFT_ELEMENTS", budget)
-        got = split_branches(branches, images, act, p, inv)
-        for (roots, parts), (want, want_parts) in zip(got, expected):
-            assert np.array_equal(roots, want)
-            assert np.array_equal(parts, want_parts)
+    alone = [split_branches(x[None], act(x[None]), act, p, inv)
+             for x in branches]
+    assert len(branches) > 1 and all(len(parts) > 1 for parts in alone)
+    assert np.array_equal(split_branches(branches, images, act, p, inv),
+                          np.concatenate(alone))
 
 
 @pytest.mark.parametrize("bad", [
@@ -288,17 +273,66 @@ def test_chunked_root_scan_finds_the_same_roots(monkeypatch, name):
 def test_one_bad_row_in_a_batch_raises(bad):
     # a diagonal block, on which (0, 0, 1, 1) has minimal polynomial
     # (X - 3)(X - 4), beside the bad block, on which (0, 1, 0, 0) or
-    # (1, 0, 0, 0) also closes after two steps: one _components call
+    # (1, 0, 0, 0) has (X - 2)^2 or X^2 + 1: their sum has the product,
+    # with a double root or two roots outside F_31
     p = 31
     a = np.zeros((4, 4), dtype=np.int64)
     a[:2, :2], a[2:, 2:] = bad, np.diag([3, 4])
     act = dixon._action(a, p)
     xs = np.array([[0, 0, 1, 1], [0, 1, 0, 0] if bad[0][0] else [1, 0, 0, 0]])
     inv = dixon._inverse_table(p, primitive_root(p))
-    [(roots, _)] = split_branches(xs[:1], act(xs[:1]), act, p, inv)
-    assert roots.tolist() == [3, 4]
+    parts = split_branches(xs[:1], act(xs[:1]), act, p, inv)
+    assert eigenvalues(act, parts, p).tolist() == [3, 4]
     with pytest.raises(TableError, match="distinct roots"):
         split_branches(xs, act(xs), act, p, inv)
+
+
+@pytest.mark.parametrize("xs", [
+    [[1, 1], [0, 30]],  # sum (1, 0): minimal polynomial X - 3
+    [[1, 1], [30, 30]],  # sum 0: minimal polynomial 1
+])
+def test_rows_whose_sum_cancels_a_component_raise(xs):
+    # the components at 4, or all of them, cancel in the sum of the rows,
+    # whose minimal polynomial then does not annihilate the first row
+    p = 31
+    act = dixon._action(np.diag([3, 4]), p)
+    xs = np.array(xs)
+    inv = dixon._inverse_table(p, primitive_root(p))
+    with pytest.raises(TableError, match="not eigenvectors summing"):
+        split_branches(xs, act(xs), act, p, inv)
+
+
+def test_one_act_per_eigenvalue_on_the_cut_branches(monkeypatch):
+    # S3 x S3, whose classes are all formed as matrices: each class that
+    # cuts a branch acts once on every branch in central_character_vectors,
+    # then once per further Krylov step of the sum of the branches it cuts,
+    # not once per branch (its last three cuts take 2, 2 and 3 branches,
+    # each with 2 eigenvalues)
+    degree, gens = WIDE["S3 x S3"]
+    group = Group([parse_cycles(s, degree) for s in gens], degree)
+    calls, cuts = [], []
+    action, split = dixon._action, dixon.split_branches
+
+    def action_spy(a, p):
+        act = action(a, p)
+        calls.append(0)
+
+        def counted(v):
+            calls[-1] += 1
+            return act(v)
+        return counted
+
+    def split_spy(xs, ys, act, p, inv):
+        parts = split(xs, ys, act, p, inv)
+        cuts.append((calls[-1], len(xs), parts, act, p))
+        return parts
+    monkeypatch.setattr(dixon, "_action", action_spy)
+    monkeypatch.setattr(dixon, "split_branches", split_spy)
+    central_character_vectors(*modular_data(group))
+    monkeypatch.undo()
+    assert [n for _, n, *_ in cuts] == [1, 2, 2, 3]
+    for acts, _, parts, act, p in cuts:
+        assert acts == len(set(eigenvalues(act, parts, p).tolist()))
 
 
 def recorded_branches(monkeypatch, group):
@@ -465,10 +499,9 @@ def test_central_split_equals_split_branches(monkeypatch, name):
             a, np.eye(cd.num_classes, dtype=np.int64)[move].T)
         act = dixon._action(a % p, p)
         ys = act(xs)
-        scalar = dixon._scalar(xs, ys, p)
-        expected = [xs[scalar]] + [
-            found for _, found in split_branches(xs[~scalar], ys[~scalar],
-                                                 act, p, inv)]
+        scalar = dixon._scalar(xs, ys, p, inv)
+        expected = [xs[scalar], split_branches(xs[~scalar], ys[~scalar],
+                                               act, p, inv)]
         assert len(parts) > len(xs)
         assert np.array_equal(sorted_rows(parts),
                               sorted_rows(np.concatenate(expected)))

@@ -77,8 +77,8 @@ def check_class_data(group):
     assert cd.reps == reps
     assert cd.sizes == sizes
     assert cd.orders == orders
-    assert cd.members == members
-    assert len(cd.element_index) == group.order
+    assert cd.element_index.tolist() == [class_of[x]
+                                         for x in group.elements()]
     assert all(cd.class_of(x) == i for x, i in class_of.items())
     assert cd.inverse_class == [class_of[r.inverse()] for r in reps]
     assert cd.power_class == [[class_of[r ** e] for e in range(n)]

@@ -1,13 +1,13 @@
 import pytest
 
 from chardeg.chars import character_table
-from chardeg.errors import NotMemberError, NotNormalError
+from chardeg.errors import GroupTooLargeError, NotMemberError, NotNormalError
 from chardeg.groups import (Group, Subgroup, center, class_fusion,
                             class_union, conjugacy_classes, derived_series,
                             is_p_solvable, is_perfect, is_solvable,
                             minimal_normal_subgroups, normal_closure,
                             quotient_group, solvable_radical)
-from chardeg.perms import parse_cycles
+from chardeg.perms import Permutation, parse_cycles
 
 
 def make(gens, degree, name=None):
@@ -273,7 +273,7 @@ def test_exponent(a5):
     assert a5.exponent() == 30
 
 
-def test_class_union(s4):
+def test_class_union(monkeypatch, s4):
     cd = conjugacy_classes(s4)
     sizes = list(zip(cd.orders, cd.sizes))
     v4 = [0, sizes.index((2, 3))]
@@ -281,10 +281,19 @@ def test_class_union(s4):
     assert union.order == 4 and union.is_normal()
     # the transpositions generate S4, which is more than the 7 elements
     assert class_union(s4, [0, sizes.index((2, 6))]) is None
-    # the sweep reads the rows of its classes, not every class's members
+    # the sweep reads the rows of its classes, not every class's members:
+    # C2 x S4's center makes fewer Permutations than C2 x S4 has elements
     c2_s4 = make(["(1 2 3 4)", "(1 2)", "(5 6)"], 6)
+    conjugacy_classes(c2_s4)
+    made = []
+    trusted = Permutation._trusted.__func__
+
+    def spy(cls, images):
+        made.append(images)
+        return trusted(cls, images)
+    monkeypatch.setattr(Permutation, "_trusted", classmethod(spy))
     assert center(c2_s4).generators == (parse_cycles("(5 6)", 6),)
-    assert "members" not in vars(conjugacy_classes(c2_s4))
+    assert 0 < len(made) < c2_s4.order
 
 
 def test_table_build_makes_no_representatives():
@@ -293,3 +302,13 @@ def test_table_build_makes_no_representatives():
     cd = conjugacy_classes(g)
     assert "reps" not in vars(cd)
     assert cd.num_classes == 7 and cd.reps[0].is_identity()
+
+
+def test_class_bound_holds_for_cached_classes(s5):
+    # the classes cached by a default call are not returned past a bound
+    # that the element enumeration refuses
+    assert conjugacy_classes(s5).num_classes == 7
+    for bound in (100, 119):
+        with pytest.raises(GroupTooLargeError, match="exceeds element bound"):
+            conjugacy_classes(s5, bound)
+    assert conjugacy_classes(s5, 120) is conjugacy_classes(s5)

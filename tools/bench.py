@@ -24,7 +24,9 @@ from here; nothing in the program is changed:
 * classes: ``conjugacy_classes``;
 * class matrices: the time spent in ``dixon.class_matrix`` during the split
   (the function is wrapped from outside, in the worker process only; its
-  peak RSS is the split's), and how many it formed;
+  peak RSS is the split's), and how many it formed; the classes used also
+  count the central classes read through ``dixon.class_permutation``,
+  which forms no matrix;
 * split: ``dixon.central_character_vectors`` less its class matrices;
 * lift: ``dixon.lift_character``;
 * validate: the rest of ``character_table`` (the ``Character`` objects,
@@ -116,8 +118,10 @@ def measure(name: str) -> dict:
     from chardeg.groups import Group, conjugacy_classes
     from chardeg.perms import parse_cycles
 
-    spent = {"class_matrices": 0.0, "formed": 0}
+    spent = {"class_matrices": 0.0, "formed": 0, "used": 0}
     class_matrix = dixon.class_matrix
+    # trees older than the central split read no class permutation
+    class_permutation = getattr(dixon, "class_permutation", None)
 
     def timed_class_matrix(*args):
         start = time.perf_counter()
@@ -126,8 +130,15 @@ def measure(name: str) -> dict:
         finally:
             spent["class_matrices"] += time.perf_counter() - start
             spent["formed"] += 1
+            spent["used"] += 1
+
+    def counted_class_permutation(*args):
+        spent["used"] += 1
+        return class_permutation(*args)
 
     dixon.class_matrix = timed_class_matrix
+    if class_permutation is not None:
+        dixon.class_permutation = counted_class_permutation
     degree, cycles = GROUPS[name]
     gens = [parse_cycles(c, degree) for c in cycles]
     seconds, rss = {}, {"import": _peak_rss_mb()}
@@ -158,6 +169,7 @@ def measure(name: str) -> dict:
     table = stage("validate", lambda: character_table(group))
     return {"order": group.order, "classes": cd.num_classes,
             "class_matrices_formed": spent["formed"],
+            "classes_used": spent["used"],
             "table_sha256": hashlib.sha256(
                 table.to_data().to_json().encode()).hexdigest(),
             "seconds": seconds, "peak_rss_mb": rss}
@@ -221,7 +233,7 @@ def commit_of(tree: Path) -> str | None:
 
 
 def summarize(runs: list[dict]) -> dict:
-    for key in ("table_sha256", "class_matrices_formed"):
+    for key in ("table_sha256", "class_matrices_formed", "classes_used"):
         values = {r[key] for r in runs}
         if len(values) != 1:
             raise RuntimeError(f"repeats disagree on {key}: {values}")
@@ -232,6 +244,7 @@ def summarize(runs: list[dict]) -> dict:
         "order": first["order"],
         "classes": first["classes"],
         "class_matrices_formed": first["class_matrices_formed"],
+        "classes_used": first["classes_used"],
         "table_sha256": first["table_sha256"],
         "seconds": seconds,
         "total_s": sum(seconds.values()),
@@ -296,7 +309,8 @@ def main(argv=None) -> int:
             results[label]["groups"][name] = summary
             print(f"{label:>8} {name:>5}  {summary['total_s']:7.3f} s  "
                   f"{summary['peak_rss_mb']['validate']:6.1f} MB  "
-                  f"{summary['class_matrices_formed']:4} formed  " +
+                  f"{summary['class_matrices_formed']:4} formed  "
+                  f"{summary['classes_used']:4} used  " +
                   "  ".join(f"{s} {summary['seconds'][s]:.3f}"
                             for s in STAGES), file=sys.stderr)
     payload = {
