@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -80,20 +80,22 @@ class CharacterTable:
     its trace.  X is square, so D X* / |G| is a two-sided inverse of X, and
     X* X = |G| D^-1: the column relations, with the centralizer orders on
     the diagonal.  Checking the rows therefore certifies the columns too.
+    ``rows``, when given, is the stack of the chars' rows (the lift's array
+    for a new table), read in place of a copy.
     """
 
     def __init__(self, group: Group, classes: ClassData, chars,
-                 exponent: int, prime: int, root: int):
+                 exponent: int, prime: int, root: int, rows=None):
         self.group = group
         self.classes = classes
         self.exponent = exponent
         self.dixon_prime = prime
         self.primitive_root = root
-        self.galois_maps = _galois_maps(self)
+        self.galois_maps = classes.galois_maps
         chars = list(chars)
         if len(chars) != classes.num_classes:
             raise TableError("character count differs from class count")
-        orders, rows = _table_stack(self, chars)
+        orders, rows = _table_stack(self, chars, rows)
         rank = _canonical_order(np.array([c.degree for c in chars]), rows)
         self.chars = tuple(chars[i] for i in rank)
         self._validate(orders, rows, rank)
@@ -184,7 +186,8 @@ def character_table(group: Group) -> CharacterTable:
         omegas = dixon.central_character_vectors(cd, p, z)
         degrees, mult = dixon.lift_character(omegas, cd, p, z)
         chars = [Character(d, cd.orders, row) for d, row in zip(degrees, mult)]
-        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z)
+        group._cache[key] = CharacterTable(group, cd, chars, exponent, p, z,
+                                           mult)
     return group._cache[key]
 
 
@@ -222,26 +225,14 @@ def _buckets(orders, classes):
         yield n, ks, starts[ks][:, None] + np.arange(n)
 
 
-def _galois_maps(table: CharacterTable) -> list[tuple[int, list[int]]]:
-    """(t, pi_t) for generators t of (Z/e)^*, each the least unit outside
-    the group generated so far; pi_t[k] is the class of class k's t-th
-    powers."""
-    e, cd, maps, group = table.exponent, table.classes, [], {1}
-    for t in range(2, e):
-        if gcd(t, e) == 1 and t not in group:
-            maps.append((t, [c[t % len(c)] for c in cd.power_class]))
-            while more := {t * h % e for h in group} - group:
-                group |= more
-    return maps
-
-
-def _table_stack(table, funcs) -> tuple[list[int], np.ndarray]:
+def _table_stack(table, funcs, rows=None) -> tuple[list[int], np.ndarray]:
     """The stack of class functions on the table's classes, checked to be
     Galois-stable for ``_inner_products``: f_{pi_t(k)}[a t mod n_k] = f_k[a]
     for each generator t, hence for all of (Z/e)^*.  Characters and their
     Z- or Q-combinations are, as chi(g^t) = sigma_t(chi(g)); anything else
-    raises TableError."""
-    orders, rows = _stack(funcs)
+    raises TableError.  ``rows`` is their stack, if it is at hand."""
+    orders, rows = (_stack(funcs) if rows is None
+                    else (list(funcs[0].orders), rows))
     if orders != table.classes.orders:
         raise TableError("class functions must lie on the table's classes")
     at = np.cumsum([0, *orders])

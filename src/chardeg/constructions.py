@@ -18,6 +18,8 @@ from .errors import ChardegError, GroupTooLargeError, NotMemberError
 from .groups import Group, Quotient, Subgroup, quotient_group, word_table
 from .perms import Permutation
 
+MAX_FIELD_TABLE = 1 << 16  # q^2 bound on a field's tables; the corpus: q <= 13
+
 # monic irreducible polynomials (ascending coefficients, leading 1) used
 # when a group file does not specify one
 DEFAULT_POLYS = {
@@ -39,6 +41,8 @@ class FiniteField:
         self.p = p
         self.k = k
         self.q = p ** k
+        if self.q ** 2 > MAX_FIELD_TABLE:  # checked before the tables exist
+            raise GroupTooLargeError(f"field tables of {self.q}^2 entries")
         if k == 1:
             poly = (0, 1)
         elif poly is None:

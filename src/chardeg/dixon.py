@@ -7,7 +7,8 @@ lifted integer quantities (degrees, root-of-unity multiplicities) below p,
 so the finite-field computation determines the exact table.
 
 Steps (Dixon 1967): take classes smallest first (Schneider 1990), skipping
-a class that is a central product of classes taken, and split e_0 =
+a class that is a central product of classes taken, or a rational class
+once the branches are the Galois orbits of Irr(G), and split e_0 =
 sum_chi (chi(1)^2/|G|) omega_chi (column orthogonality) into its r terms.
 A central class, which comes first, permutes the classes, and its
 eigenvalues are roots of unity known in advance: every branch, a sum of
@@ -38,7 +39,7 @@ import numpy as np
 
 from .cyclotomic import _is_prime, _prime_factors, product_dtype
 from .errors import TableError
-from .groups import ClassData
+from .groups import ClassData, _orbits
 
 DEFAULT_PRIME_CEILING = 1_000_000
 
@@ -275,9 +276,13 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     other class forms its matrix, and split_branches cuts the branches that
     matrix is not a scalar on.  Class i is skipped when its class sum is
     K_y K_C, y in Y and C a used class or the identity: K_y K_C = K_{yC},
-    so A_i = A_y A_C is a scalar on every branch left.  Each product sums at
-    most r terms below p^2, in float64, int64 or objects as the module
-    docstring says.
+    so A_i = A_y A_C is a scalar on every branch left.  Rational classes
+    (pi_t(k) = k for each t of galois_maps) have rational central characters:
+    while only they are used, each branch is a union of Galois orbits of
+    Irr(G), as many as those of classes (Brauer's permutation lemma, Isaacs,
+    1976, ch. 6), so with that many branches each is one orbit and all the
+    rational classes are skipped.  Each product sums at most r terms below
+    p^2, in float64, int64 or objects as the module docstring says.
     """
     r = cd.num_classes
     inv = _inverse_table(p, z)
@@ -286,6 +291,9 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     covered = np.zeros(r, dtype=bool)
     covered[0] = True
     moves = []
+    maps = [image for _, image in cd.galois_maps]
+    rational = (np.reshape(maps, (-1, r)) == np.arange(r)).all(axis=0)
+    orbits, only_rational = _orbits(maps, r).max() + 1, True
     for i in sorted(range(1, r), key=lambda i: (cd.sizes[i], i)):
         if covered[i]:
             continue
@@ -308,6 +316,9 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
                 branches = np.concatenate([branches[scalar], split_branches(
                     branches[~scalar], images[~scalar], act, p, inv)])
         covered[i] = True
+        only_rational &= bool(rational[i])
+        if only_rational and len(branches) == orbits:
+            covered |= rational
         while True:
             before = np.count_nonzero(covered)
             for move in moves:

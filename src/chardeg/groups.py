@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -151,7 +151,8 @@ class ClassData:
         for j, g in enumerate(group.generators):
             g_row = np.array(g.images, dtype=rows.dtype)
             conj[j] = g_row[rows[:, np.argsort(g_row)[self.base]]]
-        raw = _orbits(group.chain.rank(conj), len(rows))
+        maps, conj = group.chain.rank(conj), None  # freed before _orbits
+        raw = _orbits(maps, len(rows))
         raw_sizes = np.bincount(raw)
         # each raw class's lexicographically least member: keep the members
         # at their class's least image, one column at a time
@@ -215,6 +216,19 @@ class ClassData:
 
     def centralizer_order(self, i: int) -> int:
         return self.group.order // self.sizes[i]
+
+    @cached_property
+    def galois_maps(self) -> list[tuple[int, list[int]]]:
+        """(t, pi_t) for generators t of (Z/e)^*, e the exponent, each the
+        least unit outside the group generated so far; pi_t[k] is the class
+        of class k's t-th powers."""
+        e, maps, group = lcm(*self.orders), [], {1}
+        for t in range(2, e):
+            if gcd(t, e) == 1 and t not in group:
+                maps.append((t, [c[t % len(c)] for c in self.power_class]))
+                while more := {t * h % e for h in group} - group:
+                    group |= more
+        return maps
 
 
 def _orbits(maps, size: int) -> np.ndarray:

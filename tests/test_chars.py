@@ -15,7 +15,7 @@ from chardeg.chars import (Character, CharacterTable, character_table,
 from chardeg.invariants import gallagher_check
 from chardeg.cyclotomic import CycValue, reduce_to_power_basis, totient
 from chardeg.errors import TableError
-from chardeg.groups import Group, Subgroup, center
+from chardeg.groups import ClassData, Group, Subgroup, center
 from chardeg.perms import parse_cycles
 
 
@@ -384,9 +384,8 @@ def test_galois_maps_run_over_generators_of_the_units(e, gens):
     # the least unit outside the group generated so far, repeatedly: their
     # products reach every unit mod e, so stability under them is stability
     # under all of Gal(Q(zeta_e)/Q)
-    table = SimpleNamespace(exponent=e,
-                            classes=SimpleNamespace(power_class=[[0]]))
-    assert [t for t, _ in chars._galois_maps(table)] == gens
+    classes = SimpleNamespace(orders=[e], power_class=[[0] * e])
+    assert [t for t, _ in ClassData.galois_maps.func(classes)] == gens
     reached = {1}
     while more := {r * t % e for r in reached for t in gens} - reached:
         reached |= more
@@ -433,20 +432,38 @@ def test_stability_check_reads_the_rows_a_block_at_a_time(monkeypatch):
 
 
 def test_galois_maps_are_found_once_per_table(monkeypatch):
-    # A5 (e = 30, generators 7 and 11): the table's stability check, its
-    # Gram and every later inner product share one list of maps
+    # A5 (e = 30, generators 7 and 11): the split's rational skip, the
+    # table's stability check, its Gram and every later inner product share
+    # the class data's one list of maps
     found = []
-    original = chars._galois_maps
+    original = ClassData.galois_maps.func
 
-    def spy(table):
-        found.append(table)
-        return original(table)
-    monkeypatch.setattr(chars, "_galois_maps", spy)
+    def spy(cd):
+        found.append(cd)
+        return original(cd)
+    monkeypatch.setattr(ClassData.galois_maps, "func", spy)
     table = character_table(make(["(1 2 3 4 5)", "(1 2 3)"], 5))
     assert [t for t, _ in table.galois_maps] == [7, 11]
     for chi in table.chars:
         assert inner_product(table, chi, chi) == 1
-    assert found == [table]
+    assert found == [table.classes]
+
+
+def test_new_table_stacks_the_lift_rows_in_place(monkeypatch):
+    # the table's rows are those of the lift's one array, which is their
+    # stack: building the table copies none of them into a new one
+    stacked = []
+    original = chars._stack
+
+    def spy(funcs):
+        stacked.append(len(funcs))
+        return original(funcs)
+    monkeypatch.setattr(chars, "_stack", spy)
+    table = character_table(make(["(1 2 3 4 5)", "(1 2 3)"], 5))
+    assert stacked == []
+    mult = table.chars[0].row.base
+    assert len(mult) == len(table.chars)
+    assert all(chi.row.base is mult for chi in table.chars)
 
 
 @pytest.mark.parametrize("width,dtype", [

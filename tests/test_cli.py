@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,26 @@ def test_degree_above_the_element_rows_exits_2(capsys, tmp_path, body):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "65536" in err
+
+
+def test_field_with_oversized_tables_exits_2_before_building_them(
+        capsys, tmp_path):
+    # F_65521 in dimension 1 acts on 65520 points, within the element rows'
+    # bound, but its q x q operation tables would hold 4.3e9 entries: the
+    # field refuses them before anything is allocated
+    f = tmp_path / "Big.grp"
+    f.write_text("name Big\nmat 65521 1 1\ngen 3\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "table", str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "65521" in err
+    assert peak < 1 << 22
 
 
 def test_acd_rel_mod(capsys):

@@ -439,14 +439,50 @@ def test_abelian_split_forms_only_matrices_that_split(monkeypatch, gens,
     assert set(permutations) == splitting
 
 
-@pytest.mark.parametrize("name,count", [("2A6", 7), ("6A6", 7), ("Q16", 4)])
+@pytest.mark.parametrize("name,count", [("2A6", 5), ("6A6", 7), ("Q16", 4)])
 def test_split_skips_products_of_central_and_used_classes(monkeypatch, cat,
                                                           name, count):
-    # groups with a nontrivial center (11, 27 and 5 matrices before)
+    # groups with a nontrivial center (11, 27 and 5 matrices before this
+    # skip); 2A6 used 7 before the rational skip, which 6A6 and Q16 never
+    # reach: they use a class that is not rational (a central one of order
+    # 3, and one of order 8) before their branches number their orbits
     matrices, permutations, _ = used_and_splitting(monkeypatch,
                                                    cat.group(name))
     assert permutations and matrices
     assert len(matrices) + len(permutations) == count
+
+
+LARGE = {
+    "S8": (8, ["(1 2 3 4 5 6 7 8)", "(1 2)"]),
+    "A8": (8, ["(2 3 4 5 6 7 8)", "(1 2 3)"]),
+    "M12": (12, ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
+                 "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"]),
+    "M22": (22, ["(1 2 3 4 5 6 7 8 9 10 11)"
+                 "(12 13 14 15 16 17 18 19 20 21 22)",
+                 "(1 4 5 9 3)(2 8 10 7 6)(12 15 16 20 14)(13 19 21 18 17)",
+                 "(1 21)(2 10 8 6)(3 13 4 17)(5 19 9 18)(11 22)(12 14 16 20)"]),
+}
+
+
+@pytest.mark.parametrize("name,formed", [
+    ("S8", 2), ("A8", 5), ("M12", 6), ("M22", 5)])
+def test_split_skips_rational_classes_once_each_branch_is_one_orbit(
+        monkeypatch, name, formed):
+    # A8, M12 and M22 formed 11, 8 and 9 matrices before the skip; every
+    # class of S8 is rational, so its branches reach the orbit count only
+    # when they are r, and it forms 2 as before
+    degree, gens = LARGE[name]
+    group = Group([parse_cycles(s, degree) for s in gens], degree)
+    cd = conjugacy_classes(group)
+    matrices, permutations, _ = used_and_splitting(monkeypatch, group)
+    assert not permutations and len(matrices) == formed
+    rational = [all(image[i] == i for _, image in cd.galois_maps)
+                for i in range(cd.num_classes)]
+    assert all(rational) == (name == "S8")
+    # the classes formed, in order, are rational ones and then ones that
+    # are not: the skip leaves no rational class to form
+    flags = [rational[i] for i in matrices]
+    assert flags == sorted(flags, reverse=True)
 
 
 def central_splits(monkeypatch, group):

@@ -88,6 +88,38 @@ def test_rank_of_products(name):
     assert np.array_equal(rows[ranked], products)
 
 
+# (_RANK_KEYS, _RANK_INVERSES): blocks of one level each, and one block for
+# the whole base (the groups whose key table over all of it is small)
+LAYOUTS = {"one level a block": (1, 1), "one block": (1 << 62, 1 << 62)}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("name", ["trivial", "A5", "M11", "AGL(1,17)",
+                                  "S4 prefix"])
+def test_rank_under_forced_block_layouts(name, layout, monkeypatch):
+    keys, inverses = LAYOUTS[layout]
+    monkeypatch.setattr(bsgs, "_RANK_KEYS", keys)
+    monkeypatch.setattr(bsgs, "_RANK_INVERSES", inverses)
+    group = GROUPS[name]()
+    chain = group.chain
+    moving = [i for i, t in enumerate(chain.transversals) if len(t) > 1]
+    blocks = [levels for levels, *_ in chain._rank_blocks]
+    assert blocks == ([[i] for i in moving] if keys == 1
+                      else [moving] if moving else [])
+    assert np.array_equal(chain.rank(base_images(group)),
+                          np.arange(group.order))
+    rng = np.random.default_rng(5)
+    junk = rng.integers(0, group.degree, (500, len(chain.base)))
+    ranked = chain.rank(junk.astype(group.element_array().dtype))
+    assert ((0 <= ranked) & (ranked < group.order)).all()
+    outside = next(x for x in (Permutation(p.tolist()) for p in
+                               rng.permuted(np.tile(np.arange(group.degree),
+                                                    (100, 1)), axis=1))
+                   if x not in group)
+    with pytest.raises(NotMemberError):
+        conjugacy_classes(group).class_of(outside)
+
+
 def sorted_class_data(group):
     """(reps, members) from sorted(): classes by (order, size, least
     member), members sorted by image tuple."""

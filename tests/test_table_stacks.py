@@ -14,7 +14,7 @@ import pytest
 
 from cyclic_reference import as_character, cyclic_product
 
-from chardeg import chars, checks
+from chardeg import bsgs, chars, checks
 from chardeg.chars import (Character, CharacterTable, _on_classes,
                            character_table, tensor)
 from chardeg.cyclotomic import CycValue
@@ -310,28 +310,30 @@ def direct_power(p, k):
 @pytest.mark.parametrize("p, k", [(2, 6), (3, 4)])
 def test_rank_skips_every_inverse_gather_of_an_elementary_abelian_group(p, k):
     group = direct_power(p, k)
-    assert all(inverse is None for *_, inverse in group.chain._rank_tables)
+    assert all(inverse is None for *_, inverse in group.chain._rank_blocks)
     rows = group.element_array()
     assert np.array_equal(group.chain.rank(rows[:, group.chain.base]),
                           np.arange(group.order))
 
 
-def test_rank_divides_where_a_later_orbit_moves():
+def test_rank_divides_where_a_later_orbit_moves(monkeypatch):
     # level 0's transversal element (0 2)(1 3) fixes base point 1 but moves
-    # 3, which base point 1's stabilizer orbit reaches: its inverse must be
-    # gathered, or the rank of half the elements comes out wrong
+    # 3, which base point 1's stabilizer orbit reaches: with one level a
+    # block, its inverse must be gathered, or the rank of half the elements
+    # comes out wrong
+    monkeypatch.setattr(bsgs, "_RANK_KEYS", 1)
     group = Group([Permutation([2, 3, 0, 1, 4]), Permutation([2, 1, 0, 4, 3])],
                   5)
     chain = group.chain
     assert chain.base[:2] == [0, 1]
-    assert chain._rank_tables[0][3] is not None
+    assert chain._rank_blocks[0][3] is not None
     rows = group.element_array()
     assert np.array_equal(chain.rank(rows[:, chain.base]),
                           np.arange(group.order))
 
 
-def test_rank_on_random_groups():
-    rng = random.Random(7)
+def test_rank_on_random_groups(monkeypatch):
+    rng, default = random.Random(7), bsgs._RANK_KEYS
     skipped = 0
     for _ in range(300):
         degree = rng.randint(3, 8)
@@ -345,12 +347,15 @@ def test_rank_on_random_groups():
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     images[a] = b
             gens.append(Permutation(images))
-        group = Group(gens, degree)
-        if group.order > 2000:
-            continue
-        skipped += sum(inverse is None
-                       for *_, inverse in group.chain._rank_tables[:-1])
-        rows = group.element_array()
-        assert np.array_equal(group.chain.rank(rows[:, group.chain.base]),
-                              np.arange(group.order))
+        # the default blocks, then one level a block
+        for keys in (default, 1):
+            monkeypatch.setattr(bsgs, "_RANK_KEYS", keys)
+            group = Group(gens, degree)
+            if group.order > 2000:
+                break
+            skipped += sum(inverse is None
+                           for *_, inverse in group.chain._rank_blocks[:-1])
+            rows = group.element_array()
+            assert np.array_equal(group.chain.rank(rows[:, group.chain.base]),
+                                  np.arange(group.order))
     assert skipped > 0

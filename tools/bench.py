@@ -24,9 +24,10 @@ from here; nothing in the program is changed:
 * classes: ``conjugacy_classes``;
 * class matrices: the time spent in ``dixon.class_matrix`` during the split
   (the function is wrapped from outside, in the worker process only; its
-  peak RSS is the split's), and how many it formed; the classes used also
-  count the central classes read through ``dixon.class_permutation``,
-  which forms no matrix;
+  peak RSS is the split's), how many it formed, and how many of those cut
+  a branch (the calls of ``dixon.split_branches``, wrapped alike); the
+  classes used also count the central classes read through
+  ``dixon.class_permutation``, which forms no matrix;
 * split: ``dixon.central_character_vectors`` less its class matrices;
 * lift: ``dixon.lift_character``;
 * validate: the rest of ``character_table`` (the ``Character`` objects,
@@ -118,8 +119,9 @@ def measure(name: str) -> dict:
     from chardeg.groups import Group, conjugacy_classes
     from chardeg.perms import parse_cycles
 
-    spent = {"class_matrices": 0.0, "formed": 0, "used": 0}
+    spent = {"class_matrices": 0.0, "formed": 0, "cut": 0, "used": 0}
     class_matrix = dixon.class_matrix
+    split_branches = dixon.split_branches
     # trees older than the central split read no class permutation
     class_permutation = getattr(dixon, "class_permutation", None)
 
@@ -132,11 +134,16 @@ def measure(name: str) -> dict:
             spent["formed"] += 1
             spent["used"] += 1
 
+    def counted_split_branches(*args):
+        spent["cut"] += 1
+        return split_branches(*args)
+
     def counted_class_permutation(*args):
         spent["used"] += 1
         return class_permutation(*args)
 
     dixon.class_matrix = timed_class_matrix
+    dixon.split_branches = counted_split_branches
     if class_permutation is not None:
         dixon.class_permutation = counted_class_permutation
     degree, cycles = GROUPS[name]
@@ -169,6 +176,7 @@ def measure(name: str) -> dict:
     table = stage("validate", lambda: character_table(group))
     return {"order": group.order, "classes": cd.num_classes,
             "class_matrices_formed": spent["formed"],
+            "class_matrices_cut": spent["cut"],
             "classes_used": spent["used"],
             "table_sha256": hashlib.sha256(
                 table.to_data().to_json().encode()).hexdigest(),
@@ -233,7 +241,8 @@ def commit_of(tree: Path) -> str | None:
 
 
 def summarize(runs: list[dict]) -> dict:
-    for key in ("table_sha256", "class_matrices_formed", "classes_used"):
+    for key in ("table_sha256", "class_matrices_formed", "class_matrices_cut",
+                "classes_used"):
         values = {r[key] for r in runs}
         if len(values) != 1:
             raise RuntimeError(f"repeats disagree on {key}: {values}")
@@ -244,6 +253,7 @@ def summarize(runs: list[dict]) -> dict:
         "order": first["order"],
         "classes": first["classes"],
         "class_matrices_formed": first["class_matrices_formed"],
+        "class_matrices_cut": first["class_matrices_cut"],
         "classes_used": first["classes_used"],
         "table_sha256": first["table_sha256"],
         "seconds": seconds,
@@ -310,6 +320,7 @@ def main(argv=None) -> int:
             print(f"{label:>8} {name:>5}  {summary['total_s']:7.3f} s  "
                   f"{summary['peak_rss_mb']['validate']:6.1f} MB  "
                   f"{summary['class_matrices_formed']:4} formed  "
+                  f"{summary['class_matrices_cut']:4} cut  "
                   f"{summary['classes_used']:4} used  " +
                   "  ".join(f"{s} {summary['seconds'][s]:.3f}"
                             for s in STAGES), file=sys.stderr)
