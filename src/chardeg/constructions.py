@@ -1,17 +1,22 @@
 """Group constructions: matrix groups over small finite fields, direct
 products, central products, and fiber products.
 
-Matrix groups act on nonzero row vectors or on projective points; the
-resulting object is an ordinary permutation group, so nothing downstream
-needs to know about fields.  Central products are realized as quotients of
-a direct product by an anti-diagonal central subgroup; fiber products are
-assembled from the two kernels plus matched generator lifts found by word
-search through the common quotient.
+A field is its q x q add and mul tables, so each operation is one read.  A
+matrix group acts on nonzero row vectors or projective points, coded base q
+and sorted; one table gather per coordinate maps the whole domain, so the
+result is an ordinary permutation group and nothing downstream needs to know
+about fields.  Central products are realized as quotients of a direct
+product by an anti-diagonal central subgroup; fiber products are assembled
+from the two kernels plus matched generator lifts found by word search
+through the common quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+
+import numpy as np
 
 from .bsgs import MAX_DEGREE
 from .errors import ChardegError, GroupTooLargeError, NotMemberError
@@ -32,17 +37,20 @@ DEFAULT_POLYS = {
 
 
 class FiniteField:
-    """F_{p^k} with elements encoded as integers 0..p^k-1 (base-p digits =
-    polynomial coefficients).  Small enough for full operation tables."""
+    """F_{p^k} with elements coded 0..q-1, q = p^k: the base-p digits of a
+    code, constant first, are a polynomial in x modulo ``poly``.
+
+    ``add_table`` and ``mul_table`` are q x q arrays (q^2 is checked against
+    MAX_FIELD_TABLE first) in the least unsigned dtype holding q - 1;
+    ``neg_table`` and ``inv_table`` are read off them, with inv_table[0] = 0.
+    """
 
     def __init__(self, p: int, k: int = 1, poly=None):
         if k < 1 or p < 2:
             raise ValueError("need p >= 2, k >= 1")
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        if self.q ** 2 > MAX_FIELD_TABLE:  # checked before the tables exist
-            raise GroupTooLargeError(f"field tables of {self.q}^2 entries")
+        q = p ** k
+        if q ** 2 > MAX_FIELD_TABLE:  # checked before the tables exist
+            raise GroupTooLargeError(f"field tables of {q}^2 entries")
         if k == 1:
             poly = (0, 1)
         elif poly is None:
@@ -54,64 +62,39 @@ class FiniteField:
         poly = tuple(c % p for c in poly)
         if len(poly) != k + 1 or poly[-1] != 1:
             raise ChardegError("modulus must be monic of degree k")
-        self.poly = poly
-        self._mul = [[self._mul_slow(a, b) for b in range(self.q)]
-                     for a in range(self.q)]
-        # a proper factor of a reducible modulus is a zero divisor, so the
-        # inverse search is the irreducibility test
-        self._inv = [0] * self.q
-        for a in range(1, self.q):
-            for b in range(1, self.q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-            else:
-                raise ChardegError(
-                    f"modulus {poly} is reducible over F_{p} (no inverse)")
-
-    def _digits(self, a: int):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, digits) -> int:
-        val = 0
-        for d in reversed(digits):
-            val = val * self.p + d
-        return val
+        self.p, self.k, self.q, self.poly = p, k, q, poly
+        weights = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // weights % p  # q x k
+        # a*b = sum_i a_i (b x^i), shifted holding b x^i reduced by poly
+        product, shifted = 0, digits
+        for i in range(k):
+            product = product + digits[:, i, None, None] * shifted
+            shifted = (np.pad(shifted[:, :-1], ((0, 0), (1, 0)))
+                       - shifted[:, -1:] * poly[:k]) % p
+        dtype = np.min_scalar_type(q - 1)
+        self.add_table = ((digits[:, None] + digits) % p @ weights).astype(dtype)
+        self.mul_table = (product % p @ weights).astype(dtype)
+        self.neg_table = (self.add_table == 0).argmax(axis=1).astype(dtype)
+        ones = self.mul_table == 1
+        # a factor of a reducible modulus is a zero divisor: no 1 in its row
+        if not ones[1:].any(axis=1).all():
+            raise ChardegError(
+                f"modulus {poly} is reducible over F_{p} (no inverse)")
+        self.inv_table = ones.argmax(axis=1).astype(dtype)
 
     def add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        return self._encode([(-x) % self.p for x in self._digits(a)])
+        return int(self.neg_table[a])
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("finite field inverse of zero")
-        return self._inv[a]
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the defining polynomial
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.k):
-                    prod[i - self.k + j] = (prod[i - self.k + j]
-                                            - c * self.poly[j]) % self.p
-        return self._encode(prod[: self.k])
+        return int(self.inv_table[a])
 
 
 @dataclass
@@ -131,43 +114,49 @@ class MatrixGroupSpec:
 
 
 def matrix_domain(spec: MatrixGroupSpec):
-    """The point set the matrix group permutes, with its index map; checked
-    against MAX_DEGREE before the field or any vector is built."""
-    q = spec.p ** spec.k
-    size = (q ** spec.n - 1) // (q - 1 if spec.action == "projective" else 1)
+    """The points the matrix group permutes: their sorted base-q codes
+    (coordinate 0 least significant) and size x n coordinate rows, row i
+    being point i.  "projective" keeps the vectors whose first nonzero
+    coordinate is 1.  The size is checked against MAX_DEGREE before any
+    array or the field is built, and no array is larger than size x n."""
+    q, n = spec.p ** spec.k, spec.n
+    if spec.action not in ("vectors", "projective"):
+        raise ChardegError(f"unknown action {spec.action!r}")
+    size = (q ** n - 1) // (q - 1 if spec.action == "projective" else 1)
     if size > MAX_DEGREE:
         raise GroupTooLargeError(f"degree {size} exceeds {MAX_DEGREE}")
-    f = spec.field()
-    vectors = [_int_to_vector(i, spec.n, f.q) for i in range(1, f.q ** spec.n)]
     if spec.action == "vectors":
-        domain = vectors
-    elif spec.action == "projective":
-        domain = [v for v in vectors if _is_projective_rep(v)]
-    else:
-        raise ChardegError(f"unknown action {spec.action!r}")
-    return domain, {v: i for i, v in enumerate(domain)}, f
+        codes = np.arange(1, q ** n)
+    else:  # a 1 at coordinate j, zeros below it, anything above
+        codes = np.sort(np.concatenate(
+            [q ** j + q ** (j + 1) * np.arange(q ** (n - 1 - j))
+             for j in range(n)]))
+    coords = codes[:, None] // q ** np.arange(n) % q
+    return codes, coords.astype(np.min_scalar_type(q - 1))
 
 
-def matrix_to_perm(spec: MatrixGroupSpec, mat, domain=None, index=None,
+def matrix_to_perm(spec: MatrixGroupSpec, mat, domain=None,
                    f=None) -> Permutation:
-    """Permutation induced by a single invertible matrix on the domain."""
-    if domain is None:
-        domain, index, f = matrix_domain(spec)
-    n = spec.n
+    """Permutation induced by a single invertible matrix on the domain
+    (``matrix_domain(spec)`` and ``spec.field()`` unless handed in)."""
+    q, n = spec.p ** spec.k, spec.n
     if len(mat) != n * n:
         raise ChardegError("generator matrix has wrong shape")
-    images = []
-    for v in domain:
-        w = _vec_mat(v, mat, n, f)
-        if spec.action == "projective":
-            w = _normalize_projective(w, f)
-        if w not in index:
-            raise ChardegError("singular generator matrix")
-        images.append(index[w])
-    try:
-        return Permutation(images)
-    except ValueError:
+    if any(not 0 <= x < q for x in mat):
+        raise ChardegError(f"matrix entries must lie in 0..{q - 1}")
+    codes, coords = matrix_domain(spec) if domain is None else domain
+    f = spec.field() if f is None else f
+    image = np.stack([  # w_j = sum_i v_i M_ij
+        reduce(lambda w, t: f.add_table[w, t], f.mul_table[coords, column].T)
+        for column in np.reshape(mat, (n, n)).T], axis=1)
+    if spec.action == "projective":  # scale by the leading coordinate's inverse
+        lead = image[np.arange(len(image)), (image != 0).argmax(axis=1)]
+        image = f.mul_table[image, f.inv_table[lead][:, None]]
+    image_codes = image @ q ** np.arange(n)
+    points = np.searchsorted(codes, image_codes).clip(max=len(codes) - 1)
+    if (codes[points] != image_codes).any() or np.bincount(points).max() > 1:
         raise ChardegError("singular generator matrix")
+    return Permutation(points.tolist())
 
 
 def perm_from_matrix_group(spec: MatrixGroupSpec) -> Group:
@@ -178,43 +167,9 @@ def perm_from_matrix_group(spec: MatrixGroupSpec) -> Group:
     kernel of scalars is quotiented out by the action itself, which is how
     PSL arises from SL generators.
     """
-    domain, index, f = matrix_domain(spec)
-    perms = [matrix_to_perm(spec, mat, domain, index, f)
-             for mat in spec.generators]
-    return Group(perms, len(domain), name=spec.name)
-
-
-def _int_to_vector(i: int, n: int, q: int) -> tuple:
-    out = []
-    for _ in range(n):
-        out.append(i % q)
-        i //= q
-    return tuple(out)
-
-
-def _is_projective_rep(v: tuple) -> bool:
-    for x in v:
-        if x:
-            return x == 1
-    return False
-
-
-def _normalize_projective(v: tuple, f: FiniteField) -> tuple:
-    for x in v:
-        if x:
-            scale = f.inv(x)
-            return tuple(f.mul(scale, y) for y in v)
-    return v
-
-
-def _vec_mat(v: tuple, mat, n: int, f: FiniteField) -> tuple:
-    out = []
-    for j in range(n):
-        acc = 0
-        for i in range(n):
-            acc = f.add(acc, f.mul(v[i], mat[i * n + j]))
-        out.append(acc)
-    return tuple(out)
+    domain, f = matrix_domain(spec), spec.field()
+    perms = [matrix_to_perm(spec, mat, domain, f) for mat in spec.generators]
+    return Group(perms, len(domain[0]), name=spec.name)
 
 
 # -- products ---------------------------------------------------------------

@@ -299,10 +299,11 @@ class Catalogue:
                                  name=spec.name)
             return CatalogueEntry(spec.name, spec, cp.group, construction=cp)
         if spec.kind == "fiber":
-            a, b, q = (self.entry(r).group for r in spec.refs)
-            epia = [parse_cycles(s, q.degree) for s in spec.epia]
-            epib = [parse_cycles(s, q.degree) for s in spec.epib]
-            group = fiber_product(a, b, epia, epib, q, name=spec.name)
+            a, b, q = (self.entry(r) for r in spec.refs)
+            epia = [self._element_payload(q, "perm", s) for s in spec.epia]
+            epib = [self._element_payload(q, "perm", s) for s in spec.epib]
+            group = fiber_product(a.group, b.group, epia, epib, q.group,
+                                  name=spec.name)
             return CatalogueEntry(spec.name, spec, group)
         raise ValidationError(f"unknown kind {spec.kind!r}")
 
@@ -315,12 +316,15 @@ class Catalogue:
 
     def _element_payload(self, entry: CatalogueEntry, payload_kind: str,
                          payload: str):
-        if payload_kind == "perm":
-            return parse_cycles(payload, entry.group.degree)
+        try:
+            if payload_kind == "perm":
+                return parse_cycles(payload, entry.group.degree)
+            mat = tuple(int(x) for x in payload.split())
+        except ValueError as exc:
+            raise ParseError(f"{payload_kind} {payload!r}: {exc}")
         if entry.spec.kind != "mat":
             raise ValidationError(
                 f"matrix payload against non-matrix group {entry.name}")
-        mat = tuple(int(x) for x in payload.split())
         return matrix_to_perm(self._mat_spec(entry.spec), mat)
 
 

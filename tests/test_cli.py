@@ -87,6 +87,27 @@ def test_malformed_mat_header_exits_2(capsys, tmp_path, header):
 
 
 @pytest.mark.parametrize("body", [
+    "mat 5 1 2\ngen 7 0 0 1",  # an entry of q or more
+    "mat 3 2 2\ngen 1 0 0 -1",  # negative: not read as element 8 of F_9
+    "fiber S4 S4 S3\nepia (1 2 9)\nepia (1 2)\nepib (1 2 3)\nepib (1 2)",
+    "central S4 S4\nzm perm (1 9)\nzc perm (1 2)(3 4)",
+    "central SL2_5 SL2_5\nzm mat 7 0 0 4\nzc mat 4 0 0 4",
+    "central SL2_5 SL2_5\nzm mat 4 0 0 -1\nzc mat 4 0 0 4",
+    "central SL2_5 SL2_5\nzm mat 4 x 0 4\nzc mat 4 0 0 4",
+], ids=["gen-over-q", "gen-negative", "epia-point", "zm-perm-point",
+        "zm-mat-over-q", "zm-mat-negative", "zm-mat-not-int"])
+def test_malformed_payload_exits_2(capsys, tmp_path, body):
+    # field entries outside 0..q-1 and points outside the acted-on set are
+    # input errors, whether in a generator or in a product's payload
+    f = tmp_path / "M.grp"
+    f.write_text(f"name M\n{body}\n")
+    code, out, err = run(capsys, "acd", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body", [
     "perm 70000\ngen (1 70000)",
     "mat 101 1 5\ngen " + " ".join("1" if i % 6 == 0 else "0"
                                     for i in range(25)),

@@ -1,10 +1,16 @@
+import hashlib
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from chardeg.chars import character_table
-from chardeg.constructions import (FiniteField, MatrixGroupSpec,
-                                   central_product, direct_product,
-                                   fiber_product, matrix_to_perm,
+from chardeg.constructions import (DEFAULT_POLYS, FiniteField,
+                                   MatrixGroupSpec, central_product,
+                                   direct_product, fiber_product,
+                                   matrix_domain, matrix_to_perm,
                                    perm_from_matrix_group)
+from chardeg.corpusio import Catalogue, default_corpus_path, parse_group_file
 from chardeg.errors import ChardegError
 from chardeg.groups import (Group, center, conjugacy_classes, is_perfect,
                             quotient_group)
@@ -41,6 +47,47 @@ def test_f9_arithmetic():
     assert e == 8
     for a in range(1, 9):
         assert f.mul(a, f.inv(a)) == 1
+
+
+def schoolbook_mul(p, k, poly, a, b):
+    """a*b in F_{p^k} from the base-p digits: the polynomial product, then
+    reduction by the monic modulus poly (ascending coefficients)."""
+    da = [a // p ** i % p for i in range(k)]
+    db = [b // p ** i % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(len(prod) - 1, k - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j in range(k):
+            prod[i - k + j] = (prod[i - k + j] - c * poly[j]) % p
+    return sum(d * p ** i for i, d in enumerate(prod[:k]))
+
+
+FIELDS = sorted(DEFAULT_POLYS) + [(p, 1) for p in (2, 3, 5, 7, 11, 13)]
+
+
+@pytest.mark.parametrize("p,k", FIELDS, ids=[f"F{p}^{k}" for p, k in FIELDS])
+def test_field_tables_match_the_schoolbook_reference(p, k):
+    f = FiniteField(p, k)
+    poly = DEFAULT_POLYS.get((p, k), (0, 1))
+    q = p ** k
+    for a in range(q):
+        digits_a = [a // p ** i % p for i in range(k)]
+        for b in range(q):
+            digits_b = [b // p ** i % p for i in range(k)]
+            total = sum((x + y) % p * p ** i
+                        for i, (x, y) in enumerate(zip(digits_a, digits_b)))
+            assert f.add(a, b) == total
+            assert f.mul(a, b) == schoolbook_mul(p, k, poly, a, b)
+        assert f.add(a, f.neg(a)) == 0
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+    assert all(type(x) is int for x in (f.add(1, 1), f.neg(1), f.mul(1, 1),
+                                        f.inv(1)))
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
 
 
 def test_reducible_modulus_rejected():
@@ -110,6 +157,75 @@ def test_matrix_to_perm_element():
                            generators=[(1, 1, 0, 1)], action="vectors")
     minus_identity = matrix_to_perm(spec, (4, 0, 0, 4))
     assert minus_identity.order() == 2
+
+
+@pytest.mark.parametrize("entry", [-1, 5, 7])
+def test_matrix_entries_outside_the_field_are_refused(entry):
+    # -1 would be read as element q - 1 through negative indexing
+    spec = MatrixGroupSpec(p=5, k=1, n=2, generators=[(1, 1, 0, 1)])
+    with pytest.raises(ChardegError, match="0..4"):
+        matrix_to_perm(spec, (entry, 0, 0, 1))
+
+
+def test_corpus_matrix_generators_are_pinned():
+    # the images of every matrix generator in the corpus and of the two
+    # "zm mat" payloads, as computed by the digit-list field and the
+    # per-vector action that the lookup tables replaced
+    specs = {f.stem: parse_group_file(f.read_text())
+             for f in default_corpus_path().glob("*.grp")}
+    digest = hashlib.sha256()
+    count = 0
+    for name, spec in sorted(specs.items()):
+        if spec.kind == "mat":
+            pairs = [(spec, m) for m in spec.mat_gens]
+        elif spec.kind == "central":
+            pairs = [(specs[ref], tuple(int(x) for x in payload.split()))
+                     for ref, payloads in zip(spec.refs, (spec.zm, spec.zc))
+                     for kind, payload in payloads if kind == "mat"]
+        else:
+            continue
+        for owner, mat in pairs:
+            perm = matrix_to_perm(Catalogue._mat_spec(owner), mat)
+            digest.update(f"{name} {perm.images}\n".encode())
+            count += 1
+    assert count == 28  # 26 generators of 9 mat entries, 2 payloads
+    assert digest.hexdigest() == (
+        "8e284945e2aafad5a66dbb5728d92712120aad39c0783248f36ce45cc6e4f5b3")
+
+
+def test_projective_domain_is_built_without_the_vector_list():
+    # PG(2, 251) has 63 253 points; the 251^3 vectors would take gigabytes
+    # as tuples.  Codes and coordinate rows are size x n at most.
+    spec = MatrixGroupSpec(p=251, k=1, n=3, generators=[],
+                           action="projective")
+    tracemalloc.start()
+    try:
+        codes, coords = matrix_domain(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coords.shape == (63253, 3)
+    assert peak < 8 << 20
+    assert (codes[1:] > codes[:-1]).all()
+    weights = 251 ** np.arange(3)
+    assert (coords @ weights == codes).all()
+    lead = np.take_along_axis(coords, (coords != 0).argmax(axis=1)[:, None],
+                              axis=1)
+    assert (lead == 1).all()
+
+
+def test_domain_order_is_the_sorted_codes():
+    # the q^n - 1 vectors in code order, and the projective points among
+    # them: the old per-vector filter, on a small space
+    for action in ("vectors", "projective"):
+        spec = MatrixGroupSpec(p=3, k=1, n=3, generators=[], action=action)
+        codes, coords = matrix_domain(spec)
+        rows = [tuple(i // 3 ** j % 3 for j in range(3)) for i in range(1, 27)]
+        if action == "projective":
+            rows = [v for v in rows if next(x for x in v if x) == 1]
+        assert [tuple(r) for r in coords.tolist()] == rows
+        assert codes.tolist() == [sum(x * 3 ** j for j, x in enumerate(v))
+                                  for v in rows]
 
 
 # -- direct products ---------------------------------------------------------

@@ -1,20 +1,23 @@
 """Per-stage seconds and peak RSS of the table engine on a fixed group set,
 and of the two corpus commands end to end.
 
-    git worktree add --detach DIR <parent commit>
+    mkdir DIR && git archive <parent commit> | tar -x -C DIR
     python3 tools/bench.py --out BENCH_<n>.json --tree parent=DIR --tree change=.
 
-Each ``--tree LABEL=PATH`` names a chardeg checkout (a directory holding
-``src/chardeg``); the default is this checkout, labelled ``change``.  Every
-group of GROUPS is built REPEAT times per tree (REPEATS for the slowest),
-each time in a fresh process that imports chardeg from that tree's ``src``
-with one BLAS thread per CPU.  Each such worker pins itself to one CPU, as
-perfbench/run.py pins its workers: unpinned, mid-size BLAS products were
-seen to stall for about 16 ms.  The JSON written to ``--out`` holds the
-median seconds of each stage, the peak RSS reached by the end of each stage
-(the largest over the repeats), and the SHA-256 of the table's JSON export,
-so that the trees can be checked to agree; it also records the BLAS that
-numpy uses and its thread setting, since the products run there.
+Each ``--tree LABEL=PATH`` names a chardeg tree (a directory holding
+``src/chardeg``: a git checkout or a plain copy such as the archive above);
+the default is this checkout, labelled ``change``.  Each tree is recorded by
+its git commit, where it is a checkout, and always by the SHA-256 of its
+``src/chardeg/*.py``.  Every group of GROUPS is built REPEAT times per tree
+(REPEATS for the slowest), each time in a fresh process that imports chardeg
+from that tree's ``src`` with one BLAS thread per CPU.  Each worker pins
+itself to one CPU, as perfbench/run.py pins its workers: unpinned, mid-size
+BLAS products were seen to stall for about 16 ms.  The JSON written to
+``--out`` holds the median seconds of each stage, the peak RSS reached by the
+end of each stage (the largest over the repeats), and the SHA-256 of the
+table's JSON export, so that the trees can be checked to agree; it also
+records the BLAS that numpy uses and its thread setting, since the products
+run there.
 
 The stages are those of ``chars.character_table``, called one at a time
 from here; nothing in the program is changed:
@@ -240,6 +243,14 @@ def commit_of(tree: Path) -> str | None:
     return head + ("+uncommitted" if dirty else "")
 
 
+def source_of(tree: Path) -> str:
+    """SHA-256 over the names and contents of the tree's src/chardeg/*.py."""
+    digest = hashlib.sha256()
+    for file in sorted((tree / "src" / "chardeg").glob("*.py")):
+        digest.update(file.name.encode() + b"\0" + file.read_bytes())
+    return digest.hexdigest()
+
+
 def summarize(runs: list[dict]) -> dict:
     for key in ("table_sha256", "class_matrices_formed", "class_matrices_cut",
                 "classes_used"):
@@ -297,7 +308,8 @@ def main(argv=None) -> int:
         if not sep or not (Path(path) / "src" / "chardeg").is_dir():
             parser.error(f"--tree {spec}: expected LABEL=PATH to a checkout")
         trees[label] = Path(path).resolve()
-    results = {label: {"commit": commit_of(tree), "groups": {}}
+    results = {label: {"commit": commit_of(tree),
+                       "source_sha256": source_of(tree), "groups": {}}
                for label, tree in trees.items()}
     for name in ENTRIES:
         runs = {label: [] for label in trees}

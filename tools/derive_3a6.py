@@ -48,7 +48,9 @@ def main():
     print("SL3(4) order:", sl34.order, "(expect 60480)")
     assert sl34.order == 60480
 
-    domain, index, f = matrix_domain(spec)
+    domain = [tuple(v) for v in matrix_domain(spec)[1].tolist()]
+    index = {v: i for i, v in enumerate(domain)}
+    f = spec.field()
 
     def proj(v):
         for x in v:
