@@ -14,7 +14,7 @@ through the common quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -196,7 +196,7 @@ def direct_product(a: Group, b: Group, name=None) -> Group:
 class CentralProduct:
     """A central product M o C with the data needed to verify character
     identities: images of the factors and of the amalgamated Z inside the
-    product."""
+    product, the factors' images built on first use."""
 
     group: Group
     m: Group
@@ -204,22 +204,23 @@ class CentralProduct:
     z_m: Subgroup
     z_c: Subgroup
     quotient: Quotient
-    m_image: Subgroup = field(init=False)
-    c_image: Subgroup = field(init=False)
     z_image: Subgroup = field(init=False)
 
     def __post_init__(self):
-        # images under the projection, a homomorphism: bounded by the source
-        g = self.group
-        self.m_image = Subgroup(
-            g, [self.embed_m(x) for x in self.m.generators],
-            _order_bound=self.m.order)
-        self.c_image = Subgroup(
-            g, [self.embed_c(y) for y in self.c.generators],
-            _order_bound=self.c.order)
-        self.z_image = Subgroup(
-            g, [self.embed_m(z) for z in self.z_m.generators],
-            _order_bound=self.z_m.order)
+        self.z_image = self._image(self.embed_m, self.z_m)
+
+    @cached_property
+    def m_image(self) -> Subgroup:
+        return self._image(self.embed_m, self.m)
+
+    @cached_property
+    def c_image(self) -> Subgroup:
+        return self._image(self.embed_c, self.c)
+
+    def _image(self, embed, source: Group) -> Subgroup:
+        # the image under the projection, a homomorphism: bounded by the source
+        return Subgroup(self.group, [embed(x) for x in source.generators],
+                        _order_bound=source.order)
 
     def embed_m(self, x: Permutation) -> Permutation:
         return self.quotient.project(embed_left(x, self.m.degree + self.c.degree))

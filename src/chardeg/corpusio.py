@@ -30,7 +30,7 @@ from .constructions import (CentralProduct, MatrixGroupSpec, central_product,
                             direct_product, fiber_product, matrix_to_perm,
                             perm_from_matrix_group)
 from .cyclotomic import _is_prime
-from .errors import ParseError, ValidationError
+from .errors import ChardegError, ParseError, ValidationError
 from .groups import (Group, center, conjugacy_classes, is_perfect, is_solvable,
                      quotient_group)
 from .perms import format_cycles, parse_cycles
@@ -258,10 +258,9 @@ class Catalogue:
             raise ValidationError(f"circular product expression at {name!r}")
         self._building.add(name)
         try:
-            entry = self._build(self._specs[name])
+            entry = self.build_spec(self._specs[name])
         finally:
             self._building.discard(name)
-        _validate_entry(entry)
         self._entries[name] = entry
         return entry
 
@@ -272,10 +271,20 @@ class Catalogue:
         return [self.entry(name) for name in self.names()]
 
     def build_spec(self, spec: GroupSpec) -> CatalogueEntry:
-        """Build and validate a spec from outside the corpus (references in
-        product expressions still resolve against this catalogue)."""
-        entry = self._build(spec)
-        _validate_entry(entry)
+        """Build and validate a spec, from the corpus or outside it
+        (references in product expressions resolve against this catalogue).
+
+        An error raised on the way names the entry it arose in, once: one
+        raised while building a referenced entry keeps that entry's name.
+        """
+        try:
+            entry = self._build(spec)
+            _validate_entry(entry)
+        except ChardegError as exc:
+            if not getattr(exc, "entry", None):
+                exc.entry = spec.name
+                exc.args = (f"{spec.name}: {exc}",)
+            raise
         return entry
 
     def _build(self, spec: GroupSpec) -> CatalogueEntry:
@@ -336,29 +345,30 @@ def _validate_entry(entry: CatalogueEntry) -> None:
     g = entry.group
     if "order" in expect and g.order != expect["order"]:
         raise ValidationError(
-            f"{entry.name}: order {g.order} != expected {expect['order']}")
-    if "center" in expect or "center_cyclic" in expect \
-            or "quotient_center_sizes" in expect:
-        z = center(g)
-        if "center" in expect and z.order != expect["center"]:
+            f"order {g.order} != expected {expect['order']}")
+    if "center" in expect:
+        # the center's order is the number of size-1 classes
+        order = conjugacy_classes(g).sizes.count(1)
+        if order != expect["center"]:
             raise ValidationError(
-                f"{entry.name}: center order {z.order} != "
-                f"expected {expect['center']}")
+                f"center order {order} != expected {expect['center']}")
+    if expect.get("center_cyclic") or "quotient_center_sizes" in expect:
+        z = center(g)
         if expect.get("center_cyclic"):
             orders = [e.order() for e in z.elements()]
             if max(orders, default=1) != z.order:
-                raise ValidationError(f"{entry.name}: center is not cyclic")
+                raise ValidationError("center is not cyclic")
         if "quotient_center_sizes" in expect:
             q = quotient_group(g, z)
             sizes = tuple(conjugacy_classes(q.group).sizes)
             if sizes != expect["quotient_center_sizes"]:
                 raise ValidationError(
-                    f"{entry.name}: central quotient class sizes {sizes} != "
+                    f"central quotient class sizes {sizes} != "
                     f"expected {expect['quotient_center_sizes']}")
     if "perfect" in expect and is_perfect(g) != expect["perfect"]:
-        raise ValidationError(f"{entry.name}: perfect flag mismatch")
+        raise ValidationError("perfect flag mismatch")
     if "solvable" in expect and is_solvable(g) != expect["solvable"]:
-        raise ValidationError(f"{entry.name}: solvable flag mismatch")
+        raise ValidationError("solvable flag mismatch")
 
 
 def default_corpus_path() -> Path:

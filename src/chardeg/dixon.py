@@ -44,15 +44,13 @@ from .groups import ClassData, _orbits
 DEFAULT_PRIME_CEILING = 1_000_000
 
 
-def dixon_prime(order: int, exponent: int,
-                ceiling: int = DEFAULT_PRIME_CEILING) -> int:
+def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*sqrt(order)."""
-    p = exponent + 1
-    while p <= ceiling:
+    for p in range(exponent + 1, DEFAULT_PRIME_CEILING + 1, exponent):
         if p * p > 4 * order and _is_prime(p):
             return p
-        p += exponent
-    raise TableError(f"no Dixon prime below {ceiling} for exponent {exponent}")
+    raise TableError(f"no Dixon prime below {DEFAULT_PRIME_CEILING} "
+                     f"for exponent {exponent}")
 
 
 def primitive_root(p: int) -> int:

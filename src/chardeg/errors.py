@@ -16,7 +16,8 @@ class ParseError(ChardegError):
 
 
 class GroupTooLargeError(ChardegError):
-    """Group exceeds the configured element bound for full enumeration."""
+    """An input exceeds one of the size limits, module constants such as
+    groups.DEFAULT_ELEMENT_BOUND, checked before large arrays exist."""
 
 
 class NotMemberError(ChardegError):

@@ -20,8 +20,16 @@ from .perms import Permutation
 
 # Full element enumeration (classes, and the coset action of a quotient,
 # whose gathers hold |G| rows of base images) is only attempted up to this
-# group order.  This is an artifact-level bound, not a mathematical one.
+# group order, checked by _check_element_bound alone.  This is an
+# artifact-level bound, not a mathematical one.
 DEFAULT_ELEMENT_BOUND = 10**6
+
+
+def _check_element_bound(order: int) -> None:
+    """Refuse to enumerate a group of more than DEFAULT_ELEMENT_BOUND."""
+    if order > DEFAULT_ELEMENT_BOUND:
+        raise GroupTooLargeError(f"group order {order} exceeds element bound "
+                                 f"{DEFAULT_ELEMENT_BOUND}")
 
 
 class Group:
@@ -55,22 +63,20 @@ class Group:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def element_array(self, bound: int = DEFAULT_ELEMENT_BOUND) -> np.ndarray:
+    def element_array(self) -> np.ndarray:
         """All elements as rows of images, in canonical order (cached).
 
         Raises GroupTooLargeError before anything is allocated when the
-        order exceeds ``bound``.
+        order exceeds the element bound.
         """
-        if self.order > bound:
-            raise GroupTooLargeError(
-                f"group order {self.order} exceeds element bound {bound}")
+        _check_element_bound(self.order)
         if "element_array" not in self._cache:
             self._cache["element_array"] = self.chain.element_array()
         return self._cache["element_array"]
 
-    def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> list[Permutation]:
+    def elements(self) -> list[Permutation]:
         """All elements in canonical order (cached)."""
-        rows = self.element_array(bound)
+        rows = self.element_array()
         if "elements" not in self._cache:
             self._cache["elements"] = [Permutation._trusted(tuple(row))
                                        for row in rows.tolist()]
@@ -138,8 +144,8 @@ class ClassData:
     representatives are sorted.
     """
 
-    def __init__(self, group: Group, bound: int = DEFAULT_ELEMENT_BOUND):
-        rows = group.element_array(bound)
+    def __init__(self, group: Group):
+        rows = group.element_array()
         self.group = group
         self.rows = rows
         self.base = np.array(group.chain.base, dtype=np.intp)
@@ -250,12 +256,10 @@ def _orbits(maps, size: int) -> np.ndarray:
     return (np.cumsum(label == np.arange(size)) - 1)[label]
 
 
-def conjugacy_classes(group: Group, bound: int = DEFAULT_ELEMENT_BOUND) -> ClassData:
-    """The group's ClassData (cached); raises GroupTooLargeError when the
-    order exceeds ``bound``, cached or not."""
-    group.element_array(bound)
+def conjugacy_classes(group: Group) -> ClassData:
+    """The group's ClassData (cached)."""
     if "classes" not in group._cache:
-        group._cache["classes"] = ClassData(group, bound)
+        group._cache["classes"] = ClassData(group)
     return group._cache["classes"]
 
 
@@ -277,13 +281,12 @@ def normal_closure(group: Group, elems) -> Subgroup:
 
 
 def commutator_subgroup(group: Group) -> Subgroup:
-    gens = group.generators
-    comms = []
-    for a in gens:
-        for b in gens:
-            c = a.inverse() * b.inverse() * a * b
-            if not c.is_identity():
-                comms.append(c)
+    """The normal closure of the generators' commutators [a, b], a before
+    b: [b, a] = [a, b]^-1 and [a, a] = 1 add nothing."""
+    pairs = [(a, a.inverse()) for a in group.generators]
+    comms = [c for i, (a, a_inv) in enumerate(pairs)
+             for b, b_inv in pairs[i + 1:]
+             if not (c := a_inv * b_inv * a * b).is_identity()]
     return normal_closure(group, comms)
 
 
@@ -298,16 +301,21 @@ def derived_series(group: Group) -> list[Group]:
     return series
 
 
-def is_solvable(group: Group) -> bool:
-    # cached as a bool: a cached series would hold subgroups whose
+def _derived_orders(group: Group) -> list[int]:
+    # cached as ints: a cached series would hold subgroups whose
     # ``parent`` points back at the group, a reference cycle
-    if "solvable" not in group._cache:
-        group._cache["solvable"] = derived_series(group)[-1].order == 1
-    return group._cache["solvable"]
+    if "derived_orders" not in group._cache:
+        group._cache["derived_orders"] = [h.order
+                                          for h in derived_series(group)]
+    return group._cache["derived_orders"]
+
+
+def is_solvable(group: Group) -> bool:
+    return _derived_orders(group)[-1] == 1
 
 
 def is_perfect(group: Group) -> bool:
-    return commutator_subgroup(group).order == group.order
+    return len(_derived_orders(group)) == 1
 
 
 def center(group: Group) -> Subgroup:
@@ -441,8 +449,7 @@ def word_table(target: Group, images, source: Group) -> dict:
     return table
 
 
-def quotient_group(group: Group, n: Group,
-                   bound: int = DEFAULT_ELEMENT_BOUND) -> Quotient:
+def quotient_group(group: Group, n: Group) -> Quotient:
     """Faithful action of G/N: on the N-orbits of points when that action
     is faithful, otherwise on the right cosets of N.
 
@@ -450,7 +457,7 @@ def quotient_group(group: Group, n: Group,
     by the least ``group.chain.rank`` of the elements m * x, m in N, and
     numbered in breadth-first order from N over the generators of G.  The
     coset action holds |G| base-image rows, so it raises GroupTooLargeError
-    when |G| exceeds ``bound``.
+    when |G| exceeds the element bound.
     """
     if _conjugates_outside(n, group.generators):
         raise NotNormalError("quotient by a non-normal subgroup")
@@ -482,11 +489,9 @@ def quotient_group(group: Group, n: Group,
             return Quotient(group, n, img_group, images, act_orbits)
 
     # general case: action on right cosets of N
-    if group.order > bound:
-        raise GroupTooLargeError(
-            f"group order {group.order} exceeds element bound {bound}")
+    _check_element_bound(group.order)
     chain = group.chain
-    n_base = n.element_array(bound)[:, chain.base]
+    n_base = n.element_array()[:, chain.base]
     gen_rows = np.array([g.images for g in group.generators], chain.dtype)
     reps = [np.arange(group.degree, dtype=chain.dtype)]
     coset_of = {int(_coset_names(chain, n_base, reps[0][None])[0]): 0}

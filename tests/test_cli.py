@@ -107,6 +107,41 @@ def test_malformed_payload_exits_2(capsys, tmp_path, body):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body, message", [
+    ("mat 5 1 2\ngen 7 0 0 1", "matrix entries must lie in 0..4"),
+    ("central SL2_5 SL2_5\nzm mat 7 0 0 4\nzc mat 4 0 0 4",
+     "matrix entries must lie in 0..4"),
+    ("central S4 S4\nzm perm (1 9)\nzc perm (1 2)(3 4)",
+     "perm '(1 9)': point 9 out of range 1..4"),
+    ("fiber S4 S4 S3\nepia (1 2 9)\nepia (1 2)\nepib (1 2 3)\nepib (1 2)",
+     "perm '(1 2 9)': point 9 out of range 1..3"),
+    ("direct NOPE C2", "no catalogue entry named 'NOPE'"),
+    ("perm 2\ngen (1 2)\nexpect center 1", "center order 2 != expected 1"),
+    ("perm 5\ngen (1 2 3 4 5)\ngen (1 2 3)\nexpect perfect false",
+     "perfect flag mismatch"),
+    ("perm 3\ngen (1 2 3)\nexpect solvable false", "solvable flag mismatch"),
+], ids=["gen-over-q", "zm-mat", "zm-perm", "epia", "unknown-ref",
+        "expect-center", "expect-perfect", "expect-solvable"])
+def test_entry_error_names_the_entry(capsys, tmp_path, body, message):
+    # an error raised while an entry is built or checked is one line that
+    # names the entry once, and exits 2
+    f = tmp_path / "M.grp"
+    f.write_text(f"name M\n{body}\n")
+    code, out, err = run(capsys, "acd", str(f))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: M: {message}\n"
+
+
+def test_error_in_a_referenced_entry_names_that_entry(capsys, tmp_path):
+    (tmp_path / "BADM.grp").write_text("name BADM\nmat 5 1 2\ngen 7 0 0 1\n")
+    (tmp_path / "D.grp").write_text("name D\ndirect BADM BADM\n")
+    (tmp_path / "E.grp").write_text("name E\ndirect D D\n")
+    code, out, err = run(capsys, "acd", "E", "--corpus", str(tmp_path))
+    assert code == 2
+    assert err == "error: BADM: matrix entries must lie in 0..4\n"
+
+
 @pytest.mark.parametrize("body", [
     "perm 70000\ngen (1 70000)",
     "mat 101 1 5\ngen " + " ".join("1" if i % 6 == 0 else "0"

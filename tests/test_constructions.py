@@ -292,6 +292,16 @@ def test_central_product_rejects_bad_matching():
                         [parse_cycles("(1 2)", 2)])
 
 
+def test_central_product_builds_factor_images_on_first_use():
+    c4 = make(["(1 2 3 4)"], 4, "C4")
+    z = parse_cycles("(1 3)(2 4)", 4)
+    cp = central_product(c4, c4, [z], [z])
+    assert "m_image" not in vars(cp) and "c_image" not in vars(cp)
+    assert cp.m_image.order == cp.c_image.order == 4
+    assert cp.m_image is cp.m_image
+    assert cp.z_image.order == 2
+
+
 def test_central_product_images(cat):
     cp = cat.entry("SL25oC4").construction
     assert cp.m_image.order == 120

@@ -104,16 +104,20 @@ def test_gauss_sum_values_psl27(cat):
         assert pair == {residues, non_residues}
 
 
-def test_size_bound_enforced():
+def test_size_bound_enforced(monkeypatch):
+    from chardeg import groups
     from chardeg.errors import GroupTooLargeError
     from chardeg.groups import conjugacy_classes
     s5 = make(["(1 2 3 4 5)", "(1 2)"], 5, "S5")
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_BOUND", 100)
     with pytest.raises(GroupTooLargeError):
-        conjugacy_classes(s5, bound=100)
+        conjugacy_classes(s5)
 
 
-def test_dixon_prime_ceiling():
+def test_dixon_prime_ceiling(monkeypatch):
+    from chardeg import dixon
     from chardeg.dixon import dixon_prime
     from chardeg.errors import TableError
+    monkeypatch.setattr(dixon, "DEFAULT_PRIME_CEILING", 20)
     with pytest.raises(TableError):
-        dixon_prime(60, 30, ceiling=20)
+        dixon_prime(60, 30)

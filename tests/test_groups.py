@@ -1,9 +1,11 @@
 import pytest
 
+from chardeg import groups
 from chardeg.chars import character_table
 from chardeg.errors import GroupTooLargeError, NotMemberError, NotNormalError
 from chardeg.groups import (Group, Subgroup, center, class_fusion,
-                            class_union, conjugacy_classes, derived_series,
+                            class_union, commutator_subgroup,
+                            conjugacy_classes, derived_series,
                             is_p_solvable, is_perfect, is_solvable,
                             minimal_normal_subgroups, normal_closure,
                             quotient_group, solvable_radical)
@@ -304,11 +306,48 @@ def test_table_build_makes_no_representatives():
     assert cd.num_classes == 7 and cd.reps[0].is_identity()
 
 
-def test_class_bound_holds_for_cached_classes(s5):
-    # the classes cached by a default call are not returned past a bound
-    # that the element enumeration refuses
-    assert conjugacy_classes(s5).num_classes == 7
+def test_class_bound_holds_for_cached_classes(monkeypatch):
+    # the element enumeration refuses a group past the bound before any
+    # classes are cached, and caches them once the group is within it
+    s5 = make(["(1 2 3 4 5)", "(1 2)"], 5, "S5")
     for bound in (100, 119):
+        monkeypatch.setattr(groups, "DEFAULT_ELEMENT_BOUND", bound)
         with pytest.raises(GroupTooLargeError, match="exceeds element bound"):
-            conjugacy_classes(s5, bound)
-    assert conjugacy_classes(s5, 120) is conjugacy_classes(s5)
+            conjugacy_classes(s5)
+        assert s5._cache == {}
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_BOUND", 120)
+    assert conjugacy_classes(s5).num_classes == 7
+    assert conjugacy_classes(s5) is conjugacy_classes(s5)
+
+
+@pytest.mark.parametrize("first, second", [(is_perfect, is_solvable),
+                                           (is_solvable, is_perfect)])
+def test_perfect_and_solvable_share_one_derived_series(monkeypatch, first,
+                                                       second):
+    formed = []
+    commutator = groups.commutator_subgroup
+    monkeypatch.setattr(groups, "commutator_subgroup",
+                        lambda h: formed.append(h) or commutator(h))
+    for gens, degree in ((["(1 2 3 4 5)", "(1 2 3)"], 5),
+                         (["(1 2 3 4)", "(1 2)"], 4)):
+        g = make(gens, degree)
+        first(g)
+        assert formed
+        formed.clear()
+        second(g)
+        assert formed == []  # the second predicate forms no G'
+        # plain ints: no subgroup, whose parent would point back at g
+        assert all(type(o) is int for o in g._cache["derived_orders"])
+
+
+def test_commutator_subgroup_matches_all_ordered_pairs():
+    # [b, a] = [a, b]^-1 and [a, a] = 1: the pairs a before b have the
+    # normal closure of all ordered pairs
+    for gens, degree in ((["(1 2 3 4 5)", "(1 2)"], 5),
+                         (["(1 2 3 4)", "(1 2)", "(5 6 7)", "(5 6)"], 7),
+                         (["(1 2)(3 4)", "(1 3)(2 4)", "(1 2 3)"], 4)):
+        g = make(gens, degree)
+        everything = [a.inverse() * b.inverse() * a * b
+                      for a in g.generators for b in g.generators]
+        assert (commutator_subgroup(g).order
+                == normal_closure(g, everything).order)

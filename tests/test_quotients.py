@@ -242,22 +242,25 @@ def test_cosets_are_named_a_layer_at_a_time(monkeypatch):
     assert q.gen_images == [reference(x) for x in g.generators]
 
 
-def test_coset_action_checks_the_bound_before_enumerating():
+def test_coset_action_checks_the_bound_before_enumerating(monkeypatch):
     s4 = _group(4, "(1 2 3 4)", "(1 2)")
     v4 = Subgroup(s4, [parse_cycles("(1 2)(3 4)", 4),
                        parse_cycles("(1 3)(2 4)", 4)])
     # V4 is transitive, so S4/V4 needs the coset action
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_BOUND", 23)
     with pytest.raises(GroupTooLargeError):
-        quotient_group(s4, v4, bound=23)
+        quotient_group(s4, v4)
     assert "element_array" not in v4._cache
-    assert quotient_group(s4, v4, bound=24).group.order == 6
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_BOUND", 24)
+    assert quotient_group(s4, v4).group.order == 6
 
 
-def test_orbit_action_needs_no_bound():
+def test_orbit_action_needs_no_bound(monkeypatch):
     # S3 x C2 on {1,2,3} and {4,5}: C2's orbits carry a faithful S3
     g = _group(5, "(1 2 3)", "(1 2)", "(4 5)")
     n = Subgroup(g, [parse_cycles("(4 5)", 5)])
-    assert quotient_group(g, n, bound=1).group.order == 6
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_BOUND", 1)
+    assert quotient_group(g, n).group.order == 6
 
 
 # -- solvability -----------------------------------------------------------
