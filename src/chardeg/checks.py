@@ -19,10 +19,11 @@ from .chars import (Character, _on_classes, character_table, equal,
                     extensions_of)
 from .corpusio import Catalogue
 from .errors import ChardegError
-from .groups import Group, Subgroup, center, is_p_solvable, is_solvable
-from .invariants import (EVEN, DegreeFilter, RationalAverage, acd, acd_over,
-                         acd_rel, format_rational, gallagher_check, irr_over,
-                         n_d, theorem_A_inequality_equiv)
+from .groups import (Group, Subgroup, center, conjugacy_classes,
+                     is_p_solvable, is_solvable)
+from .invariants import (ALL, EVEN, DegreeFilter, RationalAverage, acd,
+                         acd_over, acd_rel, format_rational, gallagher_check,
+                         irr_over, n_d, theorem_A_inequality_equiv)
 
 SCHEMA_VERSION = 1
 
@@ -250,8 +251,7 @@ def paper_check_suite(cat: Catalogue) -> Report:
 
     g6a6 = cat.group("6A6")
     t6a6 = character_table(g6a6)
-    z6 = center(g6a6)
-    z2_in_6a6 = _central_subgroup_of_order(g6a6, z6, 2)
+    z2_in_6a6 = _central_subgroup_of_order(g6a6, 2)
     add(Check("deg3_kernel_6A6",
               "kernels of the degree-3 characters of 6.A6",
               "every degree-3 character of 6.A6 has the central "
@@ -332,10 +332,13 @@ def paper_check_suite(cat: Catalogue) -> Report:
     return report
 
 
-def _central_subgroup_of_order(g: Group, z: Subgroup, order: int) -> Subgroup:
-    for e in z.elements():
-        if e.order() == order:
-            return Subgroup(g, [e])
+def _central_subgroup_of_order(g: Group, order: int) -> Subgroup:
+    """The subgroup generated by the first central class of the given
+    element order."""
+    cd = conjugacy_classes(g)
+    for rep, size, o in zip(cd.reps, cd.sizes, cd.orders):
+        if size == 1 and o == order:
+            return Subgroup(g, [rep])
     raise ChardegError(f"no central element of order {order}")
 
 
@@ -415,9 +418,6 @@ def _counting_identities_SL25oC4(cat: Catalogue, report: Report):
 
 # -- corpus scans -------------------------------------------------------------
 
-SCAN_MODES = ("thmA", "thmB", "conj3p", "question", "cs")
-
-
 def theorem_scan(cat: Catalogue, mode: str, p: int | None = None) -> Report:
     """Scan the catalogue for violations of one implication.
 
@@ -426,61 +426,63 @@ def theorem_scan(cat: Catalogue, mode: str, p: int | None = None) -> Report:
     conj3p:   acd_3'(G) < 3         implies G solvable
     question: 3*acd(G)^2 < p^2      implies G p-solvable
     cs:       acd(G) <= |G| / (sum of degrees), unconditionally
+
+    An average equal to its mode's threshold is a boundary case; question
+    has none, its threshold p/sqrt(3) being irrational.
     """
-    if mode == "question":
-        if p is None:
-            raise ChardegError("question scan needs a prime p")
-        title = f"scan question p={p}"
-    elif mode in SCAN_MODES:
-        title = f"scan {mode}"
-    else:
+    if mode == "question" and p is None:
+        raise ChardegError("question scan needs a prime p")
+    scans = {
+        "thmA": _implication("acd(G) < 16/5 implies G solvable", ALL,
+                             Fraction(16, 5)),
+        "thmB": _implication("acd_e(G) < 18/5 implies G solvable", EVEN,
+                             Fraction(18, 5)),
+        "conj3p": _implication("acd_3'(G) < 3 implies G solvable",
+                               DegreeFilter("coprime", 3), Fraction(3)),
+        "question": _implication(
+            f"3*acd(G)^2 < {p}^2 implies G {p}-solvable", ALL, None,
+            lambda v: 3 * v * v < p * p, lambda g: is_p_solvable(g, p)),
+        "cs": _cauchy_schwarz,
+    }
+    if mode not in scans:
         raise ChardegError(f"unknown scan mode {mode!r}")
+    title = f"scan question p={p}" if mode == "question" else f"scan {mode}"
     report = Report(title)
     for entry in cat.load_all():
-        g = entry.group
-        t = character_table(g)
-        if mode == "cs":
-            value = acd(t).value
-            degree_sum = sum(t.degrees())
-            ok = value * degree_sum <= g.order
-            report.add(Check(
-                f"cs_{entry.name}", "Cauchy-Schwarz bound",
-                "acd(G) <= |G|/(sum of degrees)", ok,
-                f"{_fmt(value)} <= {g.order}/{degree_sum}"))
-            continue
-        if mode == "thmA":
-            value = acd(t).value
-            threshold = Fraction(16, 5)
-            hypothesis = value < threshold
-            conclusion = lambda: is_solvable(g)
-            claim = "acd(G) < 16/5 implies G solvable"
-        elif mode == "thmB":
-            value = acd(t, EVEN).value
-            threshold = Fraction(18, 5)
-            hypothesis = value < threshold
-            conclusion = lambda: is_solvable(g)
-            claim = "acd_e(G) < 18/5 implies G solvable"
-        elif mode == "conj3p":
-            value = acd(t, DegreeFilter("coprime", 3)).value
-            threshold = Fraction(3)
-            hypothesis = value < threshold
-            conclusion = lambda: is_solvable(g)
-            claim = "acd_3'(G) < 3 implies G solvable"
-        else:  # question
-            value = acd(t).value
-            threshold = None
-            hypothesis = 3 * value * value < p * p
-            conclusion = lambda: is_p_solvable(g, p)
-            claim = f"3*acd(G)^2 < {p}^2 implies G {p}-solvable"
-        if threshold is not None and value == threshold:
+        check, boundary = scans[mode](title.replace(" ", "_"), entry.name,
+                                      entry.group,
+                                      character_table(entry.group))
+        report.add(check)
+        if boundary:
             report.boundary.append(entry.name)
-        ok = (not hypothesis) or conclusion()
-        witness = f"value {_fmt(value)}"
-        if hypothesis:
-            witness += ", hypothesis holds, conclusion " + \
-                ("holds" if ok else "FAILS")
-        else:
-            witness += ", hypothesis vacuous"
-        report.add(Check(f"{title.replace(' ', '_')}_{entry.name}",
-                         f"scan of {entry.name}", claim, ok, witness))
     return report
+
+
+def _implication(claim: str, filt: DegreeFilter, threshold: Fraction | None,
+                 holds=None, conclusion=is_solvable):
+    """The scan of ``claim``, "a hypothesis on the average over ``filt``
+    implies a conclusion on G": a function of (report label, group name,
+    group, table) returning the group's Check and whether its average equals
+    the threshold.  ``holds`` decides the hypothesis; by default the average
+    lies below the threshold."""
+    holds = holds or (lambda v: v < threshold)
+
+    def check(label, name, g, t):
+        value = acd(t, filt).value
+        hypothesis = holds(value)
+        ok = not hypothesis or conclusion(g)
+        witness = f"value {_fmt(value)}, " + (
+            f"hypothesis holds, conclusion {'holds' if ok else 'FAILS'}"
+            if hypothesis else "hypothesis vacuous")
+        return (Check(f"{label}_{name}", f"scan of {name}", claim, ok,
+                      witness), value == threshold)
+    return check
+
+
+def _cauchy_schwarz(label, name, g, t):
+    """The cs scan's Check for one group, never a boundary case."""
+    value, degree_sum = acd(t).value, sum(t.degrees())
+    return (Check(f"cs_{name}", "Cauchy-Schwarz bound",
+                  "acd(G) <= |G|/(sum of degrees)",
+                  value * degree_sum <= g.order,
+                  f"{_fmt(value)} <= {g.order}/{degree_sum}"), False)

@@ -23,7 +23,7 @@ from pathlib import Path
 from .chars import character_table
 from .checks import paper_check_suite, theorem_scan
 from .corpusio import Catalogue, parse_group_file
-from .cyclotomic import _is_prime
+from .cyclotomic import _is_input_prime
 from .errors import ChardegError, ParseError
 from .groups import Subgroup
 from .invariants import (ALL, EVEN, DegreeFilter, RationalAverage,
@@ -127,9 +127,7 @@ def _prime(value, what: str) -> int:
         p = int(value)
     except ValueError:
         p = None
-    # trial division would not finish on large values, and a prime past 2^31
-    # divides no group order the element bound lets chardeg enumerate
-    if p is None or p >= 2**31 or not _is_prime(p):
+    if p is None or not _is_input_prime(p):
         raise ParseError(f"{what} needs a prime below 2^31, got {value}")
     return p
 

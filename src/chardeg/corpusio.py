@@ -29,7 +29,7 @@ from pathlib import Path
 from .constructions import (CentralProduct, MatrixGroupSpec, central_product,
                             direct_product, fiber_product, matrix_to_perm,
                             perm_from_matrix_group)
-from .cyclotomic import _is_prime
+from .cyclotomic import _is_input_prime
 from .errors import ChardegError, ParseError, ValidationError
 from .groups import (Group, center, conjugacy_classes, is_perfect, is_solvable,
                      quotient_group)
@@ -93,8 +93,7 @@ def parse_group_file(text: str) -> GroupSpec:
             elif directive == "mat":
                 kind = "mat"
                 p, k, n = (int(x) for x in rest.split())
-                # trial division would not finish on a large p
-                if not (p < 2**31 and _is_prime(p) and k >= 1 and n >= 1):
+                if not (_is_input_prime(p) and k >= 1 and n >= 1):
                     raise ValueError("mat needs p k n with p a prime below "
                                      f"2^31, k >= 1 and n >= 1, got {rest!r}")
             elif directive == "poly":
@@ -346,25 +345,23 @@ def _validate_entry(entry: CatalogueEntry) -> None:
     if "order" in expect and g.order != expect["order"]:
         raise ValidationError(
             f"order {g.order} != expected {expect['order']}")
-    if "center" in expect:
-        # the center's order is the number of size-1 classes
-        order = conjugacy_classes(g).sizes.count(1)
-        if order != expect["center"]:
+    if "center" in expect or expect.get("center_cyclic"):
+        # the center is the union of the size-1 classes: its order is their
+        # number, and it is cyclic iff one of them has that order
+        cd = conjugacy_classes(g)
+        orders = [o for o, s in zip(cd.orders, cd.sizes) if s == 1]
+        if "center" in expect and len(orders) != expect["center"]:
+            raise ValidationError(f"center order {len(orders)} != "
+                                  f"expected {expect['center']}")
+        if expect.get("center_cyclic") and max(orders) != len(orders):
+            raise ValidationError("center is not cyclic")
+    if "quotient_center_sizes" in expect:
+        q = quotient_group(g, center(g))
+        sizes = tuple(conjugacy_classes(q.group).sizes)
+        if sizes != expect["quotient_center_sizes"]:
             raise ValidationError(
-                f"center order {order} != expected {expect['center']}")
-    if expect.get("center_cyclic") or "quotient_center_sizes" in expect:
-        z = center(g)
-        if expect.get("center_cyclic"):
-            orders = [e.order() for e in z.elements()]
-            if max(orders, default=1) != z.order:
-                raise ValidationError("center is not cyclic")
-        if "quotient_center_sizes" in expect:
-            q = quotient_group(g, z)
-            sizes = tuple(conjugacy_classes(q.group).sizes)
-            if sizes != expect["quotient_center_sizes"]:
-                raise ValidationError(
-                    f"central quotient class sizes {sizes} != "
-                    f"expected {expect['quotient_center_sizes']}")
+                f"central quotient class sizes {sizes} != "
+                f"expected {expect['quotient_center_sizes']}")
     if "perfect" in expect and is_perfect(g) != expect["perfect"]:
         raise ValidationError("perfect flag mismatch")
     if "solvable" in expect and is_solvable(g) != expect["solvable"]:

@@ -42,6 +42,14 @@ def _is_prime(p: int) -> bool:
     return _prime_factors(p) == [p]
 
 
+def _is_input_prime(p: int) -> bool:
+    """Whether p, given from outside, is a prime below 2^31.  Larger values
+    are refused before trial division, which runs to sqrt(p); a prime
+    divides the order of a permutation group only if it is at most the
+    degree, so no group chardeg can hold needs one."""
+    return p < 2**31 and _is_prime(p)
+
+
 def totient(n: int) -> int:
     for p in _prime_factors(n):
         n = n // p * (p - 1)

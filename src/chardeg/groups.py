@@ -14,7 +14,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .bsgs import StabilizerChain
-from .cyclotomic import _is_prime
+from .cyclotomic import _is_input_prime
 from .errors import GroupTooLargeError, NotMemberError, NotNormalError
 from .perms import Permutation
 
@@ -325,25 +325,16 @@ def center(group: Group) -> Subgroup:
 
 
 def class_union(group: Group, classes) -> Subgroup | None:
-    """The union of the given conjugacy classes as a subgroup, None if the
-    sweep for it misses the classes' total size: through the classes in
-    ascending order, members in lexicographic order, each member not yet in
-    the subgroup is added, which keeps the generating set small.  Only these
-    classes' rows become Permutations."""
+    """The union of the given conjugacy classes as a subgroup, None if it
+    is not one: the normal closure of the classes' representatives when its
+    order is the classes' total size.  The closure contains every listed
+    class, and a union of classes that is a subgroup is normal, so it holds
+    the closure; either way they are equal exactly when the orders agree."""
     cd = conjugacy_classes(group)
-    target = sum(cd.sizes[j] for j in classes)
-    gens: list[Permutation] = []
-    h = Subgroup(group, gens)
-    for j in sorted(classes):
-        rows = cd.rows[cd.element_index == j]
-        for row in rows[np.lexsort(rows.T[::-1])].tolist():
-            if h.order == target:
-                return h
-            member = Permutation._trusted(tuple(row))
-            if member not in h:
-                gens.append(member)
-                h = Subgroup(group, gens)
-    return h if h.order == target else None
+    closure = normal_closure(group, [cd.reps[j] for j in classes])
+    if closure.order != sum(cd.sizes[j] for j in classes):
+        return None
+    return closure
 
 
 def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
@@ -378,21 +369,13 @@ def _subgroup_key(s: Group) -> tuple:
 
 
 def solvable_radical(group: Group) -> Subgroup:
-    """Largest solvable normal subgroup.
-
-    Built by absorbing solvable minimal normal subgroups of successive
-    quotients until the quotient has none left.
-    """
-    radical_gens: list[Permutation] = []
-    while True:
-        radical = Subgroup(group, radical_gens)
-        q = quotient_group(group, radical)
-        candidates = [m for m in minimal_normal_subgroups(q.group)
-                      if is_solvable(m)]
-        if not candidates:
-            return radical
-        lift = [q.preimage(x) for x in candidates[0].generators]
-        radical_gens = list(radical.generators) + lift
+    """Largest solvable normal subgroup: the normal closure of the class
+    representatives whose own normal closure is solvable.  The radical
+    holds the normal closure of each of its elements, and the closures that
+    are solvable generate a solvable normal subgroup."""
+    reps = conjugacy_classes(group).reps
+    return normal_closure(group, [r for r in reps
+                                  if is_solvable(normal_closure(group, [r]))])
 
 
 class Quotient:
@@ -400,7 +383,7 @@ class Quotient:
 
     ``group`` is a faithful permutation realization of G/N; ``gen_images``
     lists the image of each generator of the source, which is what fiber
-    products and radical lifting need.
+    products need.
     """
 
     def __init__(self, source: Group, kernel: Group, group: Group,
@@ -530,8 +513,8 @@ def _coset_names(chain: StabilizerChain, n_base: np.ndarray,
 
 def is_p_solvable(group: Group, p: int) -> bool:
     """True iff every chief factor is a p-group or a p'-group."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if not _is_input_prime(p):
+        raise ValueError(f"{p} is not a prime below 2^31")
     if is_solvable(group):
         return True
     return _p_solvable_rec(group, p)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .chars import (Character, CharacterTable, _gram, _on_classes,
                     character_table, inner_product, kernel_classes_contain,
                     restrict_character, tensor)
-from .cyclotomic import _is_prime
+from .cyclotomic import _is_input_prime
 from .errors import ChardegError
 from .groups import Group, class_fusion
 
@@ -34,7 +34,7 @@ class DegreeFilter:
         if self.kind not in ("all", "even", "divisible", "coprime"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind in ("divisible", "coprime"):
-            if self.p is None or not _is_prime(self.p):
+            if self.p is None or not _is_input_prime(self.p):
                 raise ValueError("filter needs a prime p")
 
     def accepts(self, degree: int) -> bool:

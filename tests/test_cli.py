@@ -3,7 +3,11 @@ import tracemalloc
 
 import pytest
 
+from chardeg import cyclotomic
 from chardeg.cli import main
+from chardeg.groups import Group, is_p_solvable
+from chardeg.invariants import DegreeFilter
+from chardeg.perms import parse_cycles
 
 
 def run(capsys, *argv):
@@ -242,6 +246,46 @@ def test_malformed_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_input_primes_past_2_31_are_refused_untested(capsys, tmp_path,
+                                                    monkeypatch):
+    # trial division runs to sqrt(p): every site that takes a prime from
+    # outside refuses one past 2^31 before factoring it
+    factors = cyclotomic._prime_factors
+
+    def small_factors(n):
+        if n >= 2**31:
+            raise AssertionError(f"trial division of {n}")
+        return factors(n)
+    monkeypatch.setattr(cyclotomic, "_prime_factors", small_factors)
+    big = 2**61 - 1  # a Mersenne prime
+    with pytest.raises(ValueError, match="filter needs a prime p"):
+        DegreeFilter("divisible", big)
+    a5 = Group([parse_cycles(c, 5) for c in ("(1 2 3 4 5)", "(1 2 3)")], 5)
+    with pytest.raises(ValueError, match=f"{big} is not a prime below 2"):
+        is_p_solvable(a5, big)
+    code, out, err = run(capsys, "acd", "A5", "--div", str(big))
+    assert (code, out) == (2, "")
+    assert err == f"error: --div needs a prime below 2^31, got {big}\n"
+    f = tmp_path / "M.grp"
+    f.write_text(f"name M\nmat {big} 1 2\ngen 1 0 0 1\n")
+    code, out, err = run(capsys, "table", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: mat needs p k n with p a prime "
+                          "below 2^31")
+
+
+def test_expect_center_cyclic(capsys, tmp_path):
+    # C2 x C2 is its own center; the center of D8 has order 2
+    f = tmp_path / "V.grp"
+    f.write_text("name V\nperm 4\ngen (1 2)\ngen (3 4)\n"
+                 "expect center_cyclic true\n")
+    assert run(capsys, "acd", str(f)) == (
+        2, "", "error: V: center is not cyclic\n")
+    f.write_text("name D8\nperm 4\ngen (1 2 3 4)\ngen (1 3)\n"
+                 "expect center_cyclic true\n")
+    assert run(capsys, "acd", str(f)) == (0, "6/5\n", "")
 
 
 def test_unreadable_input_exits_2(capsys, tmp_path):

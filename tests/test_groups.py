@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from chardeg import groups
-from chardeg.chars import character_table
+from chardeg.chars import character_table, kernel_subgroup
 from chardeg.errors import GroupTooLargeError, NotMemberError, NotNormalError
 from chardeg.groups import (Group, Subgroup, center, class_fusion,
                             class_union, commutator_subgroup,
@@ -250,6 +251,53 @@ def test_radical_of_central_products(cat):
     # for the perfect central cover 6.A6 the radical is the center
     g6 = cat.group("6A6")
     assert solvable_radical(g6).order == 6
+
+
+def reference_radical(group):
+    """The solvable radical as it was built before it became a normal
+    closure: absorb a solvable minimal normal subgroup of the quotient by
+    the radical so far, lifted through Quotient.preimage, until the
+    quotient has none."""
+    gens = []
+    while True:
+        radical = Subgroup(group, gens)
+        q = quotient_group(group, radical)
+        candidates = [m for m in minimal_normal_subgroups(q.group)
+                      if is_solvable(m)]
+        if not candidates:
+            return radical
+        gens = list(radical.generators) + [q.preimage(x)
+                                           for x in candidates[0].generators]
+
+
+def element_rows(h):
+    return sorted(map(tuple, h.element_array().tolist()))
+
+
+def class_rows(group, classes):
+    cd = conjugacy_classes(group)
+    return sorted(map(tuple, cd.rows[np.isin(cd.element_index,
+                                             list(classes))].tolist()))
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "C2xA5", "A5xA5", "SL2_5",
+                                  "SL25oC4", "SL25oQ8", "D8oQ8", "2A6",
+                                  "3A6", "6A6"])
+def test_radical_matches_the_quotient_loop(cat, name):
+    g = cat.group(name)
+    assert element_rows(solvable_radical(g)) == \
+        element_rows(reference_radical(g))
+
+
+@pytest.mark.parametrize("name", ["S4", "SL2_5", "SL25oC4", "D8oQ8"])
+def test_center_and_kernels_hold_their_classes(cat, name):
+    g = cat.group(name)
+    cd = conjugacy_classes(g)
+    central = [i for i, s in enumerate(cd.sizes) if s == 1]
+    assert element_rows(center(g)) == class_rows(g, central)
+    for chi in character_table(g).chars:
+        assert element_rows(kernel_subgroup(g, chi)) == \
+            class_rows(g, chi.kernel_classes)
 
 
 def test_p_solvable_nonsolvable_cases(cat):

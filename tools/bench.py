@@ -57,7 +57,6 @@ import argparse
 import contextlib
 import hashlib
 import importlib.metadata
-import inspect
 import io
 import json
 import os
@@ -125,8 +124,7 @@ def measure(name: str) -> dict:
     spent = {"class_matrices": 0.0, "formed": 0, "cut": 0, "used": 0}
     class_matrix = dixon.class_matrix
     split_branches = dixon.split_branches
-    # trees older than the central split read no class permutation
-    class_permutation = getattr(dixon, "class_permutation", None)
+    class_permutation = dixon.class_permutation
 
     def timed_class_matrix(*args):
         start = time.perf_counter()
@@ -147,8 +145,7 @@ def measure(name: str) -> dict:
 
     dixon.class_matrix = timed_class_matrix
     dixon.split_branches = counted_split_branches
-    if class_permutation is not None:
-        dixon.class_permutation = counted_class_permutation
+    dixon.class_permutation = counted_class_permutation
     degree, cycles = GROUPS[name]
     gens = [parse_cycles(c, degree) for c in cycles]
     seconds, rss = {}, {"import": _peak_rss_mb()}
@@ -166,10 +163,8 @@ def measure(name: str) -> dict:
     exponent = lcm(*cd.orders)
     p = dixon.dixon_prime(group.order, exponent)
     z = dixon.primitive_root(p)
-    # trees older than the primitive root argument take (cd, p)
-    split = dixon.central_character_vectors
-    args = (cd, p, z)[:len(inspect.signature(split).parameters)]
-    omegas = stage("split", lambda: split(*args))
+    omegas = stage("split",
+                   lambda: dixon.central_character_vectors(cd, p, z))
     seconds["split"] -= spent["class_matrices"]
     seconds["class_matrices"] = spent["class_matrices"]
     rss["class_matrices"] = rss["split"]
