@@ -30,8 +30,8 @@ import numpy as np
 from . import dixon
 from .cyclotomic import CycValue, mobius, product_dtype, totient
 from .errors import TableError
-from .groups import (ClassData, Group, Subgroup, _orbits, class_fusion,
-                     class_union, conjugacy_classes)
+from .groups import (ClassData, Group, Subgroup, class_fusion, class_union,
+                     conjugacy_classes)
 
 
 class Character:
@@ -80,8 +80,8 @@ class CharacterTable:
     its trace.  X is square, so D X* / |G| is a two-sided inverse of X, and
     X* X = |G| D^-1: the column relations, with the centralizer orders on
     the diagonal.  Checking the rows therefore certifies the columns too.
-    ``rows``, when given, is the stack of the chars' rows (the lift's array
-    for a new table), read in place of a copy.
+    ``rows``, when given, is the lift's stack of the chars' rows, read as it
+    is: a gather through ``ClassData.galois_columns``, it is Galois-stable.
     """
 
     def __init__(self, group: Group, classes: ClassData, chars,
@@ -91,24 +91,19 @@ class CharacterTable:
         self.exponent = exponent
         self.dixon_prime = prime
         self.primitive_root = root
-        self.galois_maps = classes.galois_maps
         chars = list(chars)
         if len(chars) != classes.num_classes:
             raise TableError("character count differs from class count")
-        orders, rows = _table_stack(self, chars, rows)
+        rows = _table_stack(self, chars) if rows is None else rows
         rank = _canonical_order(np.array([c.degree for c in chars]), rows)
         self.chars = tuple(chars[i] for i in rank)
-        self._validate(orders, rows, rank)
-
-    def _validate(self, orders, rows: np.ndarray, rank: np.ndarray) -> None:
-        g = self.group
-        if sum(c.degree ** 2 for c in self.chars) != g.order:
+        if sum(c.degree ** 2 for c in self.chars) != group.order:
             raise TableError("degree squares do not sum to the group order")
         for c in self.chars:
-            if g.order % c.degree:
+            if group.order % c.degree:
                 raise TableError(f"degree {c.degree} does not divide |G|")
-        gram = _inner_products(self, orders, rows, rows)[np.ix_(rank, rank)]
-        trace = totient(self.exponent) * g.order * np.eye(len(gram), dtype=int)
+        gram = _inner_products(self, rows, rows)[np.ix_(rank, rank)]
+        trace = totient(exponent) * group.order * np.eye(len(gram), dtype=int)
         for i, j in np.argwhere(gram != trace)[:1].tolist():
             raise TableError(f"row orthogonality fails at ({i},{j})")
 
@@ -163,16 +158,11 @@ class TableData:
         payload = json.loads(text)
         if payload.get("format") != 1:
             raise TableError("unknown table format")
-        return TableData(
-            name=payload["name"],
-            order=payload["order"],
-            exponent=payload["exponent"],
-            dixon_prime=payload["dixon_prime"],
-            primitive_root=payload["primitive_root"],
+        return TableData(**{key: payload[key] for key in (
+            "name", "order", "exponent", "dixon_prime", "primitive_root")},
             classes=[(c["order"], c["size"]) for c in payload["classes"]],
             characters=[(c["degree"], [(n, list(mult)) for n, mult in c["values"]])
-                        for c in payload["characters"]],
-        )
+                        for c in payload["characters"]])
 
 
 def character_table(group: Group) -> CharacterTable:
@@ -225,33 +215,22 @@ def _buckets(orders, classes):
         yield n, ks, starts[ks][:, None] + np.arange(n)
 
 
-def _table_stack(table, funcs, rows=None) -> tuple[list[int], np.ndarray]:
+def _table_stack(table, funcs) -> np.ndarray:
     """The stack of class functions on the table's classes, checked to be
-    Galois-stable for ``_inner_products``: f_{pi_t(k)}[a t mod n_k] = f_k[a]
-    for each generator t, hence for all of (Z/e)^*.  Characters and their
-    Z- or Q-combinations are, as chi(g^t) = sigma_t(chi(g)); anything else
-    raises TableError.  ``rows`` is their stack, if it is at hand."""
-    orders, rows = (_stack(funcs) if rows is None
-                    else (list(funcs[0].orders), rows))
+    Galois-stable, as characters and their Z- and Q-combinations are, by
+    one gather through ``galois_columns``; anything else raises TableError."""
+    orders, rows = _stack(funcs)
     if orders != table.classes.orders:
         raise TableError("class functions must lie on the table's classes")
-    at = np.cumsum([0, *orders])
-    k = np.repeat(np.arange(len(orders)), orders)  # the class of a column
-    a, n = np.arange(at[-1]) - at[k], np.repeat(orders, orders)  # its a, n_k
-    step = max(1, dixon._LIFT_ELEMENTS // at[-1])
-    for t, image in table.galois_maps:
-        moved = at[np.array(image)[k]] + a * t % n
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            if not (np.take(block, moved, axis=1) == block).all():
-                raise TableError("class functions are not Galois-stable")
-    return orders, rows
+    if not (np.take(rows, table.classes.galois_columns, axis=1) == rows).all():
+        raise TableError("class functions are not Galois-stable")
+    return rows
 
 
-def _inner_products(table: CharacterTable, orders, f: np.ndarray,
+def _inner_products(table: CharacterTable, f: np.ndarray,
                     g: np.ndarray) -> np.ndarray:
-    """phi(e) |G| <f_i, g_j>, exact, for rows of stacks ``_table_stack``
-    made.  sigma_t maps the value at class k to that at pi_t(k), a class of
+    """phi(e) |G| <f_i, g_j>, exact, for rows of Galois-stable stacks.
+    sigma_t maps the value at class k to that at pi_t(k), a class of
     the same size, so it fixes <f_i, g_j>: that is rational and equals its
     trace over Q divided by phi(e).  As Tr(zeta_n^c) = mu(d) phi(e) / phi(d),
     d = n / gcd(n, c), class k adds size_k f_k W_n g_k^T to the trace, with
@@ -261,11 +240,10 @@ def _inner_products(table: CharacterTable, orders, f: np.ndarray,
     maxima), which bounds every term: an entry of g_k W_n meets only zeros
     unless f_k is nonzero."""
     cd, phi = table.classes, totient(table.exponent)
-    orbit = _orbits([image for _, image in table.galois_maps], len(orders))
-    reps = np.unique(orbit, return_index=True)[1]
+    reps = np.unique(orbit := cd.galois_orbits, return_index=True)[1]
     weight = np.bincount(orbit)[orbit] * cd.sizes  # |orbit of k| size_k
     blocks = [(n, weight[ks], f[:, cols], g[:, cols])
-              for n, ks, cols in _buckets(orders, reps)]
+              for n, ks, cols in _buckets(cd.orders, reps)]
     dtype = object
     if f.dtype == g.dtype == np.int64:
         dtype = product_dtype(phi * sum(np.prod([np.abs(
@@ -287,8 +265,8 @@ def _gram(table: CharacterTable, fs, gs) -> list[list[Fraction]]:
     """Exact inner products <fs[i], gs[j]> of characters or Z- or
     Q-combinations of them on the table's classes, else TableError."""
     fs = list(fs)
-    orders, rows = _table_stack(table, fs + list(gs))
-    gram = _inner_products(table, orders, rows[:len(fs)], rows[len(fs):])
+    rows = _table_stack(table, fs + list(gs))
+    gram = _inner_products(table, rows[:len(fs)], rows[len(fs):])
     scale = totient(table.exponent) * table.group.order
     return [[Fraction(c, scale) for c in row] for row in gram.tolist()]
 

@@ -18,7 +18,7 @@ branches on which it is not a scalar are cut into their eigencomponents,
 all read off one Krylov sequence, that of their sum.  Scale each term to
 central character values; then lift all characters at once: degrees from
 one sum mod p, values by one inverse discrete Fourier transform per
-element order.
+element order on one class per Galois orbit, gathered to the others.
 
 Products of residues mod p (a class matrix's action, the Lagrange
 combinations of a Krylov sequence, the central classes' transforms, the
@@ -39,7 +39,7 @@ import numpy as np
 
 from .cyclotomic import _is_prime, _prime_factors, product_dtype
 from .errors import TableError
-from .groups import ClassData, _orbits
+from .groups import ClassData
 
 DEFAULT_PRIME_CEILING = 1_000_000
 
@@ -67,9 +67,6 @@ def primitive_root(p: int) -> int:
 # Most rows one class_matrix gather may hold; reps are gathered in chunks
 # below it, several at once where classes are small.
 _GATHER_ROWS = 1 << 16
-# Most array elements one lift_character gather or one block of chars'
-# Galois-stability check may hold.
-_LIFT_ELEMENTS = 1 << 21
 
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
@@ -289,9 +286,8 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     covered = np.zeros(r, dtype=bool)
     covered[0] = True
     moves = []
-    maps = [image for _, image in cd.galois_maps]
-    rational = (np.reshape(maps, (-1, r)) == np.arange(r)).all(axis=0)
-    orbits, only_rational = _orbits(maps, r).max() + 1, True
+    rational = np.bincount(cd.galois_orbits)[cd.galois_orbits] == 1
+    orbits, only_rational = cd.galois_orbits.max() + 1, True
     for i in sorted(range(1, r), key=lambda i: (cd.sizes[i], i)):
         if covered[i]:
             continue
@@ -344,6 +340,9 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
     along the power map of g, and lifts exactly because it is below p.  The
     matmuls sum n terms below p^2, in the dtype product_dtype picks for the
     largest n (float64 for n (p - 1)^2 < 2^50, else int64 or objects).
+    Only each Galois orbit's least class is transformed: zeta_n^(a t) at
+    g^t counts as zeta_n^a at g, so mult gathers their blocks, each checked
+    to sum to the degree and to equal its own gather, by cd.galois_columns.
     """
     h_inv = np.array([pow(h, p - 2, p) for h in cd.sizes], dtype=np.int64)
     total = (w * w[:, cd.inverse_class] % p * h_inv % p).sum(axis=1) % p
@@ -357,24 +356,31 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
     if not degrees.all():
         raise TableError("no square root for degree found "
                          "(implementation bug)")
+    # allocated first, so the rows it keeps lie below the temporaries' heap;
+    # filled by a take in clip mode, which, unlike raise, does not buffer it
+    mult = np.empty((len(degrees), len(cd.galois_columns)), dtype=np.int64)
     dtype = product_dtype(max(cd.orders) * (p - 1) ** 2)
     chi = (degrees[:, None] * w % p * h_inv % p).astype(dtype)
-    starts = np.cumsum(cd.orders) - cd.orders
-    mult = np.empty((len(degrees), sum(cd.orders)), dtype=np.int64)
-    for n in set(cd.orders):
-        ks = [k for k, order in enumerate(cd.orders) if order == n]
+    at = np.cumsum([0, *cd.orders])
+    rep = cd.galois_columns[at[:-1]] == at[:-1]  # (k, 0) heads its orbit
+    reps, cols = (np.flatnonzero(rep).tolist(),
+                  np.flatnonzero(np.repeat(rep, cd.orders)))
+    stack = np.empty((len(degrees), len(cols)), dtype=np.int64)
+    for n in set(cd.orders[k] for k in reps):
+        ks = [k for k in reps if cd.orders[k] == n]
         powers = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
         e = np.arange(n)
         dft = (powers[-np.outer(e, e) % n] * pow(n, p - 2, p) % p).astype(
             dtype)
-        step = max(1, _LIFT_ELEMENTS // (len(degrees) * n))
-        for lo in range(0, len(ks), step):
-            chunk = ks[lo:lo + step]
-            block = _residues(
-                chi[:, [cd.power_class[k] for k in chunk]] @ dft, p)
-            if (block.sum(axis=2) != degrees[:, None]).any():
-                raise TableError("multiplicities do not sum to the degree "
-                                 "(implementation bug)")
-            mult[:, (starts[chunk][:, None] + e).ravel()] = block.reshape(
-                len(degrees), -1)
-    return degrees.tolist(), mult
+        block = _residues(chi[:, [cd.power_class[k] for k in ks]] @ dft, p)
+        if (block.sum(axis=2) != degrees[:, None]).any():
+            raise TableError("multiplicities do not sum to the degree "
+                             "(implementation bug)")
+        stack[:, np.searchsorted(cols, at[ks][:, None] + e).ravel()] = (
+            block.reshape(len(degrees), -1))
+    expand = np.searchsorted(cols, cd.galois_columns)
+    moved = np.flatnonzero(expand[cols] != np.arange(len(cols)))
+    if not np.array_equal(stack[:, expand[cols[moved]]], stack[:, moved]):
+        raise TableError("multiplicities are not Galois-stable "
+                         "(implementation bug)")
+    return degrees.tolist(), stack.take(expand, axis=1, out=mult, mode="clip")

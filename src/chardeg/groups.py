@@ -236,6 +236,22 @@ class ClassData:
                     group |= more
         return maps
 
+    @cached_property
+    def galois_orbits(self) -> np.ndarray:
+        """Each class's orbit under the pi_t, numbered by least class."""
+        return _orbits([m for _, m in self.galois_maps], self.num_classes)
+
+    @cached_property
+    def galois_columns(self) -> np.ndarray:
+        """Each stack column's head: the least column of its orbit under
+        (k, a) -> (pi_t(k), a t mod n_k), in the least class of k's orbit."""
+        k = np.repeat(np.arange(self.num_classes), self.orders)
+        at, n = np.cumsum([0, *self.orders]), np.take(self.orders, k)
+        a = np.arange(at[-1]) - at[k]
+        orbit = _orbits([at[np.take(m, k)] + a * t % n
+                         for t, m in self.galois_maps], at[-1])
+        return np.unique(orbit, return_index=True)[1][orbit]
+
 
 def _orbits(maps, size: int) -> np.ndarray:
     """The orbit of each index in range(size) under the index maps

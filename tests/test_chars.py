@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +15,8 @@ from chardeg.chars import (Character, CharacterTable, character_table,
 from chardeg.invariants import gallagher_check
 from chardeg.cyclotomic import CycValue, reduce_to_power_basis, totient
 from chardeg.errors import TableError
-from chardeg.groups import ClassData, Group, Subgroup, center
+from chardeg.groups import (ClassData, Group, Subgroup, center,
+                            conjugacy_classes)
 from chardeg.perms import parse_cycles
 
 
@@ -406,18 +407,17 @@ def test_table_rejects_rows_that_are_not_galois_stable():
     fake = [Character(1, orders, np.array([1, *unit[a], *unit[a]]))
             for a in range(3)]
     rows = np.array([chi.row for chi in fake])
-    assert np.array_equal(chars._inner_products(table, orders, rows, rows),
+    assert np.array_equal(chars._inner_products(table, rows, rows),
                           totient(3) * 3 * np.eye(3, dtype=int))
     with pytest.raises(TableError, match="Galois-stable"):
         CharacterTable(group, table.classes, fake, table.exponent,
                        table.dixon_prime, table.primitive_root)
 
 
-def test_stability_check_reads_the_rows_a_block_at_a_time(monkeypatch):
-    # room for one row per block: C3's fake rows (1, 1, 1), (1, w, w) and
-    # (1, w^2, w^2) pass the first block, the stable row, and fail in the
-    # second; the real table passes block by block
-    monkeypatch.setattr(dixon, "_LIFT_ELEMENTS", 1)
+def test_stability_check_rejects_fake_rows_and_passes_table_rows():
+    # C3's fake rows (1, 1, 1), (1, w, w) and (1, w^2, w^2) fail the one
+    # gather through the orbit heads; the real table's rows, handed in as
+    # characters, pass it
     group = Group([parse_cycles("(1 2 3)", 3)], 3)
     table = character_table(group)
     orders = table.classes.orders
@@ -429,6 +429,39 @@ def test_stability_check_reads_the_rows_a_block_at_a_time(monkeypatch):
         CharacterTable(group, table.classes, fake, *args)
     rebuilt = CharacterTable(group, table.classes, table.chars[::-1], *args)
     assert rebuilt.chars == table.chars
+
+
+@pytest.mark.parametrize("name", ["C60", "Q16", "2A6", "M12", "D_400"])
+def test_galois_columns_are_fixed_by_every_map(cat, name):
+    # each head is fixed by the moves (k, a) -> (pi_t(k), a t mod n_k) of
+    # the generators t, so every gather through the heads is Galois-stable
+    # whatever its values; it is the least image of its column under all
+    # the units mod e, and lies in the least class of its class's orbit
+    group = {
+        "C60": lambda: make(["(1 2 3)(4 5 6 7)(8 9 10 11 12)"], 12),
+        "M12": lambda: make(["(1 2 3 4 5 6 7 8 9 10 11)",
+                             "(3 7 11 8)(4 10 5 6)",
+                             "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"], 12),
+        "D_400": lambda: make(
+            ["(" + " ".join(map(str, range(1, 201))) + ")",
+             "".join(f"({i} {202 - i})" for i in range(2, 101))], 200),
+    }.get(name, lambda: cat.group(name))()
+    cd = conjugacy_classes(group)
+    heads = cd.galois_columns
+    at = np.cumsum([0, *cd.orders])
+    k = np.repeat(np.arange(cd.num_classes), cd.orders)
+    a, n = np.arange(at[-1]) - at[k], np.repeat(cd.orders, cd.orders)
+    assert cd.galois_maps
+    for t, image in cd.galois_maps:
+        moved = at[np.array(image)[k]] + a * t % n
+        assert np.array_equal(heads[moved], heads)
+    e = lcm(*cd.orders)
+    least = np.min([at[np.take([c[t % len(c)] for c in cd.power_class], k)]
+                    + a * t % n for t in range(1, e) if gcd(t, e) == 1],
+                   axis=0)
+    assert np.array_equal(heads, least)
+    reps = np.unique(cd.galois_orbits, return_index=True)[1]
+    assert np.array_equal(k[heads], reps[cd.galois_orbits[k]])
 
 
 def test_galois_maps_are_found_once_per_table(monkeypatch):
@@ -443,7 +476,7 @@ def test_galois_maps_are_found_once_per_table(monkeypatch):
         return original(cd)
     monkeypatch.setattr(ClassData.galois_maps, "func", spy)
     table = character_table(make(["(1 2 3 4 5)", "(1 2 3)"], 5))
-    assert [t for t, _ in table.galois_maps] == [7, 11]
+    assert [t for t, _ in table.classes.galois_maps] == [7, 11]
     for chi in table.chars:
         assert inner_product(table, chi, chi) == 1
     assert found == [table.classes]

@@ -606,16 +606,58 @@ def test_lift_matches_per_character_loop(cat, name):
                                   else cat.group(name))
 
 
-def test_lift_matches_per_character_loop_in_chunks(monkeypatch):
-    # C60: 16 classes of order 60, lifted a few classes per matmul
-    monkeypatch.setattr(dixon, "_LIFT_ELEMENTS", 60 * 60 * 3)
+def test_lift_matches_per_character_loop_on_c60():
+    # C60: 16 classes of order 60, one Galois orbit: one class is lifted
+    # and the other 15 are gathered from it
     assert_lift_matches_reference(cyclic(4, 3, 5))
 
 
 def test_lift_matches_per_character_loop_at_exponent_210():
-    # C210: the 48 classes of order 210 take a 210 x 210 inverse DFT, over
-    # more than one chunk at the default gather size; the reference loop is
-    # slow, so it checks two rows
-    group = cyclic(2, 3, 5, 7)
-    assert 210 * 48 * 210 > dixon._LIFT_ELEMENTS
-    assert_lift_matches_reference(group, rows=[1, 209])
+    # C210: the 48 classes of order 210, one Galois orbit, take one
+    # 210 x 210 inverse DFT; the reference loop is slow, so it checks two
+    # rows
+    assert_lift_matches_reference(cyclic(2, 3, 5, 7), rows=[1, 209])
+
+
+class _ReadLog(list):
+    """A list that logs the indices read from it."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("name", ["A5", "M11", "C60", "C210"])
+def test_lift_reads_power_maps_at_orbit_representatives_only(name):
+    # every other class's block is a gather of its representative's, so
+    # only the representatives' power maps are read
+    group = {"C60": lambda: cyclic(4, 3, 5),
+             "C210": lambda: cyclic(2, 3, 5, 7)}.get(name, lambda: make(name))()
+    cd, p, z = modular_data(group)
+    w = central_character_vectors(cd, p, z)
+    expected = lift_character(w, cd, p, z)
+    reps = np.unique(cd.galois_orbits, return_index=True)[1].tolist()
+    assert len(reps) < cd.num_classes
+    read = []
+    cd.power_class = _ReadLog(cd.power_class, read)
+    degrees, mult = lift_character(w, cd, p, z)
+    assert sorted(set(read)) == reps
+    assert degrees == expected[0] and np.array_equal(mult, expected[1])
+
+
+def test_lift_checks_each_representative_block_is_stable():
+    # C5: the classes of order 5 are one orbit, and a faithful character
+    # has one eigenvalue at a 5-cycle, so its block is moved by a -> 2a;
+    # heads that ask the representative's block to be fixed by it fail
+    cd, p, z = modular_data(cyclic(5))
+    w = central_character_vectors(cd, p, z)
+    assert cd.orders == [1, 5, 5, 5, 5]
+    heads = cd.galois_columns.copy()
+    heads[1:6] = 1 + 2 * np.arange(5) % 5
+    cd.galois_columns = heads
+    with pytest.raises(TableError, match="not Galois-stable"):
+        lift_character(w, cd, p, z)

@@ -32,12 +32,13 @@ from here; nothing in the program is changed:
   classes used also count the central classes read through
   ``dixon.class_permutation``, which forms no matrix;
 * split: ``dixon.central_character_vectors`` less its class matrices;
-* lift: ``dixon.lift_character``;
+* lift: ``dixon.lift_character``: the inverse transforms of one class per
+  Galois orbit, then the gather that expands them to every class;
 * validate: the rest of ``character_table`` (the ``Character`` objects,
-  then ``CharacterTable``, whose constructor stacks the rows, checks that
-  they are Galois-stable, sorts them and runs the exact Gram check by the
-  trace form over Galois orbits of classes; kernels are read off the rows
-  later, on first use),
+  then ``CharacterTable``, whose constructor reads the lift's stack as it
+  is, Galois-stable by construction and so not checked again, sorts the
+  rows and runs the exact Gram check by the trace form over Galois orbits
+  of classes; kernels are read off the rows later, on first use),
   with the split and lift above handed in (``dixon``'s two functions are
   replaced in the worker process only).  Each tree's own
   ``character_table`` consumes its own lift output, so the stage means the
@@ -95,6 +96,9 @@ GROUPS = {
                     "".join(f"({i} {202 - i})" for i in range(2, 101))]),
     "C_240": (24, ["(1 2 3)(4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19)"
                    "(20 21 22 23 24)"]),
+    "C_420": (19, ["(1 2 3 4)(5 6 7)(8 9 10 11 12)(13 14 15 16 17 18 19)"]),
+    "D_1000": (500, ["(" + " ".join(map(str, range(1, 501))) + ")",
+                     "".join(f"({i} {502 - i})" for i in range(2, 251))]),
 }
 CORPUS_COMMANDS = (["verify", "paper", "--json"],
                    ["scan", "--check", "question:7", "--json"])
@@ -102,9 +106,8 @@ ENTRIES = (*GROUPS, "corpus")
 STAGES = ("chain", "elements", "classes", "class_matrices", "split", "lift",
           "validate")
 REPEAT = 5  # builds per group and tree; the JSON holds their medians
-# fewer builds of the groups whose Gram check took 8-30 s in int64 products
-# before it became a trace over Galois orbits
-REPEATS = {"C_120": 3, "D_400": 3, "C_240": 3}
+# fewer builds of the groups whose tables take longest
+REPEATS = {"C_120": 3, "D_400": 3, "C_240": 3, "C_420": 3, "D_1000": 3}
 # BLAS threads of each worker, as perfbench/run.py sets them
 THREADS = len(os.sched_getaffinity(0))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
