@@ -20,6 +20,7 @@ since the table is square this implies the column relations too (see
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -70,9 +71,11 @@ class CharacterTable:
 
     Canonical row order: degree ascending, then lexicographic on the stack
     rows (the values embedded over the exponent compare alike: embedding
-    puts zeros at the same places in every row).  Construction validates
-    #rows = #classes, the degree sum of squares, degree divisibility, and
-    exact row orthogonality; failures raise TableError.
+    puts zeros at the same places in every row), read on the head columns
+    of ``ClassData.galois_columns``: on Galois-stable rows column c equals
+    its head h(c) <= c, so two rows first differ at a head.  Construction
+    validates #rows = #classes, the degree sum of squares, degree
+    divisibility, and exact row orthogonality; failures raise TableError.
 
     Row orthogonality is one Gram check: with X the r x r value matrix and
     D = diag(class sizes), X D X* = |G| I over Q(zeta_e), conjugation being
@@ -95,7 +98,9 @@ class CharacterTable:
         if len(chars) != classes.num_classes:
             raise TableError("character count differs from class count")
         rows = _table_stack(self, chars) if rows is None else rows
-        rank = _canonical_order(np.array([c.degree for c in chars]), rows)
+        heads = classes.galois_columns
+        rank = _canonical_order(np.array([c.degree for c in chars]), rows,
+                                np.flatnonzero(heads == np.arange(len(heads))))
         self.chars = tuple(chars[i] for i in rank)
         if sum(c.degree ** 2 for c in self.chars) != group.order:
             raise TableError("degree squares do not sum to the group order")
@@ -181,20 +186,11 @@ def character_table(group: Group) -> CharacterTable:
     return group._cache[key]
 
 
-def _canonical_order(degrees: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row indices by degree, then lexicographically by row, ties by index:
-    one stable lexsort of the shortest prefix of 2^k columns that leaves no
-    ties, which decides the order of the full rows (a lexsort of all the
-    columns allocates about as much as the rows again)."""
-    width = 1
-    while True:
-        keys = rows[:, :width]
-        rank = np.lexsort((*keys.T[::-1], degrees))
-        ties = ((degrees[rank][1:] == degrees[rank][:-1])
-                & (keys[rank][1:] == keys[rank][:-1]).all(axis=1))
-        if width >= rows.shape[1] or not ties.any():
-            return rank
-        width *= 2
+def _canonical_order(degrees: np.ndarray, rows: np.ndarray,
+                     columns) -> np.ndarray:
+    """Row indices by degree, then lexicographically by the rows' listed
+    columns, ties by index: one stable lexsort of views, copying no rows."""
+    return np.lexsort([*(rows[:, c] for c in columns[::-1]), degrees])
 
 
 # -- class function arithmetic ---------------------------------------------
@@ -338,11 +334,11 @@ def kernel_subgroup(group: Group, chi: Character) -> Subgroup:
     return kernel
 
 
-def extensions_of(group: Group, n: Group, theta: Character,
-                  warn=None) -> list[Character]:
+def extensions_of(group: Group, n: Group,
+                  theta: Character) -> list[Character]:
     """All chi in Irr(G) with chi(1) = theta(1) restricting to theta exactly."""
-    if warn is not None and isinstance(n, Subgroup) and not n.is_normal():
-        warn("extension test on a non-normal subgroup")
+    if isinstance(n, Subgroup) and not n.is_normal():
+        warnings.warn("extension test on a non-normal subgroup", stacklevel=2)
     same = [chi for chi in character_table(group).chars
             if chi.degree == theta.degree]
     restricted = _on_classes(same, class_fusion(group, n))

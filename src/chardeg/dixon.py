@@ -39,7 +39,7 @@ import numpy as np
 
 from .cyclotomic import _is_prime, _prime_factors, product_dtype
 from .errors import TableError
-from .groups import ClassData
+from .groups import ClassData, _orbits
 
 DEFAULT_PRIME_CEILING = 1_000_000
 
@@ -271,8 +271,8 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     other class forms its matrix, and split_branches cuts the branches that
     matrix is not a scalar on.  Class i is skipped when its class sum is
     K_y K_C, y in Y and C a used class or the identity: K_y K_C = K_{yC},
-    so A_i = A_y A_C is a scalar on every branch left.  Rational classes
-    (pi_t(k) = k for each t of galois_maps) have rational central characters:
+    so A_i = A_y A_C is a scalar on every branch left.  Rational classes,
+    alone in their cd.galois_orbits, have rational central characters:
     while only they are used, each branch is a union of Galois orbits of
     Irr(G), as many as those of classes (Brauer's permutation lemma, Isaacs,
     1976, ch. 6), so with that many branches each is one orbit and all the
@@ -282,10 +282,11 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     r = cd.num_classes
     inv = _inverse_table(p, z)
     branches = np.eye(1, r, dtype=np.int64)
-    # the classes y*C; a used central y moves class k to that of y^-1 rep_k
+    # the classes y*C, a union of the moves' orbits (y_orbit): a used
+    # central y moves class k to that of y^-1 rep_k
     covered = np.zeros(r, dtype=bool)
     covered[0] = True
-    moves = []
+    moves, y_orbit = [], np.arange(r)
     rational = np.bincount(cd.galois_orbits)[cd.galois_orbits] == 1
     orbits, only_rational = cd.galois_orbits.max() + 1, True
     for i in sorted(range(1, r), key=lambda i: (cd.sizes[i], i)):
@@ -301,6 +302,7 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
             q = next((m for m in range(1, n)
                       if covered[cd.power_class[i][m]]), n)
             moves.append(class_permutation(cd, i))
+            y_orbit = _orbits(moves, r)
             branches = split_central(branches, moves[-1], q, n, p, z, inv)
         else:
             act = _action(class_matrix(cd, i) % p, p)
@@ -313,12 +315,9 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
         only_rational &= bool(rational[i])
         if only_rational and len(branches) == orbits:
             covered |= rational
-        while True:
-            before = np.count_nonzero(covered)
-            for move in moves:
-                covered[move[covered]] = True
-            if np.count_nonzero(covered) == before:
-                break
+        closed = np.zeros(r, dtype=bool)
+        closed[y_orbit[covered]] = True
+        covered = closed[y_orbit]
     if len(branches) != r:
         raise TableError("class matrices exhausted before the branches "
                          "fully split (implementation bug)")

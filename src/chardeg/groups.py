@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -224,33 +224,35 @@ class ClassData:
         return self.group.order // self.sizes[i]
 
     @cached_property
-    def galois_maps(self) -> list[tuple[int, list[int]]]:
-        """(t, pi_t) for generators t of (Z/e)^*, e the exponent, each the
-        least unit outside the group generated so far; pi_t[k] is the class
-        of class k's t-th powers."""
-        e, maps, group = lcm(*self.orders), [], {1}
-        for t in range(2, e):
-            if gcd(t, e) == 1 and t not in group:
-                maps.append((t, [c[t % len(c)] for c in self.power_class]))
-                while more := {t * h % e for h in group} - group:
-                    group |= more
-        return maps
+    def galois_columns(self) -> np.ndarray:
+        """Each stack column's head: the least column of its orbit under
+        (k, a) -> (pi_v(k), a v mod n), v a unit mod n = n_k and pi_v(k)
+        the class of k's v-th powers (a unit mod the exponent acts through
+        its residue mod n).  The least class R of k's orbit is pi_v(k)
+        exactly for v in u S, S the units fixing R, so (k, a) heads at
+        (R, b), b the least a u s mod n over s in S: R's own head of a u."""
+        at, orders = np.cumsum([0, *self.orders]), np.array(self.orders)
+        heads = np.arange(at[-1])
+        for n in set(self.orders) - {1, 2}:  # 1 is the one unit mod 1 or 2
+            ks = np.flatnonzero(orders == n)
+            units = np.flatnonzero(np.gcd(a := np.arange(n), n) == 1)
+            image = np.array([self.power_class[k] for k in ks])[:, units]
+            least = image.min(axis=1)
+            hit = image == least[:, None]
+            own = ks == least  # R's rows: b -> least b s mod n over s in S
+            least_b = np.where(hit[own][:, None], np.outer(a, units) % n,
+                               n).min(axis=2)
+            u = units[hit.argmax(axis=1)]
+            heads[at[ks][:, None] + a] = at[least][:, None] + least_b[
+                np.searchsorted(ks[own], least)[:, None], a * u[:, None] % n]
+        return heads
 
     @cached_property
     def galois_orbits(self) -> np.ndarray:
-        """Each class's orbit under the pi_t, numbered by least class."""
-        return _orbits([m for _, m in self.galois_maps], self.num_classes)
-
-    @cached_property
-    def galois_columns(self) -> np.ndarray:
-        """Each stack column's head: the least column of its orbit under
-        (k, a) -> (pi_t(k), a t mod n_k), in the least class of k's orbit."""
-        k = np.repeat(np.arange(self.num_classes), self.orders)
-        at, n = np.cumsum([0, *self.orders]), np.take(self.orders, k)
-        a = np.arange(at[-1]) - at[k]
-        orbit = _orbits([at[np.take(m, k)] + a * t % n
-                         for t, m in self.galois_maps], at[-1])
-        return np.unique(orbit, return_index=True)[1][orbit]
+        """Each class's orbit under the pi_v, numbered by least class: the
+        column (k, 0) heads at (R, 0), R the least class of k's orbit."""
+        heads = self.galois_columns[np.cumsum([0, *self.orders[:-1]])]
+        return np.unique(heads, return_inverse=True)[1]
 
 
 def _orbits(maps, size: int) -> np.ndarray:

@@ -11,6 +11,7 @@ uniformly across all filters.
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,14 +129,15 @@ def acd(table: CharacterTable, filt: DegreeFilter = ALL) -> RationalAverage:
     return RationalAverage.of(c.degree for c in irr(table, filt))
 
 
-def acd_rel(table: CharacterTable, n: Group, warn=None) -> RationalAverage:
+def acd_rel(table: CharacterTable, n: Group) -> RationalAverage:
     """Average degree over Irr(G|N) = {chi : N not in Ker(chi)}.
 
     A trivial N makes the set empty; that returns 0 with a warning, matching
     the empty-average convention.
     """
-    if n.order == 1 and warn is not None:
-        warn("acd_rel with trivial subgroup: Irr(G|1) is empty, average is 0")
+    if n.order == 1:
+        warnings.warn("acd_rel with trivial subgroup: Irr(G|1) is empty, "
+                      "average is 0", stacklevel=2)
     return RationalAverage.of(
         c.degree for c in irr(table, modulo=n, mode="relative"))
 

@@ -6,7 +6,7 @@ the eigenvalues the split finds, and a per-character degree search and
 Fourier loop for the lift.
 """
 
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -476,8 +476,9 @@ def test_split_skips_rational_classes_once_each_branch_is_one_orbit(
     cd = conjugacy_classes(group)
     matrices, permutations, _ = used_and_splitting(monkeypatch, group)
     assert not permutations and len(matrices) == formed
-    rational = [all(image[i] == i for _, image in cd.galois_maps)
-                for i in range(cd.num_classes)]
+    # class i is rational when every unit v mod n_i fixes it: i^v ~ i
+    rational = [all(c[v] == i for v in range(len(c)) if gcd(v, len(c)) == 1)
+                for i, c in enumerate(cd.power_class)]
     assert all(rational) == (name == "S8")
     # the classes formed, in order, are rational ones and then ones that
     # are not: the skip leaves no rational class to form

@@ -92,11 +92,10 @@ def test_acd_rel(cat):
     z = center(sl25)
     assert acd_rel(t, z).value == Fraction(7, 2)
     # trivial N: empty relative set, returns 0 and warns
-    warnings = []
     trivial = Subgroup(sl25, [])
-    avg = acd_rel(t, trivial, warn=warnings.append)
+    with pytest.warns(UserWarning, match="trivial subgroup"):
+        avg = acd_rel(t, trivial)
     assert avg.value == 0 and avg.count == 0
-    assert warnings
 
 
 def test_acd_rel_whole_group(cat):

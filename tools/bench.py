@@ -13,9 +13,9 @@ its git commit, where it is a checkout, and always by the SHA-256 of its
 from that tree's ``src`` with one BLAS thread per CPU.  Each worker pins
 itself to one CPU, as perfbench/run.py pins its workers: unpinned, mid-size
 BLAS products were seen to stall for about 16 ms.  The JSON written to
-``--out`` holds the median seconds of each stage, the peak RSS reached by the
-end of each stage (the largest over the repeats), and the SHA-256 of the
-table's JSON export, so that the trees can be checked to agree; it also
+``--out`` holds the least, median and largest seconds of each stage over the
+repeats, the peak RSS reached by the end of each stage (the largest over the
+repeats), and the SHA-256 of the table's JSON export, so that the trees can be checked to agree; it also
 records the BLAS that numpy uses and its thread setting, since the products
 run there.
 
@@ -46,7 +46,8 @@ from here; nothing in the program is changed:
 
 The entry ``corpus`` runs the commands of CORPUS_COMMANDS one after the
 other through ``chardeg.cli.main``, in a fresh process per tree and repeat
-like the groups.  It records the wall seconds of the two, the seconds spent
+like the groups.  It records the wall seconds of the two (least, median
+and largest over the repeats, as for the stages), the seconds spent
 in ``StabilizerChain.__init__`` and how many chains it built (the method is
 wrapped in the worker process only), the peak RSS at the end, and the
 SHA-256 of each command's report.
@@ -105,7 +106,7 @@ CORPUS_COMMANDS = (["verify", "paper", "--json"],
 ENTRIES = (*GROUPS, "corpus")
 STAGES = ("chain", "elements", "classes", "class_matrices", "split", "lift",
           "validate")
-REPEAT = 5  # builds per group and tree; the JSON holds their medians
+REPEAT = 5  # builds per group and tree; the JSON holds their spread
 # fewer builds of the groups whose tables take longest
 REPEATS = {"C_120": 3, "D_400": 3, "C_240": 3, "C_420": 3, "D_1000": 3}
 # BLAS threads of each worker, as perfbench/run.py sets them
@@ -249,6 +250,13 @@ def source_of(tree: Path) -> str:
     return digest.hexdigest()
 
 
+def spread(values) -> dict:
+    """The least, median and largest of the values."""
+    values = sorted(values)
+    return {"min": values[0], "median": statistics.median(values),
+            "max": values[-1]}
+
+
 def summarize(runs: list[dict]) -> dict:
     for key in ("table_sha256", "class_matrices_formed", "class_matrices_cut",
                 "classes_used"):
@@ -256,8 +264,7 @@ def summarize(runs: list[dict]) -> dict:
         if len(values) != 1:
             raise RuntimeError(f"repeats disagree on {key}: {values}")
     first = runs[0]
-    seconds = {s: statistics.median(r["seconds"][s] for r in runs)
-               for s in STAGES}
+    seconds = {s: spread(r["seconds"][s] for r in runs) for s in STAGES}
     return {
         "order": first["order"],
         "classes": first["classes"],
@@ -266,7 +273,7 @@ def summarize(runs: list[dict]) -> dict:
         "classes_used": first["classes_used"],
         "table_sha256": first["table_sha256"],
         "seconds": seconds,
-        "total_s": sum(seconds.values()),
+        "total_s": sum(s["median"] for s in seconds.values()),
         "peak_rss_mb": {s: max(r["peak_rss_mb"][s] for r in runs)
                         for s in ("import",) + STAGES},
     }
@@ -280,7 +287,7 @@ def summarize_corpus(runs: list[dict]) -> dict:
     return {
         "report_sha256": runs[0]["report_sha256"],
         "chains_built": runs[0]["chains_built"],
-        "seconds": {s: statistics.median(r["seconds"][s] for r in runs)
+        "seconds": {s: spread(r["seconds"][s] for r in runs)
                     for s in ("wall", "chain")},
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
     }
@@ -319,9 +326,10 @@ def main(argv=None) -> int:
             if name == "corpus":
                 summary = summarize_corpus(runs[label])
                 results[label]["corpus"] = summary
-                seconds = summary["seconds"]
-                print(f"{label:>8} corpus  wall {seconds['wall']:.3f} s  "
-                      f"chain {seconds['chain']:.3f} s  "
+                wall, chain = (summary["seconds"][s]["median"]
+                               for s in ("wall", "chain"))
+                print(f"{label:>8} corpus  wall {wall:.3f} s  "
+                      f"chain {chain:.3f} s  "
                       f"{summary['chains_built']} chains  "
                       f"{summary['peak_rss_mb']:6.1f} MB", file=sys.stderr)
                 continue
@@ -332,16 +340,17 @@ def main(argv=None) -> int:
                   f"{summary['class_matrices_formed']:4} formed  "
                   f"{summary['class_matrices_cut']:4} cut  "
                   f"{summary['classes_used']:4} used  " +
-                  "  ".join(f"{s} {summary['seconds'][s]:.3f}"
+                  "  ".join(f"{s} {summary['seconds'][s]['median']:.3f}"
                             for s in STAGES), file=sys.stderr)
     payload = {
         "tool": "tools/bench.py",
         "stages": list(STAGES),
         "repeat": REPEAT,
         "repeats": REPEATS,
-        "statistic": "median seconds over the repeats; peak RSS is the "
-                     "process high-water mark at the end of each stage, "
-                     "the largest over the repeats",
+        "statistic": "least, median and largest seconds over the repeats "
+                     "(total_s sums the medians); peak RSS is the process "
+                     "high-water mark at the end of each stage, the largest "
+                     "over the repeats",
         "machine": {"platform": platform.platform(),
                     "cpus": os.cpu_count(),
                     "python": platform.python_version(),
