@@ -22,6 +22,11 @@ Group Theory*, 2005, 4.4.5):
   left would have added a generator: the stop, after the stale
   transversals are rebuilt, gives the chain the full build gives.
 
+Each check has one home: the constructor checks generator degrees, sifting
+drops the identity, and _add_generator refuses a generator its level holds
+(a repeat sifts to its first copy's level) and says why none needs a check
+that it fixes the base points above its level.
+
 ``rank`` inverts the element enumeration a block of levels at a time: the
 block's base images, read as one number in base ``degree``, index a table
 of its elements u = t_b * ... * t_a, and one gather of u's inverse divides
@@ -75,12 +80,9 @@ class StabilizerChain:
             raise GroupTooLargeError(f"degree {degree} exceeds {MAX_DEGREE}")
         self.degree = degree
         self.dtype = np.dtype(np.uint8 if degree <= 256 else np.uint16)
-        gens = []
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError("generator degree mismatch")
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
+        gens = list(generators)
+        if any(g.degree != degree for g in gens):
+            raise ValueError("generator degree mismatch")
         self.base: list[int] = []
         # level_gens[i] generates the stabilizer of base[:i]
         self.level_gens: list[list[Permutation]] = []
@@ -113,8 +115,7 @@ class StabilizerChain:
         trans = {b: Permutation.identity(self.degree)}
         tree = {}
         queue = [b]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:  # the BFS: queue grows while it is walked
             t = trans[x]
             for j, s in enumerate(self.level_gens[i]):
                 y = s[x]
@@ -157,10 +158,11 @@ class StabilizerChain:
                 if g[pt] != pt:
                     self._append_level(pt)
                     break
+        # g fixes base[:level]: it is stuck there, sifted from level 0 or,
+        # as t_x * s (both fix base[:i]), from level i
         for l in range(level + 1):
-            if all(g[self.base[k]] == self.base[k] for k in range(l)):
-                if g not in self.level_gens[l]:
-                    self.level_gens[l].append(g)
+            if g not in self.level_gens[l]:
+                self.level_gens[l].append(g)
 
     def _build(self, gens: list[Permutation], bound: int | None) -> None:
         for g in gens:
@@ -171,39 +173,39 @@ class StabilizerChain:
             self._rebuild_transversal(i)
         if self._reaches(bound):
             return
-        # bottom-up Schreier generator closure; the Schreier generator
-        # t_x * s * t_y^-1 is trivial iff t_x * s == t_y, as on a tree
-        # edge, and otherwise sifting t_x * s from level i divides by t_y
+        # bottom-up Schreier generator closure: levels min(i + 1, j) to j are
+        # rebuilt at once, the others when the closure comes down to them
         i = len(self.base) - 1
         while i >= 0:
             self._rebuild_transversal(i)
-            restart = False
-            trans, tree = self.transversals[i], self._tree[i]
-            for x, t_x in trans.items():
-                for k, s in enumerate(self.level_gens[i]):
-                    y = s[x]
-                    if tree.get(y) == k:  # the tree edge x -> y
-                        continue
-                    t_xs = t_x * s
-                    if t_xs == trans[y]:
-                        continue
-                    residue, j = self._sift(t_xs, i)
-                    if residue.is_identity():
-                        continue
-                    self._add_generator(residue, j)
-                    for l in range(i + 1, min(j + 1, len(self.base))):
-                        self._rebuild_transversal(l)
-                    if j < len(self.base):
-                        self._rebuild_transversal(j)
-                    if self._reaches(bound):
-                        return
-                    i = min(j, len(self.base) - 1)
-                    restart = True
-                    break
-                if restart:
-                    break
-            if not restart:
+            for residue, j in self._schreier_residues(i):
+                self._add_generator(residue, j)
+                for l in range(min(i + 1, j), j + 1):
+                    self._rebuild_transversal(l)
+                if self._reaches(bound):
+                    return
+                i = j
+                break
+            else:
                 i -= 1
+
+    def _schreier_residues(self, i: int):
+        """(residue, stuck level) of each Schreier generator t_x * s * t_y^-1
+        of level i that does not sift to the identity.  It is trivial iff
+        t_x * s == t_y, as on a tree edge; else sifting t_x * s from i
+        divides by t_y."""
+        trans, tree = self.transversals[i], self._tree[i]
+        for x, t_x in trans.items():
+            for k, s in enumerate(self.level_gens[i]):
+                y = s[x]
+                if tree.get(y) == k:  # the tree edge x -> y
+                    continue
+                t_xs = t_x * s
+                if t_xs == trans[y]:
+                    continue
+                residue, j = self._sift(t_xs, i)
+                if not residue.is_identity():
+                    yield residue, j
 
     def order(self) -> int:
         n = 1

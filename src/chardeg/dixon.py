@@ -15,9 +15,9 @@ eigenvalues are roots of unity known in advance: every branch, a sum of
 some of the terms, is cut by one short Fourier transform of its gathers
 along that permutation.  Any other class is formed as a matrix, and the
 branches on which it is not a scalar are cut into their eigencomponents,
-all read off one Krylov sequence, that of their sum.  Scale each term to
-central character values; then lift all characters at once: degrees from
-one sum mod p, values by one inverse discrete Fourier transform per
+all read off one Krylov sequence, that of their sum.  Then lift all
+characters at once from the terms: each degree from its term's identity
+entry chi(1)^2/|G|, values by one inverse discrete Fourier transform per
 element order on one class per Galois orbit, gathered to the others.
 
 Products of residues mod p (a class matrix's action, the Lagrange
@@ -254,9 +254,10 @@ def split_central(xs: np.ndarray, move: np.ndarray, q: int, n: int, p: int,
 
 
 def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
-    """All r common eigenvectors of the class matrices, one per row, with
-    identity-class coordinate 1: the central character values (omega_k mod
-    p) of each irreducible character; z is a primitive root mod p.
+    """The r terms (chi(1)^2 / |G|) omega_chi mod p of e_0, one per row, as
+    the split finds them: omega_chi holds the central character values
+    (omega_k) of chi and is 1 at the identity, so a term's identity entry
+    is chi(1)^2 / |G|; z is a primitive root mod p.
 
     By column orthogonality e_0 = sum_chi (chi(1)^2 / |G|) omega_chi, no
     coefficient 0 mod p as p does not divide |G|.  Each class used cuts
@@ -321,20 +322,19 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     if len(branches) != r:
         raise TableError("class matrices exhausted before the branches "
                          "fully split (implementation bug)")
-    if not branches[:, 0].all():
-        raise TableError("central character vanishes at the identity "
-                         "(implementation bug)")
-    return branches * inv[branches[:, 0]][:, None] % p
+    return branches
 
 
 def lift_character(w: np.ndarray, cd: ClassData, p: int,
                    z: int) -> tuple[list[int], np.ndarray]:
-    """Exact (degrees, mult) of every character, from the rows of w: row j
-    of mult holds character j's multiplicity vectors, class by class.
+    """Exact (degrees, mult) of every character, from the rows of w, the
+    terms (chi(1)^2 / |G|) omega_chi that central_character_vectors returns:
+    row j of mult holds character j's multiplicity vectors, class by class.
 
-    d^2 = |G| / sum_k omega_k * conj(omega_k) / h_k mod p, and the degree is
-    the square root in (0, p/2).  chi(g) mod p is d * omega / classsize; the
-    multiplicity of zeta_n^j among the eigenvalues of a representing matrix
+    The degree d is the divisor of |G| with d^2 = |G| w_0 mod p and d <=
+    sqrt(|G|), unique as p > 2 sqrt(|G|).  chi(g) mod p is d omega / h =
+    (|G| / d) w / h, h the class size; the multiplicity of zeta_n^j among
+    the eigenvalues of a representing matrix
     at g (n the order of g) is the inverse discrete Fourier transform of chi
     along the power map of g, and lifts exactly because it is below p.  The
     matmuls sum n terms below p^2, in the dtype product_dtype picks for the
@@ -343,23 +343,20 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
     g^t counts as zeta_n^a at g, so mult gathers their blocks, each checked
     to sum to the degree and to equal its own gather, by cd.galois_columns.
     """
-    h_inv = np.array([pow(h, p - 2, p) for h in cd.sizes], dtype=np.int64)
-    total = (w * w[:, cd.inverse_class] % p * h_inv % p).sum(axis=1) % p
-    if not total.all():
-        raise TableError("degree denominator vanished (implementation bug)")
-    d_squared = [cd.group.order * pow(int(t), p - 2, p) % p for t in total]
-    roots = np.zeros(p, dtype=np.int64)
-    d = np.arange(1, p // 2 + 1, dtype=np.int64)
-    roots[d * d % p] = d
-    degrees = roots[d_squared]
+    order = cd.group.order
+    by_square = {d * d % p: d for d in range(1, isqrt(order) + 1)
+                 if order % d == 0}
+    degrees = np.array([by_square.get(order * int(t) % p, 0) for t in w[:, 0]],
+                       dtype=np.int64)
     if not degrees.all():
-        raise TableError("no square root for degree found "
-                         "(implementation bug)")
+        raise TableError("no divisor of |G| squares to |G| times a term's "
+                         "identity entry (implementation bug)")
+    h_inv = np.array([pow(h, p - 2, p) for h in cd.sizes], dtype=np.int64)
     # allocated first, so the rows it keeps lie below the temporaries' heap;
     # filled by a take in clip mode, which, unlike raise, does not buffer it
     mult = np.empty((len(degrees), len(cd.galois_columns)), dtype=np.int64)
     dtype = product_dtype(max(cd.orders) * (p - 1) ** 2)
-    chi = (degrees[:, None] * w % p * h_inv % p).astype(dtype)
+    chi = ((order // degrees % p)[:, None] * w % p * h_inv % p).astype(dtype)
     at = np.cumsum([0, *cd.orders])
     rep = cd.galois_columns[at[:-1]] == at[:-1]  # (k, 0) heads its orbit
     reps, cols = (np.flatnonzero(rep).tolist(),

@@ -44,11 +44,8 @@ class Group:
     def __init__(self, generators, degree: int, name: str | None = None,
                  _base_prefix=(), _order_bound: int | None = None):
         self.degree = degree
-        gens = sorted({g for g in generators if not g.is_identity()})
-        for g in gens:
-            if g.degree != degree:
-                raise ValueError("generator degree mismatch")
-        self.generators: tuple[Permutation, ...] = tuple(gens)
+        self.generators: tuple[Permutation, ...] = tuple(sorted(
+            {g for g in generators if not g.is_identity()}))
         self.chain = StabilizerChain(self.generators, degree, _base_prefix,
                                      _order_bound)
         self.order: int = self.chain.order()
@@ -285,13 +282,7 @@ def conjugacy_classes(group: Group) -> ClassData:
 
 def normal_closure(group: Group, elems) -> Subgroup:
     """Smallest normal subgroup of ``group`` containing ``elems``."""
-    gens = []
-    for e in elems:
-        if e not in group:
-            raise NotMemberError("normal_closure input is not a group element")
-        if not e.is_identity() and e not in gens:
-            gens.append(e)
-    h = Subgroup(group, gens)
+    h = Subgroup(group, elems)
     while h.order < group.order and (
             new := _conjugates_outside(h, group.generators)):
         h = Subgroup(group, list(h.generators) + new)

@@ -1,9 +1,15 @@
+import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from chardeg.bsgs import StabilizerChain
+from chardeg.groups import derived_series
 from chardeg.perms import Permutation, parse_cycles
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def brute_closure(gens, degree):
@@ -93,6 +99,39 @@ def test_group_orbit_product_identity(cat):
         if g.order > 5000:
             continue
         assert len(brute_closure(list(g.generators), g.degree)) == g.order
+
+
+def _golden_tool():
+    path = ROOT / "tools" / "golden_tables.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_chains_are_pinned(cat):
+    # every chain below as the construction built it when this digest was
+    # recorded: bases, level generators in order and transversals are what
+    # element order, ranks, class numbering and tables all follow from
+    a, b = REFERENCE_CASES["M11"][0]
+    identity = Permutation.identity(11)
+    repeats = StabilizerChain([identity, a, b, a, identity, a * b, b], 11)
+    assert _chain_data(repeats) == _chain_data(
+        StabilizerChain([a, b, a * b], 11))
+    tool = _golden_tool()
+    chains = [repeats] + [
+        h.chain for entry in cat.load_all()
+        for h in derived_series(entry.group)] + [
+        tool.scale_group(name).chain for name in ("S8", "M12", "C2^6", "C3^4")]
+    digest = hashlib.sha256()
+    for chain in chains:
+        digest.update(repr((
+            chain.degree, chain.base,
+            [[g.images for g in gens] for gens in chain.level_gens],
+            [sorted((x, t.images) for x, t in trans.items())
+             for trans in chain.transversals])).encode())
+    assert digest.hexdigest() == (
+        "dc66624f565c05cfb7aac8802e7c0deeddfd22a964999551437814fce5a3fe32")
 
 
 # -- reference Schreier-Sims --------------------------------------------------

@@ -521,18 +521,28 @@ def test_head_columns_give_the_order_of_the_full_rows(cat, name):
 
 def test_a_table_build_leaves_numpy_ma_unimported():
     # np.unique with no index, inverse or counts asked for imports numpy.ma,
-    # 10 ms or more and 1.5 MB in a fresh process; no table build may do so
-    code = ("import sys, numpy\n"
+    # 10 ms or more and 1.5 MB in a fresh process; no table build, and none
+    # of the CLI commands below, may do so
+    code = ("import contextlib, io, sys, numpy\n"
             "before = 'numpy.ma' in sys.modules\n"
             "from chardeg import Catalogue, character_table\n"
+            "from chardeg.cli import main\n"
             "character_table(Catalogue().group('A5'))\n"
-            "print(before, 'numpy.ma' in sys.modules)\n")
+            "after = ['numpy.ma' in sys.modules]\n"
+            "for argv in (['table', 'A5', '--json'], ['verify', 'paper',\n"
+            "             '--json'], ['scan', '--check', 'question:7',\n"
+            "                         '--json']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    after.append('numpy.ma' in sys.modules)\n"
+            "print(before, *after)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(chars.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    before, after = out.stdout.split()
+    before, *after = out.stdout.split()
     if before == "True":
         pytest.skip("importing numpy already imports numpy.ma")
-    assert after == "False"
+    # after the A5 table, then after each CLI command in turn
+    assert after == ["False"] * 4
