@@ -29,10 +29,11 @@ that it fixes the base points above its level.
 
 ``rank`` inverts the element enumeration a block of levels at a time: the
 block's base images, read as one number in base ``degree``, index a table
-of its elements u = t_b * ... * t_a, and one gather of u's inverse divides
+of its elements u = t_b * ... * t_a, and one take of u's inverse divides
 u out of the later base images.  A block grows while its key table (uint16)
 and inverse table stay within _RANK_KEYS and _RANK_INVERSES entries: M12
-gets blocks of levels 0-3 and 4, with 184 kB of tables.
+gets blocks of levels 0-3 and 4, with 184 kB of tables.  Images are read
+base-major, _RANK_ROWS at a time: base-major input needs no strided copy.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ class StabilizerChain:
             prev = rows.astype(np.intp)
             rows = np.empty((len(prev), len(level), self.degree), self.dtype)
             for j, t in enumerate(level):
-                rows[:, j, :] = t[prev]  # (rest * t)[x] = t[rest[x]]
+                rows[:, j, :] = t.take(prev)  # (rest * t)[x] = t[rest[x]]
             rows = rows.reshape(-1, self.degree)
         return rows
 
@@ -303,9 +304,9 @@ class StabilizerChain:
                 key = rest[levels[-1]]
                 for i in levels[-2::-1]:
                     key = key * d + rest[i]
-                u = local[key]
+                u = local.take(key)
                 out += u * stride
                 if inverse is not None:
                     after = levels[-1] + 1
-                    rest[after:] = inverse[rest[after:] + u * d]
+                    rest[after:] = inverse.take(rest[after:] + u * d)
         return index.reshape(shape)

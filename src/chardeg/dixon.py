@@ -78,12 +78,14 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     images of the base points, a rank lookup and a bincount.
     """
     r = cd.num_classes
-    x_inv = cd.rows[cd.element_index == cd.inverse_class[i]][:, cd.base]
+    x_inv = cd.rows[cd.element_index == cd.inverse_class[i]].take(
+        cd.base, axis=1).astype(np.intp)
     step = max(1, _GATHER_ROWS // len(x_inv))
     a = np.empty((r, r), dtype=np.int64)
     for k in range(0, r, step):
         reps = cd.rep_rows[k:k + step]
-        classes = cd.element_index[cd.group.chain.rank(reps[:, x_inv])]
+        classes = cd.element_index.take(
+            cd.group.chain.rank(reps.take(x_inv, axis=1)))
         classes += np.arange(len(reps))[:, None] * r
         a[:, k:k + len(reps)] = np.bincount(
             classes.ravel(), minlength=len(reps) * r).reshape(-1, r).T
@@ -202,10 +204,11 @@ def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int,
 def class_permutation(cd: ClassData, i: int) -> np.ndarray:
     """The class of y^-1 rep_k at index k, for the element y of the central
     class i: A_i[j, k] is 1 at j = class_permutation(cd, i)[k] and 0
-    elsewhere.  One rank of the representatives at y^-1's base images, the
-    gather class_matrix makes for each element of its class."""
-    y_inv = cd.rows[cd.element_index == cd.inverse_class[i]][0, cd.base]
-    return cd.element_index[cd.group.chain.rank(cd.rep_rows[:, y_inv])]
+    elsewhere.  One rank of the representatives at y^-1's base images, read
+    off its class's representative: central too, y^-1 is its one member."""
+    y_inv = cd.rep_rows[cd.inverse_class[i]].take(cd.base)
+    return cd.element_index.take(cd.group.chain.rank(
+        cd.rep_rows.take(y_inv, axis=1)))
 
 
 def split_central(xs: np.ndarray, move: np.ndarray, q: int, n: int, p: int,

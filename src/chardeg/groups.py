@@ -13,7 +13,7 @@ from math import lcm
 
 import numpy as np
 
-from .bsgs import StabilizerChain
+from . import bsgs
 from .cyclotomic import _is_input_prime
 from .errors import GroupTooLargeError, NotMemberError, NotNormalError
 from .perms import Permutation
@@ -46,8 +46,8 @@ class Group:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(sorted(
             {g for g in generators if not g.is_identity()}))
-        self.chain = StabilizerChain(self.generators, degree, _base_prefix,
-                                     _order_bound)
+        self.chain = bsgs.StabilizerChain(self.generators, degree,
+                                          _base_prefix, _order_bound)
         self.order: int = self.chain.order()
         self.name = name
         self._cache: dict = {}
@@ -147,27 +147,31 @@ class ClassData:
         self.rows = rows
         self.base = np.array(group.chain.base, dtype=np.intp)
 
-        # conj[j, e]: the base images of g^-1 * e * g, g the j-th generator;
-        # raw classes are numbered in the order of their least element index
-        conj = np.empty((len(group.generators), len(rows), len(self.base)),
+        # conj[b, j, e]: base[b]'s image under g^-1 * e * g, g generator j,
+        # freed before _orbits; raw classes are numbered by least element
+        conj = np.empty((len(self.base), len(group.generators), len(rows)),
                         dtype=rows.dtype)
         for j, g in enumerate(group.generators):
             g_row = np.array(g.images, dtype=rows.dtype)
-            conj[j] = g_row[rows[:, np.argsort(g_row)[self.base]]]
-        maps, conj = group.chain.rank(conj), None  # freed before _orbits
+            cols = np.argsort(g_row).take(self.base)
+            for lo in range(0, len(rows), bsgs._RANK_ROWS):
+                hi = lo + bsgs._RANK_ROWS
+                np.take(g_row, rows[lo:hi].take(cols, axis=1).T,
+                        out=conj[:, j, lo:hi])
+        maps, conj = group.chain.rank(conj.transpose(1, 2, 0)), None
         raw = _orbits(maps, len(rows))
         raw_sizes = np.bincount(raw)
-        # each raw class's lexicographically least member: keep the members
-        # at their class's least image, one column at a time
+        # each raw class's least member: keep the members at their class's
+        # least image, a column at a time (take would copy a strided column)
         least = np.arange(len(rows))
         for column in rows.T:
             if len(least) == len(raw_sizes):
                 break
-            images, ids = column[least], raw[least]
+            images, ids = column[least], raw.take(least)
             low = np.full(len(raw_sizes), images.max(), rows.dtype)
             np.minimum.at(low, ids, images)
-            least = least[images == low[ids]]
-        least = least[np.argsort(raw[least])]
+            least = least[images == low.take(ids)]
+        least = least[np.argsort(raw.take(least))]
         least_rank = np.argsort(np.lexsort(rows[least].T[::-1]))
         # walk[e]: each least member's base images under its e-th power;
         # p**e is the identity iff it fixes the base, so walk[order] = walk[0]
@@ -184,13 +188,13 @@ class ClassData:
                                         least_rank[c]))
         class_id = np.empty(len(ranking), dtype=np.intp)
         class_id[ranking] = np.arange(len(ranking))
-        self.element_index: np.ndarray = class_id[raw]
+        self.element_index: np.ndarray = class_id.take(raw)
         self.rep_rows: np.ndarray = reps[ranking]
         self.sizes: list[int] = [int(raw_sizes[c]) for c in ranking]
         self.orders: list[int] = [raw_orders[c] for c in ranking]
         # power_class[i][e] = class of reps[i]**e for e in 0..orders[i]-1
-        classes = self.element_index[
-            group.chain.rank(np.stack(walk[:-1], axis=1))]
+        classes = self.element_index.take(
+            group.chain.rank(np.stack(walk[:-1], axis=1)))
         self.power_class: list[list[int]] = [
             classes[c, :raw_orders[c]].tolist() for c in ranking]
         self.inverse_class: list[int] = [c[-1] for c in self.power_class]
@@ -264,11 +268,11 @@ def _orbits(maps, size: int) -> np.ndarray:
     while True:
         previous = label
         for m in maps:
-            label = np.minimum(label, label[m])
-        label = label[label]
+            label = np.minimum(label, label.take(m))
+        label = label.take(label)
         if np.array_equal(label, previous):
             break
-    return (np.cumsum(label == np.arange(size)) - 1)[label]
+    return (np.cumsum(label == np.arange(size)) - 1).take(label)
 
 
 def conjugacy_classes(group: Group) -> ClassData:
@@ -483,7 +487,7 @@ def quotient_group(group: Group, n: Group) -> Quotient:
     # general case: action on right cosets of N
     _check_element_bound(group.order)
     chain = group.chain
-    n_base = n.element_array()[:, chain.base]
+    n_base = n.element_array().take(chain.base, axis=1)
     gen_rows = np.array([g.images for g in group.generators], chain.dtype)
     reps = [np.arange(group.degree, dtype=chain.dtype)]
     coset_of = {int(_coset_names(chain, n_base, reps[0][None])[0]): 0}
@@ -513,11 +517,12 @@ def quotient_group(group: Group, n: Group) -> Quotient:
     return Quotient(group, n, img_group, images, act_cosets)
 
 
-def _coset_names(chain: StabilizerChain, n_base: np.ndarray,
+def _coset_names(chain: bsgs.StabilizerChain, n_base: np.ndarray,
                  rows: np.ndarray) -> np.ndarray:
     """Name the right coset Nx of each row x by the least ``chain.rank`` of
-    m * x over m in N, where ``n_base`` holds the base images of each m."""
-    return chain.rank(rows[:, n_base]).min(axis=-1)  # (m * x)[b] = x[m[b]]
+    m * x over m in N, where ``n_base`` holds the base images of each m:
+    (m * x)[b] = x[m[b]]."""
+    return chain.rank(rows.take(n_base, axis=1)).min(axis=-1)
 
 
 def is_p_solvable(group: Group, p: int) -> bool:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from chardeg import bsgs
+from chardeg.dixon import class_matrix
 from chardeg.errors import NotMemberError
-from chardeg.groups import Group, conjugacy_classes
+from chardeg.groups import Group, center, conjugacy_classes, quotient_group
 from chardeg.perms import Permutation, parse_cycles
 
 
@@ -118,6 +119,32 @@ def test_rank_under_forced_block_layouts(name, layout, monkeypatch):
                    if x not in group)
     with pytest.raises(NotMemberError):
         conjugacy_classes(group).class_of(outside)
+
+
+def _class_data(group):
+    cd = conjugacy_classes(group)
+    return (cd.element_index.tolist(), cd.rep_rows.tolist(), cd.sizes,
+            cd.orders, cd.power_class, cd.galois_columns.tolist(),
+            [class_matrix(cd, i).tolist() for i in range(cd.num_classes)])
+
+
+def _coset_action(cat):
+    g = cat.group("SL25oC4")
+    q = quotient_group(g, center(g))
+    assert q.group.degree == 60  # the action on the cosets of Z, not orbits
+    return [q.project(x).images for x in g.elements()]
+
+
+def test_classes_and_cosets_under_forced_chunk_boundaries(cat, monkeypatch):
+    # 13 divides none of the orders 7920, 20160 and 240, so every chunked
+    # gather (conjugation images, rank, class matrices, coset names) ends
+    # on a short chunk
+    groups = [GROUPS["M11"], lambda: make(["(1 2 3 4 5 6 7)", "(6 7 8)"], 8)]
+    expected = [_class_data(build()) for build in groups]
+    cosets = _coset_action(cat)
+    monkeypatch.setattr(bsgs, "_RANK_ROWS", 13)
+    assert [_class_data(build()) for build in groups] == expected
+    assert _coset_action(cat) == cosets
 
 
 def sorted_class_data(group):

@@ -1,8 +1,15 @@
+import hashlib
+import importlib.util
+import random
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chardeg import groups
 from chardeg.chars import character_table, kernel_subgroup
+from chardeg.dixon import class_matrix
 from chardeg.errors import GroupTooLargeError, NotMemberError, NotNormalError
 from chardeg.groups import (Group, Subgroup, center, class_fusion,
                             class_union, commutator_subgroup,
@@ -399,3 +406,61 @@ def test_commutator_subgroup_matches_all_ordered_pairs():
                       for a in g.generators for b in g.generators]
         assert (commutator_subgroup(g).order
                 == normal_closure(g, everything).order)
+
+
+def _scale_group(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden_tables.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scale_group(name)
+
+
+def _relabelled(group):
+    """The group with its points renamed by a shuffle from Random(1)."""
+    points = list(range(group.degree))
+    random.Random(1).shuffle(points)
+    rename = Permutation(points)
+    return Group([g.conjugate(rename) for g in group.generators],
+                 group.degree)
+
+
+A8 = (["(1 2 3 4 5 6 7)", "(6 7 8)"], 8)
+M11 = (["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"], 11)
+
+
+def test_classes_are_pinned(cat):
+    # every ClassData below, and each class matrix of A5, M11 and A8, as
+    # the element layer built them when this digest was recorded: class
+    # numbering, representatives, power maps and Galois heads
+    scale = [_scale_group(name) for name in ("S8", "M12", "C2^6", "C3^4")]
+    with_matrices = [cat.group("A5"), make(*M11), make(*A8)]
+    digest = hashlib.sha256()
+    for group in [entry.group for entry in cat.load_all()] + scale + [
+            _relabelled(g) for g in scale[:2]] + with_matrices:
+        cd = conjugacy_classes(group)
+        for array in (cd.element_index, cd.rep_rows, cd.galois_columns):
+            digest.update(array.astype(np.int64).tobytes())
+        digest.update(repr((cd.sizes, cd.orders, cd.power_class)).encode())
+    for group in with_matrices:
+        for i in range(conjugacy_classes(group).num_classes):
+            digest.update(class_matrix(conjugacy_classes(group), i).tobytes())
+    assert digest.hexdigest() == (
+        "bdb248d2bfeeddab85930cbd781bc1c0ec4a1bb8e0e374da9b0516e1022a8df0")
+
+
+def test_classes_of_m12_stay_within_their_memory():
+    # the tracemalloc peak of conjugacy_classes on M12, its element rows
+    # built first, was 5.34 MiB before the gathers became takes (CPython
+    # 3.11, NumPy 2.4, x86-64 Linux); gathers in chunks of bsgs._RANK_ROWS
+    # keep it there, where one take over all |G| rows converts its whole
+    # index to intp (5.89 MiB)
+    m12 = _scale_group("M12")
+    m12.element_array()
+    tracemalloc.start()
+    try:
+        conjugacy_classes(m12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 5.34 * 2**20
