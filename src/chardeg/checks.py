@@ -114,10 +114,6 @@ def transport_character(target_table, lam: Character, source_group,
     return source_table.chars[hits.argmax()]
 
 
-def _fmt(q: Fraction) -> str:
-    return format_rational(q)
-
-
 # -- the named check suite ----------------------------------------------------
 
 def paper_check_suite(cat: Catalogue) -> Report:
@@ -130,17 +126,18 @@ def paper_check_suite(cat: Catalogue) -> Report:
 
     v = acd(t_a5).value
     add(Check("acd_A5", "average character degree of A5",
-              "acd(A5) = 16/5", v == Fraction(16, 5), _fmt(v)))
+              "acd(A5) = 16/5", v == Fraction(16, 5), format_rational(v)))
     v = acd(t_a6).value
     add(Check("acd_A6", "average character degree of A6",
-              "acd(A6) = 46/7", v == Fraction(46, 7), _fmt(v)))
+              "acd(A6) = 46/7", v == Fraction(46, 7), format_rational(v)))
     v = acd(t_sl25).value
     add(Check("acd_SL25", "average character degree of SL2(5)",
-              "acd(SL2(5)) = 10/3", v == Fraction(10, 3), _fmt(v)))
+              "acd(SL2(5)) = 10/3", v == Fraction(10, 3), format_rational(v)))
 
     v = acd(t_sl25, EVEN).value
     add(Check("acde_SL25", "average even character degree of SL2(5)",
-              "acd_e(SL2(5)) = 18/5", v == Fraction(18, 5), _fmt(v)))
+              "acd_e(SL2(5)) = 18/5", v == Fraction(18, 5),
+              format_rational(v)))
 
     odd_entries = [e for e in cat.load_all() if e.group.order % 2 == 1]
     bad = [e.name for e in odd_entries
@@ -157,21 +154,21 @@ def paper_check_suite(cat: Catalogue) -> Report:
         v = acd(t, DegreeFilter("divisible", p)).value
         add(Check(f"acd{p}_{name}",
                   f"average degree divisible by {p} in {name}",
-                  f"acd_{p}({name}) = {p}", v == p, _fmt(v)))
+                  f"acd_{p}({name}) = {p}", v == p, format_rational(v)))
 
     v = acd(t_a5, DegreeFilter("divisible", 3)).value
     add(Check("acd3_A5", "average degree divisible by 3 in A5",
-              "acd_3(A5) = 3", v == 3, _fmt(v)))
+              "acd_3(A5) = 3", v == 3, format_rational(v)))
 
     v1 = acd(t_sl25, DegreeFilter("coprime", 3)).value
     v2 = acd(t_a5, DegreeFilter("coprime", 3)).value
     add(Check("acd3p_SL25", "average 3'-degree of SL2(5)",
-              "acd_3'(SL2(5)) = 3", v1 == 3, _fmt(v1)))
+              "acd_3'(SL2(5)) = 3", v1 == 3, format_rational(v1)))
     add(Check("acd3p_A5", "average 3'-degree of A5",
-              "acd_3'(A5) = 10/3", v2 == Fraction(10, 3), _fmt(v2)))
+              "acd_3'(A5) = 10/3", v2 == Fraction(10, 3), format_rational(v2)))
     add(Check("acd3p_order", "3'-averages separate SL2(5) from A5",
               "acd_3'(SL2(5)) < acd_3'(A5)", v1 < v2,
-              f"{_fmt(v1)} < {_fmt(v2)}"))
+              f"{format_rational(v1)} < {format_rational(v2)}"))
 
     # relative averages over the center of SL2(5)
     sl25 = cat.group("SL2_5")
@@ -180,12 +177,13 @@ def paper_check_suite(cat: Catalogue) -> Report:
     v = acd_rel(t_sl25, z).value
     add(Check("acd_rel_SL25", "average degree over Irr(SL2(5)|Z)",
               "acd(SL2(5)|Z) = 7/2 = (2+2+4+6)/4",
-              v == Fraction(7, 2), _fmt(v)))
+              v == Fraction(7, 2), format_rational(v)))
     for lam in nonprincipal_chars(tz):
         v = acd_over(t_sl25, z, tz, lam).value
         add(Check("acd_over_SL25_lambda",
                   "average degree over the faithful central character",
-                  "acd(SL2(5)|lambda) = 7/2", v == Fraction(7, 2), _fmt(v)))
+                  "acd(SL2(5)|lambda) = 7/2", v == Fraction(7, 2),
+                  format_rational(v)))
 
     # relative averages over the center of 3.A6
     g3a6 = cat.group("3A6")
@@ -201,10 +199,10 @@ def paper_check_suite(cat: Catalogue) -> Report:
         add(Check(f"acd_over_3A6_lambda{i + 1}",
                   "average degree over a nonprincipal central character",
                   "acd(3.A6|lambda) = 36/5 = (3+3+6+9+15)/5",
-                  v == Fraction(36, 5), _fmt(v)))
+                  v == Fraction(36, 5), format_rational(v)))
     v = acd_rel(t3a6, z3).value
     add(Check("acd_rel_3A6", "average degree over Irr(3.A6|Z)",
-              "acd(3.A6|Z) = 36/5", v == Fraction(36, 5), _fmt(v)))
+              "acd(3.A6|Z) = 36/5", v == Fraction(36, 5), format_rational(v)))
 
     # relative degree counts n_d(SL2(5)|Z)
     for d, expected in ((1, 0), (2, 2), (4, 1), (6, 1)):
@@ -367,7 +365,8 @@ def _central_product_checks(cat: Catalogue, name: str, report: Report):
             f"lemma_cp_{name}_lambda{i}",
             f"central product multiplicativity in {name}",
             "acd(G|lambda) = acd(M|lambda) * acd(C|lambda)",
-            vg == vm * vc, f"{_fmt(vg)} = {_fmt(vm)} * {_fmt(vc)}"))
+            vg == vm * vc, f"{format_rational(vg)} = {format_rational(vm)} "
+            f"* {format_rational(vc)}"))
 
         # counting refinement over each nonprincipal lambda
         if lam is tz_g.principal():
@@ -471,7 +470,7 @@ def _implication(claim: str, filt: DegreeFilter, threshold: Fraction | None,
         value = acd(t, filt).value
         hypothesis = holds(value)
         ok = not hypothesis or conclusion(g)
-        witness = f"value {_fmt(value)}, " + (
+        witness = f"value {format_rational(value)}, " + (
             f"hypothesis holds, conclusion {'holds' if ok else 'FAILS'}"
             if hypothesis else "hypothesis vacuous")
         return (Check(f"{label}_{name}", f"scan of {name}", claim, ok,
@@ -485,4 +484,5 @@ def _cauchy_schwarz(label, name, g, t):
     return (Check(f"cs_{name}", "Cauchy-Schwarz bound",
                   "acd(G) <= |G|/(sum of degrees)",
                   value * degree_sum <= g.order,
-                  f"{_fmt(value)} <= {g.order}/{degree_sum}"), False)
+                  f"{format_rational(value)} <= {g.order}/{degree_sum}"),
+            False)

@@ -83,6 +83,12 @@ def parse_group_file(text: str) -> GroupSpec:
         parts = line.split(None, 1)
         directive, rest = parts[0], parts[1].strip() if len(parts) > 1 else ""
         try:
+            if directive == "name" and name is not None:
+                raise ValueError("second name line")
+            if kind is not None and directive in (
+                    "perm", "mat", "direct", "central", "fiber"):
+                raise ValueError(
+                    f"second definition line: {directive} after {kind}")
             if directive == "name":
                 name = _parse_identifier(rest)
             elif directive == "perm":
@@ -345,7 +351,7 @@ def _validate_entry(entry: CatalogueEntry) -> None:
     if "order" in expect and g.order != expect["order"]:
         raise ValidationError(
             f"order {g.order} != expected {expect['order']}")
-    if "center" in expect or expect.get("center_cyclic"):
+    if "center" in expect or "center_cyclic" in expect:
         # the center is the union of the size-1 classes: its order is their
         # number, and it is cyclic iff one of them has that order
         cd = conjugacy_classes(g)
@@ -353,8 +359,10 @@ def _validate_entry(entry: CatalogueEntry) -> None:
         if "center" in expect and len(orders) != expect["center"]:
             raise ValidationError(f"center order {len(orders)} != "
                                   f"expected {expect['center']}")
-        if expect.get("center_cyclic") and max(orders) != len(orders):
-            raise ValidationError("center is not cyclic")
+        cyclic = max(orders) == len(orders)
+        if expect.get("center_cyclic", cyclic) != cyclic:
+            raise ValidationError(
+                f"center is {'' if cyclic else 'not '}cyclic")
     if "quotient_center_sizes" in expect:
         q = quotient_group(g, center(g))
         sizes = tuple(conjugacy_classes(q.group).sizes)

@@ -94,16 +94,13 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
 
 # -- the splitting ----------------------------------------------------------
 
-def _inverse_table(p: int, z: int) -> np.ndarray:
-    """v^-1 mod the odd prime p at index v, and 0 at 0, from a primitive
-    root z: z^k has inverse z^(p-1-k), and z^(b*i + j) = z^(b*i) * z^j."""
-    b = isqrt(p) + 1
-    small = np.array([pow(z, j, p) for j in range(b)], dtype=np.int64)
-    large = np.array([pow(z, b * i, p) for i in range(b)], dtype=np.int64)
-    powers = (large[:, None] * small % p).ravel()[:p - 1]
-    inv = np.zeros(p, dtype=np.int64)
-    inv[powers] = powers[-np.arange(p - 1) % (p - 1)]
-    return inv
+def _inverse_dft(n: int, p: int, z: int) -> np.ndarray:
+    """The n-point inverse discrete Fourier transform over F_p, n dividing
+    p - 1: zeta_n^(-a b) / n at (a, b), zeta_n = z^((p - 1)/n) for the
+    primitive root z, so zeta_n^(n/q) = zeta_q for q dividing n."""
+    powers = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
+    e = np.arange(n)
+    return powers[-np.outer(e, e) % n] * pow(n, -1, p) % p
 
 
 def _action(a: np.ndarray, p: int):
@@ -120,17 +117,16 @@ def _residues(x: np.ndarray, p: int) -> np.ndarray:
     return (x % p if x.dtype == object else x).astype(np.int64) % p
 
 
-def _scalar(xs: np.ndarray, ys: np.ndarray, p: int,
-            inv: np.ndarray) -> np.ndarray:
-    """Whether each row y of ys is c x for its row x of xs, c read at the
-    first nonzero entry of x (entry 0 of a branch can vanish mod p)."""
+def _scalar(xs: np.ndarray, ys: np.ndarray, p: int) -> np.ndarray:
+    """Whether each row y of ys is c x for its row x of xs: y x_a + x (p -
+    y_a) = 0 mod p, a the first nonzero entry of x (entry 0 of a branch can
+    vanish mod p); nonnegative, as int64 remainders of negatives run slower."""
     at = np.arange(len(xs)), (xs != 0).argmax(axis=1)
-    c = ys[at] * inv[xs[at]] % p
-    return (c[:, None] * xs % p == ys).all(axis=1)
+    return ((ys * xs[at][:, None] + xs * (p - ys[at])[:, None]) % p
+            == 0).all(axis=1)
 
 
-def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int,
-                   inv: np.ndarray) -> np.ndarray:
+def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int) -> np.ndarray:
     """The nonzero components of the rows x of xs on the eigenspaces of A,
     one row each, which act applies to a stack of rows; ys = act(xs).
 
@@ -161,7 +157,7 @@ def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int,
         if not residue[pivot]:
             break
         pivots[s] = pivot
-        rows[s] = residue * inv[residue[pivot]] % p
+        rows[s] = residue * pow(int(residue[pivot]), -1, p) % p
         rows[:s] -= rows[:s, pivot, None] * rows[s]
         rows[:s] %= p
         if len(krylov) == s + 1:
@@ -190,7 +186,7 @@ def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int,
     # below: the components and A times them, in one product
     lagrange = np.zeros((2 * s, s + 1), dtype=dtype)
     lagrange[:s, :s] = lagrange[s:, 1:] = (
-        quotient * inv[derivative][:, None] % p)
+        quotient * np.array([[pow(int(d), -1, p)] for d in derivative]) % p)
     basis = np.array(krylov[:s + 1], dtype=dtype).reshape(s + 1, -1)
     parts, shifted = np.split(_residues(lagrange @ basis, p), 2)
     if not (np.array_equal(shifted, roots[:, None] * parts % p)
@@ -212,7 +208,7 @@ def class_permutation(cd: ClassData, i: int) -> np.ndarray:
 
 
 def split_central(xs: np.ndarray, move: np.ndarray, q: int, n: int, p: int,
-                  z: int, inv: np.ndarray) -> np.ndarray:
+                  z: int) -> np.ndarray:
     """The nonzero components of the rows x of xs on the eigenspaces of A_y,
     one row each, for a central y of order n whose class permutation is
     move, where A_y^q is a scalar c on every x (q divides n).
@@ -221,10 +217,10 @@ def split_central(xs: np.ndarray, move: np.ndarray, q: int, n: int, p: int,
     z^((p - 1)/n), the eigenvalues on x are the q-th roots of c, lambda_l =
     zeta_n^(j + l n/q), and the component at lambda_l is (1/q) sum_{m<q}
     lambda_l^-m A_y^m x: the gathers A_y^m x twisted by zeta_n^(-j m), then
-    one q x q inverse DFT, in the dtype product_dtype picks for q (p - 1)^2.
-    Checked exactly for each x: c is an (n/q)-th root of unity and A_y^q x
-    = c x (which makes every component an eigenvector), in one comparison,
-    and the components sum to x.
+    _inverse_dft(q, p, z), in the dtype product_dtype picks for q (p - 1)^2.
+    j solves zeta_n^(q j) x_a = (A_y^q x)_a, a the first nonzero entry of x.
+    Checked exactly for each x: A_y^q x = zeta_n^(q j) x, which makes
+    every component an eigenvector, and the components sum to x.
     """
     b, r = xs.shape
     back = np.argsort(move)
@@ -234,22 +230,19 @@ def split_central(xs: np.ndarray, move: np.ndarray, q: int, n: int, p: int,
         gathers[:, m + 1] = gathers[:, m, back]
     zeta = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
     at = np.arange(b), (xs != 0).argmax(axis=1)
-    c = gathers[:, q][at] * inv[xs[at]] % p
-    roots = zeta[::q]  # zeta_n^(q j) at j < n/q
-    order = np.argsort(roots)
-    j = order[np.searchsorted(roots, c, sorter=order) % len(roots)]
+    # zeta[::q]: the zeta_n^(q j) at j < n/q; no match leaves j = 0
+    j = (zeta[::q] * xs[at][:, None] % p
+         == gathers[:, q][at][:, None]).argmax(axis=1)
     gathers *= zeta[-np.outer(j, np.arange(q + 1)) % n][:, :, None]
     gathers %= p
-    # the q-th gather, twisted by zeta_n^(-q j), is x iff A_y^q x =
-    # zeta_n^(q j) x: c is that (n/q)-th root of unity, and A_y^q is c on x
+    # the q-th gather, twisted, is x iff A_y^q x = zeta_n^(q j) x
     if not np.array_equal(gathers[:, q], xs):
         raise TableError("power of a central class is not a root of unity "
                          "times the identity on a branch (implementation "
                          "bug)")
-    ls = np.arange(q)
-    dft = zeta[-(n // q) * np.outer(ls, ls) % n] * inv[q] % p
     dtype = product_dtype(q * (p - 1) ** 2)
-    parts = _residues(dft.astype(dtype) @ gathers[:, :q].astype(dtype), p)
+    parts = _residues(_inverse_dft(q, p, z).astype(dtype)
+                      @ gathers[:, :q].astype(dtype), p)
     if not np.array_equal(parts.sum(axis=1) % p, xs):
         raise TableError("components do not sum to the branch "
                          "(implementation bug)")
@@ -284,7 +277,6 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     p^2, in float64, int64 or objects as the module docstring says.
     """
     r = cd.num_classes
-    inv = _inverse_table(p, z)
     branches = np.eye(1, r, dtype=np.int64)
     # the classes y*C, a union of the moves' orbits (y_orbit): a used
     # central y moves class k to that of y^-1 rep_k
@@ -307,14 +299,14 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
                       if covered[cd.power_class[i][m]]), n)
             moves.append(class_permutation(cd, i))
             y_orbit = _orbits(moves, r)
-            branches = split_central(branches, moves[-1], q, n, p, z, inv)
+            branches = split_central(branches, moves[-1], q, n, p, z)
         else:
             act = _action(class_matrix(cd, i) % p, p)
             images = act(branches)
-            scalar = _scalar(branches, images, p, inv)
+            scalar = _scalar(branches, images, p)
             if not scalar.all():
                 branches = np.concatenate([branches[scalar], split_branches(
-                    branches[~scalar], images[~scalar], act, p, inv)])
+                    branches[~scalar], images[~scalar], act, p)])
         covered[i] = True
         only_rational &= bool(rational[i])
         if only_rational and len(branches) == orbits:
@@ -336,15 +328,16 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
 
     The degree d is the divisor of |G| with d^2 = |G| w_0 mod p and d <=
     sqrt(|G|), unique as p > 2 sqrt(|G|).  chi(g) mod p is d omega / h =
-    (|G| / d) w / h, h the class size; the multiplicity of zeta_n^j among
-    the eigenvalues of a representing matrix
-    at g (n the order of g) is the inverse discrete Fourier transform of chi
-    along the power map of g, and lifts exactly because it is below p.  The
-    matmuls sum n terms below p^2, in the dtype product_dtype picks for the
-    largest n (float64 for n (p - 1)^2 < 2^50, else int64 or objects).
-    Only each Galois orbit's least class is transformed: zeta_n^(a t) at
-    g^t counts as zeta_n^a at g, so mult gathers their blocks, each checked
-    to sum to the degree and to equal its own gather, by cd.galois_columns.
+    (|G| / d) w / h, h the class size, inverted by pow; the multiplicity of
+    zeta_n^j among the eigenvalues of a representing matrix at g (n the
+    order of g) is chi along the power map of g times _inverse_dft(n, p, z),
+    one transform per element order, and lifts exactly because it is below
+    p.  The matmuls sum n terms below p^2, in the dtype product_dtype picks
+    for the largest n (float64 for n (p - 1)^2 < 2^50, else int64 or
+    objects).  Only each Galois orbit's least class is transformed:
+    zeta_n^(a t) at g^t counts as zeta_n^a at g, so mult gathers their
+    blocks, each checked to sum to the degree and to equal its own gather,
+    by cd.galois_columns.
     """
     order = cd.group.order
     by_square = {d * d % p: d for d in range(1, isqrt(order) + 1)
@@ -354,7 +347,7 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
     if not degrees.all():
         raise TableError("no divisor of |G| squares to |G| times a term's "
                          "identity entry (implementation bug)")
-    h_inv = np.array([pow(h, p - 2, p) for h in cd.sizes], dtype=np.int64)
+    h_inv = np.array([pow(h, -1, p) for h in cd.sizes], dtype=np.int64)
     # allocated first, so the rows it keeps lie below the temporaries' heap;
     # filled by a take in clip mode, which, unlike raise, does not buffer it
     mult = np.empty((len(degrees), len(cd.galois_columns)), dtype=np.int64)
@@ -367,16 +360,13 @@ def lift_character(w: np.ndarray, cd: ClassData, p: int,
     stack = np.empty((len(degrees), len(cols)), dtype=np.int64)
     for n in set(cd.orders[k] for k in reps):
         ks = [k for k in reps if cd.orders[k] == n]
-        powers = np.array([pow(z, (p - 1) // n * e, p) for e in range(n)])
-        e = np.arange(n)
-        dft = (powers[-np.outer(e, e) % n] * pow(n, p - 2, p) % p).astype(
-            dtype)
-        block = _residues(chi[:, [cd.power_class[k] for k in ks]] @ dft, p)
+        block = _residues(chi[:, [cd.power_class[k] for k in ks]]
+                          @ _inverse_dft(n, p, z).astype(dtype), p)
         if (block.sum(axis=2) != degrees[:, None]).any():
             raise TableError("multiplicities do not sum to the degree "
                              "(implementation bug)")
-        stack[:, np.searchsorted(cols, at[ks][:, None] + e).ravel()] = (
-            block.reshape(len(degrees), -1))
+        columns = np.searchsorted(cols, at[ks][:, None] + np.arange(n))
+        stack[:, columns.ravel()] = block.reshape(len(degrees), -1)
     expand = np.searchsorted(cols, cd.galois_columns)
     moved = np.flatnonzero(expand[cols] != np.arange(len(cols)))
     if not np.array_equal(stack[:, expand[cols[moved]]], stack[:, moved]):

@@ -90,6 +90,20 @@ def test_malformed_mat_header_exits_2(capsys, tmp_path, header):
     assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body, message", [
+    ("perm 3\ngen (1 2 3)\nperm 4", "second definition line: perm after perm"),
+    ("perm 3\ngen (1 2 3)\nmat 2 1 2\ngen 1 1 0 1",
+     "second definition line: mat after perm"),
+    ("perm 3\ngen (1 2 3)\nname Y", "second name line"),
+], ids=["perm-perm", "perm-mat", "name-name"])
+def test_second_definition_line_exits_2(capsys, tmp_path, body, message):
+    # one name and one definition line per file: a second one is named at
+    # its line, neither a traceback nor a silently dropped generator
+    f = tmp_path / "X.grp"
+    f.write_text(f"name X\n{body}\n")
+    assert run(capsys, "acd", str(f)) == (2, "", f"error: line 4: {message}\n")
+
+
 @pytest.mark.parametrize("body", [
     "mat 5 1 2\ngen 7 0 0 1",  # an entry of q or more
     "mat 3 2 2\ngen 1 0 0 -1",  # negative: not read as element 8 of F_9
@@ -277,15 +291,23 @@ def test_input_primes_past_2_31_are_refused_untested(capsys, tmp_path,
 
 
 def test_expect_center_cyclic(capsys, tmp_path):
-    # C2 x C2 is its own center; the center of D8 has order 2
+    # C2 x C2 is its own center; the center of D8 has order 2; C4 is its
+    # own center: the flag is compared both ways
     f = tmp_path / "V.grp"
     f.write_text("name V\nperm 4\ngen (1 2)\ngen (3 4)\n"
                  "expect center_cyclic true\n")
     assert run(capsys, "acd", str(f)) == (
         2, "", "error: V: center is not cyclic\n")
+    f.write_text("name V\nperm 4\ngen (1 2)\ngen (3 4)\n"
+                 "expect center_cyclic false\n")
+    assert run(capsys, "acd", str(f)) == (0, "1\n", "")
     f.write_text("name D8\nperm 4\ngen (1 2 3 4)\ngen (1 3)\n"
                  "expect center_cyclic true\n")
     assert run(capsys, "acd", str(f)) == (0, "6/5\n", "")
+    f.write_text("name X\nperm 4\ngen (1 2 3 4)\n"
+                 "expect center_cyclic false\n")
+    assert run(capsys, "acd", str(f)) == (
+        2, "", "error: X: center is cyclic\n")
 
 
 def test_unreadable_input_exits_2(capsys, tmp_path):

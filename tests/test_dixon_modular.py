@@ -52,8 +52,15 @@ def modular_data(group):
 
 # -- references ---------------------------------------------------------------
 
-def singular_values_reference(m, p, inv):
+def inverses(p):
+    """v^-1 mod p at index v, and 0 at 0."""
+    return np.array([0] + [pow(v, -1, p) for v in range(1, p)],
+                    dtype=np.int64)
+
+
+def singular_values_reference(m, p):
     """All t in F_p with det(m - t*I) = 0, via one batched elimination."""
+    inv = inverses(p)
     size = m.shape[0]
     ts = np.arange(p, dtype=np.int64)
     a = np.broadcast_to(m % p, (p, size, size)).copy()
@@ -128,16 +135,14 @@ def eigenvalues(act, parts, p):
     """The t with A part = t part, read at the first nonzero entry of each
     part, for the matrix A that act applies."""
     at = np.arange(len(parts)), (parts != 0).argmax(axis=1)
-    return act(parts)[at] * dixon._inverse_table(p, primitive_root(p))[
-        parts[at]] % p
+    return act(parts)[at] * inverses(p)[parts[at]] % p
 
 
 def split_one(a, x, p):
     """The components of the vector x on the eigenspaces of a mod p, and
     their eigenvalues."""
     act = dixon._action(a % p, p)
-    inv = dixon._inverse_table(p, primitive_root(p))
-    parts = split_branches(x[None], act(x[None]), act, p, inv)
+    parts = split_branches(x[None], act(x[None]), act, p)
     return eigenvalues(act, parts, p), parts
 
 
@@ -172,9 +177,8 @@ def test_eigenvalues_match_singularity_scan_random(p):
     # probability about (1 - 1/p)^m; it is drawn again until the Krylov
     # sequence of x reaches every eigenvalue, as e_0 does on class matrices
     rng = np.random.default_rng(p)
-    inv = dixon._inverse_table(p, primitive_root(p))
     for a in random_matrices(rng, p):
-        expected = singular_values_reference(a, p, inv)
+        expected = singular_values_reference(a, p)
         while True:
             x = rng.integers(0, p, len(a))
             if not x.any():
@@ -187,10 +191,17 @@ def test_eigenvalues_match_singularity_scan_random(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 31, 9241])
-def test_inverse_table(p):
-    inv = dixon._inverse_table(p, primitive_root(p))
-    assert inv[0] == 0
-    assert (np.arange(1, p) * inv[1:] % p == 1).all()
+def test_inverse_dft_inverts_the_forward_transform(p):
+    # every n-point transform over F_p with n dividing p - 1, from the
+    # primitive root the split and the lift use: zeta_n^(a b) forward
+    z = primitive_root(p)
+    divisors = [n for n in range(1, 64) if (p - 1) % n == 0]
+    for n in divisors:
+        zeta = pow(z, (p - 1) // n, p)
+        forward = np.array([[pow(zeta, a * b, p) for b in range(n)]
+                            for a in range(n)], dtype=np.int64)
+        assert np.array_equal(dixon._inverse_dft(n, p, z) @ forward % p,
+                              np.eye(n, dtype=np.int64))
 
 
 def test_scalar_test_reads_the_first_nonzero_entry():
@@ -199,8 +210,7 @@ def test_scalar_test_reads_the_first_nonzero_entry():
     p = 7
     xs = np.array([[0, 1, 2], [0, 3, 0], [4, 0, 1]])
     ys = np.array([[0, 2, 5], [0, 6, 0], [1, 0, 2]])
-    inv = dixon._inverse_table(p, primitive_root(p))
-    assert dixon._scalar(xs, ys, p, inv).tolist() == [False, True, True]
+    assert dixon._scalar(xs, ys, p).tolist() == [False, True, True]
 
 
 @pytest.mark.parametrize("a,p", [
@@ -232,18 +242,18 @@ def second_step(monkeypatch, name):
     steps = []
     split, central = dixon.split_branches, dixon.split_central
 
-    def spy(xs, ys, act, p, inv):
+    def spy(xs, ys, act, p):
         steps.append((xs.copy(), ys.copy(), act))
-        return split(xs, ys, act, p, inv)
+        return split(xs, ys, act, p)
 
-    def central_spy(xs, move, q, n, p, z, inv):
+    def central_spy(xs, move, q, n, p, z):
         act = dixon._action(
             np.eye(cd.num_classes, dtype=np.int64)[move].T, p)
         ys = act(xs)
-        cut = ~dixon._scalar(xs, ys, p, inv)
+        cut = ~dixon._scalar(xs, ys, p)
         if cut.any():
             steps.append((xs[cut], ys[cut], act))
-        return central(xs, move, q, n, p, z, inv)
+        return central(xs, move, q, n, p, z)
     monkeypatch.setattr(dixon, "split_branches", spy)
     monkeypatch.setattr(dixon, "split_central", central_spy)
     central_character_vectors(cd, p, z)
@@ -258,11 +268,10 @@ def test_split_of_a_stack_equals_the_split_of_each_row(monkeypatch, name):
     # sequence of their sum (the abelian groups' classes are central, and
     # give their matrices here)
     p, branches, images, act = second_step(monkeypatch, name)
-    inv = dixon._inverse_table(p, primitive_root(p))
-    alone = [split_branches(x[None], act(x[None]), act, p, inv)
+    alone = [split_branches(x[None], act(x[None]), act, p)
              for x in branches]
     assert len(branches) > 1 and all(len(parts) > 1 for parts in alone)
-    assert np.array_equal(split_branches(branches, images, act, p, inv),
+    assert np.array_equal(split_branches(branches, images, act, p),
                           np.concatenate(alone))
 
 
@@ -280,11 +289,10 @@ def test_one_bad_row_in_a_batch_raises(bad):
     a[:2, :2], a[2:, 2:] = bad, np.diag([3, 4])
     act = dixon._action(a, p)
     xs = np.array([[0, 0, 1, 1], [0, 1, 0, 0] if bad[0][0] else [1, 0, 0, 0]])
-    inv = dixon._inverse_table(p, primitive_root(p))
-    parts = split_branches(xs[:1], act(xs[:1]), act, p, inv)
+    parts = split_branches(xs[:1], act(xs[:1]), act, p)
     assert eigenvalues(act, parts, p).tolist() == [3, 4]
     with pytest.raises(TableError, match="distinct roots"):
-        split_branches(xs, act(xs), act, p, inv)
+        split_branches(xs, act(xs), act, p)
 
 
 @pytest.mark.parametrize("xs", [
@@ -297,9 +305,8 @@ def test_rows_whose_sum_cancels_a_component_raise(xs):
     p = 31
     act = dixon._action(np.diag([3, 4]), p)
     xs = np.array(xs)
-    inv = dixon._inverse_table(p, primitive_root(p))
     with pytest.raises(TableError, match="not eigenvectors summing"):
-        split_branches(xs, act(xs), act, p, inv)
+        split_branches(xs, act(xs), act, p)
 
 
 def test_one_act_per_eigenvalue_on_the_cut_branches(monkeypatch):
@@ -322,8 +329,8 @@ def test_one_act_per_eigenvalue_on_the_cut_branches(monkeypatch):
             return act(v)
         return counted
 
-    def split_spy(xs, ys, act, p, inv):
-        parts = split(xs, ys, act, p, inv)
+    def split_spy(xs, ys, act, p):
+        parts = split(xs, ys, act, p)
         cuts.append((calls[-1], len(xs), parts, act, p))
         return parts
     monkeypatch.setattr(dixon, "_action", action_spy)
@@ -341,9 +348,9 @@ def recorded_branches(monkeypatch, group):
     seen = []
     original = dixon.split_branches
 
-    def spy(xs, ys, act, p, inv):
+    def spy(xs, ys, act, p):
         seen.append((xs.copy(), ys.copy()))
-        return original(xs, ys, act, p, inv)
+        return original(xs, ys, act, p)
     monkeypatch.setattr(dixon, "split_branches", spy)
     cd, p, z = modular_data(group)
     central_character_vectors(cd, p, z)
@@ -356,12 +363,11 @@ def test_eigenvalues_match_singularity_scan_on_class_matrices(name):
     # from e_0 = sum_chi (chi(1)^2/|G|) omega_chi, every coefficient nonzero
     # mod p, the split reaches every eigenvalue of every class matrix
     cd, p, z = modular_data(make(name))
-    inv = dixon._inverse_table(p, z)
     e0 = np.eye(1, cd.num_classes, dtype=np.int64)[0]
     for i in range(cd.num_classes):
         a = class_matrix(cd, i) % p
         roots, parts = split_one(a, e0, p)
-        assert roots.tolist() == singular_values_reference(a, p, inv)
+        assert roots.tolist() == singular_values_reference(a, p)
         assert_eigencomponents(a, e0, roots, parts, p)
 
 
@@ -523,7 +529,6 @@ def test_central_split_equals_split_branches(monkeypatch, name):
         [parse_cycles(f"({3 * i + 1} {3 * i + 2} {3 * i + 3})", 12)
          for i in range(4)], 12))
     cd, p, seen = central_splits(monkeypatch, group)
-    inv = dixon._inverse_table(p, primitive_root(p))
     qs = [(q, n) for _, _, q, n, _ in seen]
     if name == "C16":
         assert qs == [(2, 2), (2, 4), (2, 8), (2, 16)]
@@ -536,9 +541,9 @@ def test_central_split_equals_split_branches(monkeypatch, name):
             a, np.eye(cd.num_classes, dtype=np.int64)[move].T)
         act = dixon._action(a % p, p)
         ys = act(xs)
-        scalar = dixon._scalar(xs, ys, p, inv)
+        scalar = dixon._scalar(xs, ys, p)
         expected = [xs[scalar], split_branches(xs[~scalar], ys[~scalar],
-                                               act, p, inv)]
+                                               act, p)]
         assert len(parts) > len(xs)
         assert np.array_equal(sorted_rows(parts),
                               sorted_rows(np.concatenate(expected)))
@@ -577,12 +582,11 @@ def test_central_split_rejects_a_power_that_is_not_a_scalar():
     cd, p, z = modular_data(cyclic(16))
     i = cd.orders.index(4)
     e0 = np.eye(1, cd.num_classes, dtype=np.int64)
-    inv = dixon._inverse_table(p, z)
     move = dixon.class_permutation(cd, i)
-    assert len(dixon.split_central(e0, move, 4, 4, p, z, inv)) == 4
+    assert len(dixon.split_central(e0, move, 4, 4, p, z)) == 4
     with pytest.raises(TableError, match="not a root of unity times the "
                                          "identity"):
-        dixon.split_central(e0, move, 2, 4, p, z, inv)
+        dixon.split_central(e0, move, 2, 4, p, z)
 
 
 # -- the lift ---------------------------------------------------------------------
