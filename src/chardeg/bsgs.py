@@ -34,6 +34,16 @@ u out of the later base images.  A block grows while its key table (uint16)
 and inverse table stay within _RANK_KEYS and _RANK_INVERSES entries: M12
 gets blocks of levels 0-3 and 4, with 184 kB of tables.  Images are read
 base-major, _RANK_ROWS at a time: base-major input needs no strided copy.
+
+A transversal has two forms (Seress 2003, 4.1).  While the chain is
+built, each level maps its orbit points x to Permutations t_x, with t_x
+sending the base point to x.  The first ``element_array`` or ``rank``
+makes the level rows, one image row per point in point order, and from
+then on the rows are the transversal: the Permutation dicts and the
+inverses cached while building are dropped, and sifting forms each
+inverse it needs from its row by an argsort, once.  Chains that are never
+enumerated, such as the transient subgroups of a normal closure, keep
+their dicts until they are dropped.
 """
 
 from __future__ import annotations
@@ -60,10 +70,15 @@ class StabilizerChain:
     computing kernels of coordinate projections); trivial levels this creates
     are kept so the prefix is honored literally.
 
-    Each level keeps the inverses of its transversal elements, filled lazily
-    by sifting and dropped when the transversal is rebuilt.  A transversal
-    is rebuilt only when its level has gained generators since the last
+    While building, each level keeps its transversal as Permutations,
+    ``transversals[i]``, and the inverses of those, filled lazily by
+    sifting and dropped when the transversal is rebuilt.  A transversal is
+    rebuilt only when its level has gained generators since the last
     build; generator lists only grow, so the BFS would give the same dict.
+    Once the level rows (``_levels``) are made, they replace both: see the
+    module docstring.  The rows are read-only, since a one-level chain's
+    element array is its one row array.  ``orbit_sizes`` holds each level's
+    orbit length from the end of the build on.
 
     ``order_bound``, when given, must be a proven upper bound on the order
     of the group generated, such as the order of a group known to contain
@@ -99,6 +114,7 @@ class StabilizerChain:
             self._append_level(b)
         self._build(gens, order_bound)
         del self._tree
+        self.orbit_sizes = tuple(map(len, self.transversals))
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
@@ -135,7 +151,7 @@ class StabilizerChain:
             return False
         for i in range(len(self.base)):
             self._rebuild_transversal(i)
-        return self.order() == bound
+        return prod(map(len, self.transversals)) == bound
 
     def _sift(self, g: Permutation, start: int):
         """Reduce g through levels >= start; return (residue, stuck level)."""
@@ -145,12 +161,25 @@ class StabilizerChain:
                 continue
             t_inv = self._inverses[j].get(x)
             if t_inv is None:
-                t = self.transversals[j].get(x)
-                if t is None:
+                t_inv = self._inverse(j, x)
+                if t_inv is None:
                     return g, j
-                t_inv = self._inverses[j][x] = t.inverse()
+                self._inverses[j][x] = t_inv
             g = g * t_inv
         return g, len(self.base)
+
+    def _inverse(self, j: int, x: int) -> Permutation | None:
+        """t_x^-1 at level j, or None if x is off its orbit: from the
+        transversal's Permutation, or once the rows exist, from x's row."""
+        if "_levels" not in self.__dict__:
+            t = self.transversals[j].get(x)
+            return None if t is None else t.inverse()
+        level = self._levels[j]
+        orbit = level[:, self.base[j]]  # t_x sends base[j] to x: sorted
+        k = orbit.searchsorted(x)
+        if k == len(orbit) or orbit[k] != x:
+            return None
+        return Permutation._trusted(tuple(level[k].argsort().tolist()))
 
     def _add_generator(self, g: Permutation, level: int) -> None:
         """Register g as a generator of every level up to ``level``."""
@@ -209,10 +238,7 @@ class StabilizerChain:
                     yield residue, j
 
     def order(self) -> int:
-        n = 1
-        for trans in self.transversals:
-            n *= len(trans)
-        return n
+        return prod(self.orbit_sizes)
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -228,9 +254,17 @@ class StabilizerChain:
 
     @cached_property
     def _levels(self) -> list[np.ndarray]:
-        """Each transversal as an array of images, rows in point order."""
-        return [np.array([trans[x].images for x in sorted(trans)],
-                         dtype=self.dtype) for trans in self.transversals]
+        """Each transversal as a read-only array of images, rows in point
+        order; they replace the Permutations and their inverses."""
+        levels = []
+        for trans in self.transversals:
+            level = np.array([trans[x].images for x in sorted(trans)],
+                             dtype=self.dtype)
+            level.flags.writeable = False
+            levels.append(level)
+        del self.transversals
+        self._inverses = [{} for _ in levels]
+        return levels
 
     @cached_property
     def _rank_blocks(self) -> list[tuple]:
@@ -273,9 +307,13 @@ class StabilizerChain:
         Row order is canonical: with transversals t_i taken in sorted point
         order, element ``t_{k-1} * ... * t_1 * t_0`` precedes the next with
         t_0 varying fastest.  Rows are uint8 up to degree 256, else uint16.
+        The product starts at the last level's rows, so a one-level chain
+        returns its rows themselves, read-only.
         """
-        rows = np.arange(self.degree, dtype=self.dtype)[None, :]
-        for level in reversed(self._levels):
+        if not self._levels:
+            return np.arange(self.degree, dtype=self.dtype)[None, :]
+        rows = self._levels[-1]
+        for level in self._levels[-2::-1]:
             prev = rows.astype(np.intp)
             rows = np.empty((len(prev), len(level), self.degree), self.dtype)
             for j, t in enumerate(level):

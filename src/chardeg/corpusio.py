@@ -39,6 +39,10 @@ CORPUS_ENV_VAR = "CHARDEG_CORPUS"
 
 EXPECT_KEYS = ("order", "center", "center_cyclic", "perfect", "solvable",
                "degrees", "quotient_center_sizes")
+# the kind of group a kind-specific line belongs to, after its kind line
+LINE_KINDS = {"poly": "mat", "action": "mat", "zm": "central",
+              "zc": "central", "epia": "fiber", "epib": "fiber"}
+SINGLE_LINES = ("name", "poly", "action")  # at most one of each per file
 
 
 @dataclass
@@ -75,6 +79,7 @@ def parse_group_file(text: str) -> GroupSpec:
     refs = ()
     zm, zc, epia, epib = [], [], [], []
     expect = {}
+    seen = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,8 +88,12 @@ def parse_group_file(text: str) -> GroupSpec:
         parts = line.split(None, 1)
         directive, rest = parts[0], parts[1].strip() if len(parts) > 1 else ""
         try:
-            if directive == "name" and name is not None:
-                raise ValueError("second name line")
+            if directive in SINGLE_LINES and directive in seen:
+                raise ValueError(f"second {directive} line")
+            seen.add(directive)
+            if LINE_KINDS.get(directive, kind) != kind:
+                raise ValueError(f"{directive} line outside a "
+                                 f"{LINE_KINDS[directive]} group")
             if kind is not None and directive in (
                     "perm", "mat", "direct", "central", "fiber"):
                 raise ValueError(

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import importlib.util
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from chardeg import Catalogue
 from chardeg.bsgs import StabilizerChain
 from chardeg.groups import derived_series
 from chardeg.perms import Permutation, parse_cycles
@@ -128,10 +131,62 @@ def test_chains_are_pinned(cat):
         digest.update(repr((
             chain.degree, chain.base,
             [[g.images for g in gens] for gens in chain.level_gens],
-            [sorted((x, t.images) for x, t in trans.items())
-             for trans in chain.transversals])).encode())
+            [[(row[b], tuple(row)) for row in level.tolist()]
+             for b, level in zip(chain.base, chain._levels)])).encode())
     assert digest.hexdigest() == (
         "dc66624f565c05cfb7aac8802e7c0deeddfd22a964999551437814fce5a3fe32")
+
+
+# -- the two forms of a transversal -------------------------------------------
+
+def _chain_state_cases(cat):
+    """(generators, degree) of S8 on 9 points, so that some permutations
+    are not members, of M12 and of SL25oQ8 (one level of 480 points)."""
+    m12, sl = _golden_tool().scale_group("M12"), cat.group("SL25oQ8")
+    return {"S8 on 9 points": _cycles(9, "(1 2 3 4 5 6 7 8)", "(1 2)"),
+            "M12": (list(m12.generators), 12),
+            "SL25oQ8": (list(sl.generators), sl.degree)}
+
+
+@pytest.mark.parametrize("name", ["S8 on 9 points", "M12", "SL25oQ8"])
+def test_contains_is_the_same_before_and_after_the_rows(cat, name):
+    # sifting reads Permutations before the level rows exist and the rows
+    # after; elements are words in the generators, the rest are random
+    gens, degree = _chain_state_cases(cat)[name]
+    rng = random.Random(3)
+    samples = []
+    for _ in range(20):
+        word = Permutation.identity(degree)
+        for _ in range(12):
+            word = word * rng.choice(gens)
+        samples.append(word)
+        images = list(range(degree))
+        rng.shuffle(images)
+        samples.append(Permutation(images))
+    chain = StabilizerChain(gens, degree)
+    before = [chain.contains(p) for p in samples]
+    rows = {tuple(row) for row in chain.element_array().tolist()}
+    assert not hasattr(chain, "transversals")  # the rows replaced them
+    assert [chain.contains(p) for p in samples] == before == [
+        p.images in rows for p in samples]
+    assert before[::2] == [True] * 20 and not all(before[1::2])
+
+
+def test_enumerated_chain_holds_no_permutation_transversal():
+    # SL25oQ8's chain is one level of 480 points: once its elements are
+    # enumerated, the rows are its transversal, and what perms.py allocated
+    # and is still held is generators, not 480 tuples of 480 images (1.79 MB)
+    tracemalloc.start()
+    try:
+        cat = Catalogue()
+        cat.group("SL25oQ8").element_array()
+        gc.collect()
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*/chardeg/perms.py")])
+    finally:
+        tracemalloc.stop()
+    assert sum(s.size for s in held.statistics("filename")) < 200_000
+    assert len(cat.group("SL25oQ8").chain.base) == 1
 
 
 # -- reference Schreier-Sims --------------------------------------------------

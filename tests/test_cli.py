@@ -104,6 +104,31 @@ def test_second_definition_line_exits_2(capsys, tmp_path, body, message):
     assert run(capsys, "acd", str(f)) == (2, "", f"error: line 4: {message}\n")
 
 
+@pytest.mark.parametrize("body, error", [
+    ("perm 3\ngen (1 2 3)\naction projective\npoly 1 1\nzm perm (1 2)",
+     "line 4: action line outside a mat group"),
+    ("mat 3 1 2\npoly 1 0 1\npoly 2 0 1\ngen 1 1 0 1",
+     "line 4: second poly line"),
+    ("mat 3 1 2\naction vectors\naction projective\ngen 1 1 0 1",
+     "line 4: second action line"),
+    ("poly 1 0 1\nmat 3 1 2\ngen 1 1 0 1",
+     "line 2: poly line outside a mat group"),
+    ("perm 3\ngen (1 2 3)\nzm perm (1 2)",
+     "line 4: zm line outside a central group"),
+    ("direct C2 C2\nzc perm (1 2)", "line 3: zc line outside a central group"),
+    ("central S4 S4\nepia (1 2)", "line 3: epia line outside a fiber group"),
+    ("mat 2 1 2\ngen 1 1 0 1\nepib (1 2)",
+     "line 4: epib line outside a fiber group"),
+], ids=["action-in-perm", "poly-poly", "action-action", "poly-before-mat",
+        "zm-in-perm", "zc-in-direct", "epia-in-central", "epib-in-mat"])
+def test_foreign_or_repeated_line_exits_2(capsys, tmp_path, body, error):
+    # a line of another kind of group, or a second poly or action line, is
+    # named at its line, not dropped or let overwrite the first
+    f = tmp_path / "X.grp"
+    f.write_text(f"name X\n{body}\n")
+    assert run(capsys, "acd", str(f)) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("body", [
     "mat 5 1 2\ngen 7 0 0 1",  # an entry of q or more
     "mat 3 2 2\ngen 1 0 0 -1",  # negative: not read as element 8 of F_9

@@ -58,7 +58,7 @@ def test_shapes_of_the_trivial_and_prefixed_chains():
     assert trivial.chain.base == [] and base_images(trivial).shape == (1, 0)
     prefixed = GROUPS["S4 prefix"]()
     assert prefixed.chain.base[:4] == [0, 4, 1, 5]
-    assert [len(t) for t in prefixed.chain.transversals][:4] == [4, 1, 3, 1]
+    assert prefixed.chain.orbit_sizes[:4] == (4, 1, 3, 1)
     assert prefixed.order == 24
     big = GROUPS["C12 degree 300"]()
     assert big.element_array().dtype == np.uint16
@@ -103,7 +103,7 @@ def test_rank_under_forced_block_layouts(name, layout, monkeypatch):
     monkeypatch.setattr(bsgs, "_RANK_INVERSES", inverses)
     group = GROUPS[name]()
     chain = group.chain
-    moving = [i for i, t in enumerate(chain.transversals) if len(t) > 1]
+    moving = [i for i, n in enumerate(chain.orbit_sizes) if n > 1]
     blocks = [levels for levels, *_ in chain._rank_blocks]
     assert blocks == ([[i] for i in moving] if keys == 1
                       else [moving] if moving else [])

@@ -50,13 +50,18 @@ like the groups.  It records the wall seconds of the two (least, median
 and largest over the repeats, as for the stages), the seconds spent
 in ``StabilizerChain.__init__`` and how many chains it built (the method is
 wrapped in the worker process only), the peak RSS at the end, and the
-SHA-256 of each command's report.
+SHA-256 of each command's report.  One more run per tree, untimed, runs the
+two commands under ``tracemalloc`` and records, per command, the bytes
+still held once it has returned, with the catalogue it built kept alive
+(``cli.Catalogue`` is wrapped in the worker process only), and its traced
+peak: what the caches of a session hold, which peak RSS does not show.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import importlib.metadata
 import io
@@ -68,6 +73,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import lcm
 from pathlib import Path
 
@@ -104,6 +110,7 @@ GROUPS = {
 CORPUS_COMMANDS = (["verify", "paper", "--json"],
                    ["scan", "--check", "question:7", "--json"])
 ENTRIES = (*GROUPS, "corpus")
+TRACED = "corpus_traced"  # the worker of the untimed tracemalloc run
 STAGES = ("chain", "elements", "classes", "class_matrices", "split", "lift",
           "validate")
 REPEAT = 5  # builds per group and tree; the JSON holds their spread
@@ -217,6 +224,35 @@ def measure_corpus() -> dict:
             "chains_built": chains["built"], "peak_rss_mb": _peak_rss_mb()}
 
 
+def trace_corpus() -> dict:
+    """Run the corpus commands in this process under tracemalloc (the
+    worker side): per command, the bytes held after it with its catalogue
+    alive, and its peak."""
+    from chardeg import cli
+
+    kept = []
+    catalogue = cli.Catalogue
+
+    def kept_catalogue(*args):
+        kept.append(catalogue(*args))
+        return kept[-1]
+
+    cli.Catalogue = kept_catalogue
+    held = {}
+    tracemalloc.start()
+    for argv in CORPUS_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"{' '.join(argv)} failed")
+        gc.collect()
+        live, peak = tracemalloc.get_traced_memory()
+        held[" ".join(argv)] = {"held": live, "peak": peak}
+        kept.clear()
+        tracemalloc.reset_peak()
+    tracemalloc.stop()
+    return held
+
+
 def run_worker(tree: Path, name: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                **{var: str(THREADS) for var in THREAD_VARS})
@@ -298,12 +334,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--tree", action="append", default=[],
                         metavar="LABEL=PATH")
-    parser.add_argument("--worker", choices=ENTRIES, help=argparse.SUPPRESS)
+    parser.add_argument("--worker", choices=(*ENTRIES, TRACED),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        print(json.dumps(measure_corpus() if args.worker == "corpus"
-                         else measure(args.worker)))
+        if args.worker == "corpus":
+            result = measure_corpus()
+        elif args.worker == TRACED:
+            result = trace_corpus()
+        else:
+            result = measure(args.worker)
+        print(json.dumps(result))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -325,13 +367,20 @@ def main(argv=None) -> int:
         for label in trees:
             if name == "corpus":
                 summary = summarize_corpus(runs[label])
+                summary["tracemalloc_bytes"] = run_worker(trees[label],
+                                                          TRACED)
                 results[label]["corpus"] = summary
                 wall, chain = (summary["seconds"][s]["median"]
                                for s in ("wall", "chain"))
+                held = "  ".join(f"{c.split()[0]} held "
+                                 f"{b['held'] / 1e6:.2f} MB"
+                                 for c, b in
+                                 summary["tracemalloc_bytes"].items())
                 print(f"{label:>8} corpus  wall {wall:.3f} s  "
                       f"chain {chain:.3f} s  "
                       f"{summary['chains_built']} chains  "
-                      f"{summary['peak_rss_mb']:6.1f} MB", file=sys.stderr)
+                      f"{summary['peak_rss_mb']:6.1f} MB  {held}",
+                      file=sys.stderr)
                 continue
             summary = summarize(runs[label])
             results[label]["groups"][name] = summary

@@ -24,11 +24,9 @@ from chardeg.perms import Permutation, format_cycles
 
 
 def random_element(group, rng):
-    chain = group.chain
     result = Permutation.identity(group.degree)
-    for trans in reversed(chain.transversals):
-        t = trans[rng.choice(sorted(trans))]
-        result = result * t
+    for level in reversed(group.chain._levels):  # rows in point order
+        result = result * Permutation(rng.choice(level).tolist())
     return result
 
 
