@@ -19,7 +19,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .bsgs import MAX_DEGREE
-from .errors import ChardegError, GroupTooLargeError, NotMemberError
+from .errors import (ChardegError, GroupTooLargeError, NotMemberError,
+                     ParseError)
 from .groups import Group, Quotient, Subgroup, quotient_group, word_table
 from .perms import Permutation
 
@@ -135,15 +136,20 @@ def matrix_domain(spec: MatrixGroupSpec):
     return codes, coords.astype(np.min_scalar_type(q - 1))
 
 
+def check_matrix(mat, q: int, n: int) -> None:
+    """Refuse a matrix that is not n*n row-major entries in 0..q-1."""
+    if len(mat) != n * n:
+        raise ParseError("generator matrix has wrong shape")
+    if any(not 0 <= x < q for x in mat):
+        raise ParseError(f"matrix entries must lie in 0..{q - 1}")
+
+
 def matrix_to_perm(spec: MatrixGroupSpec, mat, domain=None,
                    f=None) -> Permutation:
     """Permutation induced by a single invertible matrix on the domain
     (``matrix_domain(spec)`` and ``spec.field()`` unless handed in)."""
     q, n = spec.p ** spec.k, spec.n
-    if len(mat) != n * n:
-        raise ChardegError("generator matrix has wrong shape")
-    if any(not 0 <= x < q for x in mat):
-        raise ChardegError(f"matrix entries must lie in 0..{q - 1}")
+    check_matrix(mat, q, n)
     codes, coords = matrix_domain(spec) if domain is None else domain
     f = spec.field() if f is None else f
     image = np.stack([  # w_j = sum_i v_i M_ij

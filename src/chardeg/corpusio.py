@@ -27,8 +27,8 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .constructions import (CentralProduct, MatrixGroupSpec, central_product,
-                            direct_product, fiber_product, matrix_to_perm,
-                            perm_from_matrix_group)
+                            check_matrix, direct_product, fiber_product,
+                            matrix_to_perm, perm_from_matrix_group)
 from .cyclotomic import _is_input_prime
 from .errors import ChardegError, ParseError, ValidationError
 from .groups import (Group, center, conjugacy_classes, is_perfect, is_solvable,
@@ -130,6 +130,7 @@ def parse_group_file(text: str) -> GroupSpec:
                     perm_gens.append(parse_cycles(rest, degree))
                 elif kind == "mat":
                     mat_gens.append(tuple(int(x) for x in rest.split()))
+                    check_matrix(mat_gens[-1], p ** k, n)
                 else:
                     raise ValueError("gen line outside perm/mat group")
             elif directive in ("zm", "zc"):
@@ -147,9 +148,7 @@ def parse_group_file(text: str) -> GroupSpec:
                 expect[key] = value
             else:
                 raise ValueError(f"unknown directive {directive!r}")
-        except ParseError:
-            raise
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ParseError) as exc:
             raise ParseError(str(exc), line=lineno)
 
     if name is None:

@@ -10,15 +10,18 @@ Steps (Dixon 1967): take classes smallest first (Schneider 1990), skipping
 a class that is a central product of classes taken, or a rational class
 once the branches are the Galois orbits of Irr(G), and split e_0 =
 sum_chi (chi(1)^2/|G|) omega_chi (column orthogonality) into its r terms.
-A central class, which comes first, permutes the classes, and its
-eigenvalues are roots of unity known in advance: every branch, a sum of
-some of the terms, is cut by one short Fourier transform of its gathers
-along that permutation.  Any other class is formed as a matrix, and the
-branches on which it is not a scalar are cut into their eigencomponents,
-all read off one Krylov sequence, that of their sum.  Then lift all
-characters at once from the terms: each degree from its term's identity
-entry chi(1)^2/|G|, values by one inverse discrete Fourier transform per
-element order on one class per Galois orbit, gathered to the others.
+Each class used is read through its class map, the class of x^-1 rep_k
+for every member x and representative rep_k.  A central class, which comes
+first, permutes the classes (its map has one column), and its eigenvalues
+are roots of unity known in advance: every branch, a sum of some of the
+terms, is cut by one short Fourier transform of its gathers along that
+permutation.  Any other class is formed as a matrix, its map's bincount,
+and the branches on which it is not a scalar are cut into their
+eigencomponents, all read off one Krylov sequence, that of their sum.
+Then lift all characters at once from the terms: each degree from its
+term's identity entry chi(1)^2/|G|, values by one inverse discrete Fourier
+transform per element order on one class per Galois orbit, gathered to the
+others.
 
 Products of residues mod p (a class matrix's action, the Lagrange
 combinations of a Krylov sequence, the central classes' transforms, the
@@ -64,32 +67,30 @@ def primitive_root(p: int) -> int:
     raise TableError(f"no primitive root found mod {p}")
 
 
-# Most rows one class_matrix gather may hold; reps are gathered in chunks
-# below it, several at once where classes are small.
-_GATHER_ROWS = 1 << 16
+def class_map(cd: ClassData, i: int) -> np.ndarray:
+    """The r x |C_i| array m with m[k, x] the class of x^-1 * rep_k, for x
+    in class i: the x^-1 run over the inverse class, and m is one rank of
+    the representatives at their images of the base points."""
+    members = np.flatnonzero(cd.element_index == cd.inverse_class[i])
+    x_inv = cd.rows.take(members, axis=0).take(cd.base, axis=1)
+    m = cd.group.chain.rank(cd.rep_rows.take(x_inv, axis=1))
+    # rows to classes in place: take reads each index before it writes
+    # there, and clip mode, which rows in range(|G|) never meet, adds no
+    # buffer
+    return cd.element_index.take(m, out=m, mode="clip")
 
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     """Matrix A_i with A_i[j, k] = #{x in class i : x^-1 * rep_k in class j}.
 
     These are the structure constants of the class-sum algebra; the exact
-    integer matrix is returned (reduce mod p at the call site).  The x^-1
-    run over the inverse class, so column k is a gather of rep_k at their
-    images of the base points, a rank lookup and a bincount.
+    integer matrix is returned (reduce mod p at the call site): column k
+    counts the classes in row k of class_map(cd, i).
     """
     r = cd.num_classes
-    x_inv = cd.rows[cd.element_index == cd.inverse_class[i]].take(
-        cd.base, axis=1).astype(np.intp)
-    step = max(1, _GATHER_ROWS // len(x_inv))
-    a = np.empty((r, r), dtype=np.int64)
-    for k in range(0, r, step):
-        reps = cd.rep_rows[k:k + step]
-        classes = cd.element_index.take(
-            cd.group.chain.rank(reps.take(x_inv, axis=1)))
-        classes += np.arange(len(reps))[:, None] * r
-        a[:, k:k + len(reps)] = np.bincount(
-            classes.ravel(), minlength=len(reps) * r).reshape(-1, r).T
-    return a
+    keys = class_map(cd, i)
+    keys += np.arange(r)[:, None] * r
+    return np.bincount(keys.ravel(), minlength=r * r).reshape(r, r).T
 
 
 # -- the splitting ----------------------------------------------------------
@@ -197,16 +198,6 @@ def split_branches(xs: np.ndarray, ys: np.ndarray, act, p: int) -> np.ndarray:
     return parts[parts.any(axis=2)]
 
 
-def class_permutation(cd: ClassData, i: int) -> np.ndarray:
-    """The class of y^-1 rep_k at index k, for the element y of the central
-    class i: A_i[j, k] is 1 at j = class_permutation(cd, i)[k] and 0
-    elsewhere.  One rank of the representatives at y^-1's base images, read
-    off its class's representative: central too, y^-1 is its one member."""
-    y_inv = cd.rep_rows[cd.inverse_class[i]].take(cd.base)
-    return cd.element_index.take(cd.group.chain.rank(
-        cd.rep_rows.take(y_inv, axis=1)))
-
-
 def split_central(xs: np.ndarray, move: np.ndarray, q: int, n: int, p: int,
                   z: int) -> np.ndarray:
     """The nonzero components of the rows x of xs on the eigenspaces of A_y,
@@ -262,11 +253,12 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
     the central ones come first: the central y of class i acts on omega_chi
     as lambda(y), lambda the central character under chi, and
     split_central cuts the branches by a q-point transform of gathers along
-    class_permutation, q the order of y modulo the group Y generated by the
-    central classes used, as A_y^q = A_{y^q} is a scalar on every branch.
-    So the central classes sort Irr(G) into the sets Irr(G|lambda).  Every
-    other class forms its matrix, and split_branches cuts the branches that
-    matrix is not a scalar on.  Class i is skipped when its class sum is
+    the one column of class_map(cd, i), q the order of y modulo the group Y
+    generated by the central classes used, as A_y^q = A_{y^q} is a scalar
+    on every branch.  So the central classes sort Irr(G) into the sets
+    Irr(G|lambda).  Every other class forms its matrix, the bincount of its
+    class map, and split_branches cuts the branches that matrix is not a
+    scalar on.  Class i is skipped when its class sum is
     K_y K_C, y in Y and C a used class or the identity: K_y K_C = K_{yC},
     so A_i = A_y A_C is a scalar on every branch left.  Rational classes,
     alone in their cd.galois_orbits, have rational central characters:
@@ -297,7 +289,7 @@ def central_character_vectors(cd: ClassData, p: int, z: int) -> np.ndarray:
             n = cd.orders[i]
             q = next((m for m in range(1, n)
                       if covered[cd.power_class[i][m]]), n)
-            moves.append(class_permutation(cd, i))
+            moves.append(class_map(cd, i)[:, 0])
             y_orbit = _orbits(moves, r)
             branches = split_central(branches, moves[-1], q, n, p, z)
         else:

@@ -48,14 +48,15 @@ class Permutation:
 
     @staticmethod
     def from_cycles(cycles, degree: int) -> "Permutation":
-        """Build from a list of cycles of 0-based points."""
-        images = list(range(degree))
+        """Build from a list of disjoint cycles of 0-based points."""
+        images, seen = list(range(degree)), set()
         for cycle in cycles:
-            if len(cycle) != len(set(cycle)):
-                raise ValueError(f"repeated point in cycle {cycle}")
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if not (0 <= a < degree):
                     raise ValueError(f"point {a + 1} out of range for degree {degree}")
+                if a in seen:
+                    raise ValueError(f"point {a + 1} repeated in the cycles")
+                seen.add(a)
                 images[a] = b
         return Permutation(images)
 
@@ -145,8 +146,8 @@ _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation like ``(1 2 3)(4 5)``.
 
-    ``()`` denotes the identity.  Raises ValueError on malformed input or
-    out-of-range points.
+    ``()`` denotes the identity.  Raises ValueError on malformed input,
+    out-of-range points, or a point in two cycles.
     """
     stripped = text.strip()
     if not stripped:

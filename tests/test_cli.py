@@ -151,7 +151,7 @@ def test_malformed_payload_exits_2(capsys, tmp_path, body):
 
 
 @pytest.mark.parametrize("body, message", [
-    ("mat 5 1 2\ngen 7 0 0 1", "matrix entries must lie in 0..4"),
+    ("mat 5 1 2\ngen 0 0 0 0", "singular generator matrix"),
     ("central SL2_5 SL2_5\nzm mat 7 0 0 4\nzc mat 4 0 0 4",
      "matrix entries must lie in 0..4"),
     ("central S4 S4\nzm perm (1 9)\nzc perm (1 2)(3 4)",
@@ -163,7 +163,7 @@ def test_malformed_payload_exits_2(capsys, tmp_path, body):
     ("perm 5\ngen (1 2 3 4 5)\ngen (1 2 3)\nexpect perfect false",
      "perfect flag mismatch"),
     ("perm 3\ngen (1 2 3)\nexpect solvable false", "solvable flag mismatch"),
-], ids=["gen-over-q", "zm-mat", "zm-perm", "epia", "unknown-ref",
+], ids=["gen-singular", "zm-mat", "zm-perm", "epia", "unknown-ref",
         "expect-center", "expect-perfect", "expect-solvable"])
 def test_entry_error_names_the_entry(capsys, tmp_path, body, message):
     # an error raised while an entry is built or checked is one line that
@@ -177,12 +177,39 @@ def test_entry_error_names_the_entry(capsys, tmp_path, body, message):
 
 
 def test_error_in_a_referenced_entry_names_that_entry(capsys, tmp_path):
-    (tmp_path / "BADM.grp").write_text("name BADM\nmat 5 1 2\ngen 7 0 0 1\n")
+    (tmp_path / "BADM.grp").write_text("name BADM\nmat 5 1 2\ngen 0 0 0 0\n")
     (tmp_path / "D.grp").write_text("name D\ndirect BADM BADM\n")
     (tmp_path / "E.grp").write_text("name E\ndirect D D\n")
     code, out, err = run(capsys, "acd", "E", "--corpus", str(tmp_path))
     assert code == 2
-    assert err == "error: BADM: matrix entries must lie in 0..4\n"
+    assert err == "error: BADM: singular generator matrix\n"
+
+
+@pytest.mark.parametrize("gen, message", [
+    ("7 0 0 1", "matrix entries must lie in 0..4"),
+    ("1 0 0", "generator matrix has wrong shape"),
+], ids=["over-q", "short"])
+def test_bad_matrix_generator_exits_2_at_its_line(capsys, tmp_path, gen,
+                                                  message):
+    # the mat line gives q and n, so a gen line's entries are checked where
+    # they are read
+    f = tmp_path / "X.grp"
+    f.write_text(f"name X\nmat 5 1 2\ngen {gen}\n")
+    assert run(capsys, "acd", str(f)) == (2, "", f"error: line 3: {message}\n")
+
+
+def test_point_in_two_cycles_exits_2(capsys, tmp_path):
+    # (1 2)(1 2) would read as (1 2) and (1 2 3)(3 1 2) as (1 2 3), not as
+    # their products: a point in two cycles is refused, in a group file at
+    # its line and in the generators of --mod
+    f = tmp_path / "X.grp"
+    f.write_text("name X\nperm 3\ngen (1 2)(1 2)\n")
+    code, out, err = run(capsys, "acd", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "acd", "A5", "--mod", "(1 2 3)(3 1 2)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad generators ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("body", [

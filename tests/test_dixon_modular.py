@@ -390,20 +390,34 @@ def test_no_eigenvalue_search_where_a_matrix_acts_as_a_scalar(monkeypatch,
             assert not np.array_equal(y * x[f] % p, x * y[f] % p)
 
 
+@pytest.mark.parametrize("name", ["A4", "S4", "Q8", "F21", "SL2_5"])
+def test_class_map_matches_permutation_products(cat, name):
+    # row k of class i's map holds the classes of the x^-1 rep_k, x in
+    # class i, as a multiset; A4 and F21 have classes that are not their
+    # own inverses, so reading class i for its inverse class fails here
+    group = cat.group(name)
+    cd = conjugacy_classes(group)
+    for i in range(cd.num_classes):
+        members = [x for x, c in zip(group.elements(), cd.element_index)
+                   if c == i]
+        m = dixon.class_map(cd, i)
+        assert m.shape == (cd.num_classes, len(members))
+        for k, rep in enumerate(cd.reps):
+            assert sorted(m[k].tolist()) == sorted(
+                cd.class_of(x.inverse() * rep) for x in members)
+
+
 def used_and_splitting(monkeypatch, group):
-    """The classes whose matrices the split forms and the central classes
-    whose permutations it reads, each in order, and the set of the classes
-    used that cut some branch."""
-    matrices, permutations, splitting = [], [], set()
-    used = []
+    """The classes whose matrices the split forms and the classes it uses,
+    each in order, and the set of the classes used that cut some branch.
+    Every class used is read through class_map, which class_matrix calls."""
+    matrices, used, splitting = [], [], set()
     original = {name: getattr(dixon, name) for name in (
-        "class_matrix", "class_permutation", "split_branches",
-        "split_central")}
+        "class_map", "class_matrix", "split_branches", "split_central")}
 
     def use(name, seen):
         def spy(cd, i):
             seen.append(i)
-            used.append(i)
             return original[name](cd, i)
         return spy
 
@@ -416,14 +430,13 @@ def used_and_splitting(monkeypatch, group):
         if len(parts) > len(xs):
             splitting.add(used[-1])
         return parts
+    monkeypatch.setattr(dixon, "class_map", use("class_map", used))
     monkeypatch.setattr(dixon, "class_matrix", use("class_matrix", matrices))
-    monkeypatch.setattr(dixon, "class_permutation",
-                        use("class_permutation", permutations))
     monkeypatch.setattr(dixon, "split_branches", split_spy)
     monkeypatch.setattr(dixon, "split_central", central_spy)
     central_character_vectors(*modular_data(group))
     monkeypatch.undo()
-    return matrices, permutations, splitting
+    return matrices, used, splitting
 
 
 @pytest.mark.parametrize("gens,degree,count", [
@@ -438,11 +451,10 @@ def test_abelian_split_forms_only_matrices_that_split(monkeypatch, gens,
     # matrix is formed and a class that is a product of classes used is
     # never used (C4 x C4 x C2 used 12 classes and C60 6 before the skip)
     group = Group([parse_cycles(s, degree) for s in gens], degree)
-    matrices, permutations, splitting = used_and_splitting(monkeypatch,
-                                                           group)
+    matrices, used, splitting = used_and_splitting(monkeypatch, group)
     assert not matrices
-    assert len(permutations) == len(set(permutations)) == count
-    assert set(permutations) == splitting
+    assert len(used) == len(set(used)) == count
+    assert set(used) == splitting
 
 
 @pytest.mark.parametrize("name,count", [("2A6", 5), ("6A6", 7), ("Q16", 4)])
@@ -452,10 +464,10 @@ def test_split_skips_products_of_central_and_used_classes(monkeypatch, cat,
     # skip); 2A6 used 7 before the rational skip, which 6A6 and Q16 never
     # reach: they use a class that is not rational (a central one of order
     # 3, and one of order 8) before their branches number their orbits
-    matrices, permutations, _ = used_and_splitting(monkeypatch,
-                                                   cat.group(name))
-    assert permutations and matrices
-    assert len(matrices) + len(permutations) == count
+    matrices, used, _ = used_and_splitting(monkeypatch, cat.group(name))
+    # some central class is used, which forms no matrix
+    assert matrices and len(used) > len(matrices)
+    assert len(used) == count
 
 
 LARGE = {
@@ -480,8 +492,8 @@ def test_split_skips_rational_classes_once_each_branch_is_one_orbit(
     degree, gens = LARGE[name]
     group = Group([parse_cycles(s, degree) for s in gens], degree)
     cd = conjugacy_classes(group)
-    matrices, permutations, _ = used_and_splitting(monkeypatch, group)
-    assert not permutations and len(matrices) == formed
+    matrices, used, _ = used_and_splitting(monkeypatch, group)
+    assert used == matrices and len(matrices) == formed
     # class i is rational when every unit v mod n_i fixes it: i^v ~ i
     rational = [all(c[v] == i for v in range(len(c)) if gcd(v, len(c)) == 1)
                 for i, c in enumerate(cd.power_class)]
@@ -497,18 +509,17 @@ def central_splits(monkeypatch, group):
     call of the split, i the central class."""
     cd, p, z = modular_data(group)
     seen, classes = [], []
-    original_permutation, original_split = (dixon.class_permutation,
-                                            dixon.split_central)
+    original_map, original_split = dixon.class_map, dixon.split_central
 
-    def permutation_spy(cd, i):
+    def map_spy(cd, i):
         classes.append(i)
-        return original_permutation(cd, i)
+        return original_map(cd, i)
 
     def split_spy(xs, move, q, n, *args):
         parts = original_split(xs, move, q, n, *args)
         seen.append((classes[-1], xs.copy(), q, n, parts))
         return parts
-    monkeypatch.setattr(dixon, "class_permutation", permutation_spy)
+    monkeypatch.setattr(dixon, "class_map", map_spy)
     monkeypatch.setattr(dixon, "split_central", split_spy)
     central_character_vectors(cd, p, z)
     monkeypatch.undo()
@@ -524,7 +535,7 @@ def test_central_split_equals_split_branches(monkeypatch, name):
     # C16 splits by classes of order 4, 8 and 16 at q = 2 < n, C3^4 by
     # four classes of order 3 at q = n = 3; the components of each step
     # are those split_branches finds with the class matrix, whose one
-    # nonzero entry per column is at the class permutation
+    # nonzero entry per column is at the class map's one column
     group = (cyclic(16) if name == "C16" else Group(
         [parse_cycles(f"({3 * i + 1} {3 * i + 2} {3 * i + 3})", 12)
          for i in range(4)], 12))
@@ -536,7 +547,7 @@ def test_central_split_equals_split_branches(monkeypatch, name):
         assert qs == [(3, 3)] * 4
     for i, xs, _, _, parts in seen:
         a = class_matrix(cd, i)
-        move = dixon.class_permutation(cd, i)
+        move = dixon.class_map(cd, i)[:, 0]
         assert np.array_equal(
             a, np.eye(cd.num_classes, dtype=np.int64)[move].T)
         act = dixon._action(a % p, p)
@@ -560,17 +571,18 @@ def test_central_transform_is_as_long_as_the_order_mod_the_classes_used(
 
 
 def test_corrupted_class_permutation_raises(monkeypatch):
-    # two entries of each permutation swapped: the gathers no longer come
-    # from a central element, and A_y^q is no scalar on the first branch
+    # two entries of each central class map's one column swapped: the
+    # gathers no longer come from a central element, and A_y^q is no
+    # scalar on the first branch
     group = cyclic(16)
     cd, p, z = modular_data(group)
-    original = dixon.class_permutation
+    original = dixon.class_map
 
     def corrupted(cd, i):
         move = original(cd, i)
         move[[1, 2]] = move[[2, 1]]
         return move
-    monkeypatch.setattr(dixon, "class_permutation", corrupted)
+    monkeypatch.setattr(dixon, "class_map", corrupted)
     with pytest.raises(TableError, match="not a root of unity times the "
                                          "identity"):
         central_character_vectors(cd, p, z)
@@ -582,7 +594,7 @@ def test_central_split_rejects_a_power_that_is_not_a_scalar():
     cd, p, z = modular_data(cyclic(16))
     i = cd.orders.index(4)
     e0 = np.eye(1, cd.num_classes, dtype=np.int64)
-    move = dixon.class_permutation(cd, i)
+    move = dixon.class_map(cd, i)[:, 0]
     assert len(dixon.split_central(e0, move, 4, 4, p, z)) == 4
     with pytest.raises(TableError, match="not a root of unity times the "
                                          "identity"):

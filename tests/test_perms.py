@@ -45,7 +45,8 @@ def test_parse_separators():
 
 
 @pytest.mark.parametrize("bad", ["(1 2", "(1 2 3)(", "1 2 3", "(0 1)",
-                                 "(1 6)", "(1 1 2)", ""])
+                                 "(1 6)", "(1 1 2)", "", "(1 2)(1 2)",
+                                 "(1 2 3)(3 1 2)"])
 def test_parse_errors(bad):
     with pytest.raises(ValueError):
         parse_cycles(bad, 5)

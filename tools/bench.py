@@ -29,8 +29,11 @@ from here; nothing in the program is changed:
   (the function is wrapped from outside, in the worker process only; its
   peak RSS is the split's), how many it formed, and how many of those cut
   a branch (the calls of ``dixon.split_branches``, wrapped alike); the
-  classes used also count the central classes read through
-  ``dixon.class_permutation``, which forms no matrix;
+  classes used are the calls of ``dixon.class_map``, wrapped alike, which
+  reads every class the split uses: the central ones, which form no
+  matrix, and through ``class_matrix`` the others (a tree without
+  ``class_map`` counts its ``class_matrix`` and ``class_permutation``
+  calls);
 * split: ``dixon.central_character_vectors`` less its class matrices;
 * lift: ``dixon.lift_character``: the inverse transforms of one class per
   Galois orbit, then the gather that expands them to every class;
@@ -135,7 +138,11 @@ def measure(name: str) -> dict:
     spent = {"class_matrices": 0.0, "formed": 0, "cut": 0, "used": 0}
     class_matrix = dixon.class_matrix
     split_branches = dixon.split_branches
-    class_permutation = dixon.class_permutation
+    # the one reader of the classes used; trees without class_map read
+    # central classes through class_permutation, the others in class_matrix
+    reader = ("class_map" if hasattr(dixon, "class_map")
+              else "class_permutation")
+    read = getattr(dixon, reader)
 
     def timed_class_matrix(*args):
         start = time.perf_counter()
@@ -144,19 +151,19 @@ def measure(name: str) -> dict:
         finally:
             spent["class_matrices"] += time.perf_counter() - start
             spent["formed"] += 1
-            spent["used"] += 1
+            spent["used"] += reader != "class_map"
 
     def counted_split_branches(*args):
         spent["cut"] += 1
         return split_branches(*args)
 
-    def counted_class_permutation(*args):
+    def counted_read(*args):
         spent["used"] += 1
-        return class_permutation(*args)
+        return read(*args)
 
     dixon.class_matrix = timed_class_matrix
     dixon.split_branches = counted_split_branches
-    dixon.class_permutation = counted_class_permutation
+    setattr(dixon, reader, counted_read)
     degree, cycles = GROUPS[name]
     gens = [parse_cycles(c, degree) for c in cycles]
     seconds, rss = {}, {"import": _peak_rss_mb()}
