@@ -37,6 +37,17 @@ DEFAULT_POLYS = {
 }
 
 
+def field_order(p: int, k: int) -> int:
+    """q = p^k once q^2 <= MAX_FIELD_TABLE is known; k is bounded first
+    (q^2 >= 4^k), so a huge k forms no huge power."""
+    if k < 1 or p < 2:
+        raise ValueError("need p >= 2, k >= 1")
+    if 2 * k >= MAX_FIELD_TABLE.bit_length() or p ** (2 * k) > MAX_FIELD_TABLE:
+        raise GroupTooLargeError(f"field of order {p}^{k}: its tables would "
+                                 f"exceed {MAX_FIELD_TABLE} entries")
+    return p ** k
+
+
 class FiniteField:
     """F_{p^k} with elements coded 0..q-1, q = p^k: the base-p digits of a
     code, constant first, are a polynomial in x modulo ``poly``.
@@ -47,11 +58,7 @@ class FiniteField:
     """
 
     def __init__(self, p: int, k: int = 1, poly=None):
-        if k < 1 or p < 2:
-            raise ValueError("need p >= 2, k >= 1")
-        q = p ** k
-        if q ** 2 > MAX_FIELD_TABLE:  # checked before the tables exist
-            raise GroupTooLargeError(f"field tables of {q}^2 entries")
+        q = field_order(p, k)
         if k == 1:
             poly = (0, 1)
         elif poly is None:
@@ -120,7 +127,7 @@ def matrix_domain(spec: MatrixGroupSpec):
     being point i.  "projective" keeps the vectors whose first nonzero
     coordinate is 1.  The size is checked against MAX_DEGREE before any
     array or the field is built, and no array is larger than size x n."""
-    q, n = spec.p ** spec.k, spec.n
+    q, n = field_order(spec.p, spec.k), spec.n
     if spec.action not in ("vectors", "projective"):
         raise ChardegError(f"unknown action {spec.action!r}")
     size = (q ** n - 1) // (q - 1 if spec.action == "projective" else 1)
@@ -148,7 +155,7 @@ def matrix_to_perm(spec: MatrixGroupSpec, mat, domain=None,
                    f=None) -> Permutation:
     """Permutation induced by a single invertible matrix on the domain
     (``matrix_domain(spec)`` and ``spec.field()`` unless handed in)."""
-    q, n = spec.p ** spec.k, spec.n
+    q, n = field_order(spec.p, spec.k), spec.n
     check_matrix(mat, q, n)
     codes, coords = matrix_domain(spec) if domain is None else domain
     f = spec.field() if f is None else f

@@ -28,9 +28,11 @@ from pathlib import Path
 
 from .constructions import (CentralProduct, MatrixGroupSpec, central_product,
                             check_matrix, direct_product, fiber_product,
-                            matrix_to_perm, perm_from_matrix_group)
+                            field_order, matrix_to_perm,
+                            perm_from_matrix_group)
 from .cyclotomic import _is_input_prime
-from .errors import ChardegError, ParseError, ValidationError
+from .errors import (ChardegError, GroupTooLargeError, ParseError,
+                     ValidationError)
 from .groups import (Group, center, conjugacy_classes, is_perfect, is_solvable,
                      quotient_group)
 from .perms import format_cycles, parse_cycles
@@ -49,38 +51,23 @@ SINGLE_LINES = ("name", "poly", "action")  # at most one of each per file
 class GroupSpec:
     """Parsed group definition; building and validation happen later."""
 
-    name: str
-    kind: str  # perm | mat | direct | central | fiber
+    name: str | None = None
+    kind: str | None = None  # perm | mat | direct | central | fiber
     degree: int | None = None
-    perm_gens: tuple = ()
-    p: int | None = None
-    k: int | None = None
-    n: int | None = None
-    poly: tuple | None = None
-    action: str = "vectors"
-    mat_gens: tuple = ()
+    perm_gens: list = dc_field(default_factory=list)
+    matrix: MatrixGroupSpec | None = None  # for kind "mat"
     refs: tuple = ()  # referenced entry names for product expressions
-    zm: tuple = ()  # ("perm"|"mat", payload string) pairs
-    zc: tuple = ()
-    epia: tuple = ()  # cycle strings, one per generator of the first factor
-    epib: tuple = ()
+    zm: list = dc_field(default_factory=list)  # ("perm"|"mat", payload) pairs
+    zc: list = dc_field(default_factory=list)
+    # epia, epib: cycle strings, one per generator of the first, second factor
+    epia: list = dc_field(default_factory=list)
+    epib: list = dc_field(default_factory=list)
     expect: dict = dc_field(default_factory=dict)
 
 
 def parse_group_file(text: str) -> GroupSpec:
-    name = None
-    kind = None
-    degree = None
-    perm_gens = []
-    p = k = n = None
-    poly = None
-    action = "vectors"
-    mat_gens = []
-    refs = ()
-    zm, zc, epia, epib = [], [], [], []
-    expect = {}
+    spec = GroupSpec()
     seen = set()
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,77 +78,78 @@ def parse_group_file(text: str) -> GroupSpec:
             if directive in SINGLE_LINES and directive in seen:
                 raise ValueError(f"second {directive} line")
             seen.add(directive)
-            if LINE_KINDS.get(directive, kind) != kind:
+            if LINE_KINDS.get(directive, spec.kind) != spec.kind:
                 raise ValueError(f"{directive} line outside a "
                                  f"{LINE_KINDS[directive]} group")
-            if kind is not None and directive in (
+            if spec.kind is not None and directive in (
                     "perm", "mat", "direct", "central", "fiber"):
                 raise ValueError(
-                    f"second definition line: {directive} after {kind}")
+                    f"second definition line: {directive} after {spec.kind}")
             if directive == "name":
-                name = _parse_identifier(rest)
+                spec.name = _parse_identifier(rest)
             elif directive == "perm":
-                kind = "perm"
-                degree = int(rest)
-                if degree < 1:
+                spec.kind, spec.degree = "perm", int(rest)
+                if spec.degree < 1:
                     raise ValueError("degree must be positive")
             elif directive == "mat":
-                kind = "mat"
+                spec.kind = "mat"
                 p, k, n = (int(x) for x in rest.split())
                 if not (_is_input_prime(p) and k >= 1 and n >= 1):
                     raise ValueError("mat needs p k n with p a prime below "
                                      f"2^31, k >= 1 and n >= 1, got {rest!r}")
+                field_order(p, k)  # refuses a field too large for its tables
+                spec.matrix = MatrixGroupSpec(p, k, n, generators=[])
             elif directive == "poly":
-                poly = tuple(int(x) for x in rest.split())
+                spec.matrix.poly = tuple(int(x) for x in rest.split())
             elif directive == "action":
                 if rest not in ("vectors", "projective"):
                     raise ValueError(f"unknown action {rest!r}")
-                action = rest
+                spec.matrix.action = rest
             elif directive in ("direct", "central", "fiber"):
-                kind = directive
-                refs = tuple(_parse_identifier(x) for x in rest.split())
+                spec.kind = directive
+                spec.refs = tuple(_parse_identifier(x) for x in rest.split())
                 want = 3 if directive == "fiber" else 2
-                if len(refs) != want:
+                if len(spec.refs) != want:
                     raise ValueError(f"{directive} takes {want} group names")
             elif directive == "gen":
-                if kind == "perm":
-                    if degree is None:
-                        raise ValueError("gen before perm header")
-                    perm_gens.append(parse_cycles(rest, degree))
-                elif kind == "mat":
-                    mat_gens.append(tuple(int(x) for x in rest.split()))
-                    check_matrix(mat_gens[-1], p ** k, n)
+                if spec.kind == "perm":
+                    spec.perm_gens.append(parse_cycles(rest, spec.degree))
+                elif spec.kind == "mat":
+                    m = spec.matrix
+                    mat = tuple(int(x) for x in rest.split())
+                    check_matrix(mat, field_order(m.p, m.k), m.n)
+                    m.generators.append(mat)
                 else:
                     raise ValueError("gen line outside perm/mat group")
             elif directive in ("zm", "zc"):
                 payload_kind, payload = rest.split(None, 1)
                 if payload_kind not in ("perm", "mat"):
                     raise ValueError("zm/zc payload must be 'perm' or 'mat'")
-                target = zm if directive == "zm" else zc
-                target.append((payload_kind, _normalize_ws(payload)))
-            elif directive == "epia":
-                epia.append(_normalize_ws(rest))
-            elif directive == "epib":
-                epib.append(_normalize_ws(rest))
+                getattr(spec, directive).append(
+                    (payload_kind, _normalize_ws(payload)))
+            elif directive in ("epia", "epib"):
+                getattr(spec, directive).append(_normalize_ws(rest))
             elif directive == "expect":
                 key, value = _parse_expect(rest)
-                expect[key] = value
+                if key in spec.expect:
+                    raise ValueError(f"second expect {key} line")
+                spec.expect[key] = value
             else:
                 raise ValueError(f"unknown directive {directive!r}")
         except (ValueError, IndexError, ParseError) as exc:
             raise ParseError(str(exc), line=lineno)
+        except GroupTooLargeError as exc:
+            raise GroupTooLargeError(f"line {lineno}: {exc}")
 
-    if name is None:
+    if spec.name is None:
         raise ParseError("missing name line")
-    if kind is None:
-        raise ParseError(f"group {name!r} has no definition line")
-    if kind == "mat" and not mat_gens:
-        raise ParseError(f"matrix group {name!r} has no generators")
-    return GroupSpec(
-        name=name, kind=kind, degree=degree, perm_gens=tuple(perm_gens),
-        p=p, k=k, n=n, poly=poly, action=action, mat_gens=tuple(mat_gens),
-        refs=refs, zm=tuple(zm), zc=tuple(zc), epia=tuple(epia),
-        epib=tuple(epib), expect=expect)
+    if spec.kind is None:
+        raise ParseError(f"group {spec.name!r} has no definition line")
+    if spec.kind == "mat":
+        if not spec.matrix.generators:
+            raise ParseError(f"matrix group {spec.name!r} has no generators")
+        spec.matrix.name = spec.name
+    return spec
 
 
 def _parse_identifier(s: str) -> str:
@@ -196,12 +184,13 @@ def serialize_group_spec(spec: GroupSpec) -> str:
         for g in spec.perm_gens:
             lines.append(f"gen {format_cycles(g)}")
     elif spec.kind == "mat":
-        lines.append(f"mat {spec.p} {spec.k} {spec.n}")
-        if spec.poly is not None:
-            lines.append("poly " + " ".join(str(c) for c in spec.poly))
-        lines.append(f"action {spec.action}")
-        for m in spec.mat_gens:
-            lines.append("gen " + " ".join(str(x) for x in m))
+        m = spec.matrix
+        lines.append(f"mat {m.p} {m.k} {m.n}")
+        if m.poly is not None:
+            lines.append("poly " + " ".join(str(c) for c in m.poly))
+        lines.append(f"action {m.action}")
+        for g in m.generators:
+            lines.append("gen " + " ".join(str(x) for x in g))
     else:
         lines.append(f"{spec.kind} " + " ".join(spec.refs))
         for pk, payload in spec.zm:
@@ -250,10 +239,14 @@ class Catalogue:
         self._entries: dict[str, CatalogueEntry] = {}
         self._building: set[str] = set()
         for file in sorted(self.path.glob("*.grp")):
-            spec = parse_group_file(file.read_text())
-            if spec.name != file.stem:
-                raise ValidationError(
-                    f"{file.name}: name {spec.name!r} does not match file stem")
+            try:
+                spec = parse_group_file(file.read_text())
+                if spec.name != file.stem:
+                    raise ValidationError(
+                        f"name {spec.name!r} does not match file stem")
+            except ChardegError as exc:  # the user named a group, not a file
+                exc.args = (f"{file.name}: {exc}",)
+                raise
             self._specs[spec.name] = spec
 
     def names(self) -> list[str]:
@@ -305,7 +298,7 @@ class Catalogue:
             group = Group(spec.perm_gens, spec.degree, name=spec.name)
             return CatalogueEntry(spec.name, spec, group)
         if spec.kind == "mat":
-            group = perm_from_matrix_group(self._mat_spec(spec))
+            group = perm_from_matrix_group(spec.matrix)
             return CatalogueEntry(spec.name, spec, group)
         if spec.kind == "direct":
             a, b = (self.entry(r).group for r in spec.refs)
@@ -329,13 +322,6 @@ class Catalogue:
             return CatalogueEntry(spec.name, spec, group)
         raise ValidationError(f"unknown kind {spec.kind!r}")
 
-    @staticmethod
-    def _mat_spec(spec: GroupSpec) -> MatrixGroupSpec:
-        return MatrixGroupSpec(p=spec.p, k=spec.k, n=spec.n,
-                               generators=list(spec.mat_gens),
-                               action=spec.action, poly=spec.poly,
-                               name=spec.name)
-
     def _element_payload(self, entry: CatalogueEntry, payload_kind: str,
                          payload: str):
         try:
@@ -347,7 +333,7 @@ class Catalogue:
         if entry.spec.kind != "mat":
             raise ValidationError(
                 f"matrix payload against non-matrix group {entry.name}")
-        return matrix_to_perm(self._mat_spec(entry.spec), mat)
+        return matrix_to_perm(entry.spec.matrix, mat)
 
 
 def _validate_entry(entry: CatalogueEntry) -> None:

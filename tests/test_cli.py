@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,57 @@ def test_field_with_oversized_tables_exits_2_before_building_them(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "65521" in err
     assert peak < 1 << 22
+
+
+def test_oversized_field_degree_is_refused_before_p_to_the_k(tmp_path):
+    # 3^(10^8) would take minutes to form: the mat header, the field and the
+    # matrix action bound k first.  Run in a child process, so that a
+    # regression times out instead of hanging the suite.
+    f = tmp_path / "X.grp"
+    f.write_text("name X\nmat 3 100000000 1\ngen 1\n")
+    code = (
+        "import sys\n"
+        "from chardeg.cli import main\n"
+        "from chardeg.constructions import (FiniteField, MatrixGroupSpec,\n"
+        "                                   perm_from_matrix_group)\n"
+        "from chardeg.errors import GroupTooLargeError\n"
+        "spec = MatrixGroupSpec(p=3, k=10**8, n=1, generators=[(1,)])\n"
+        "for build in (lambda: FiniteField(3, 10**8),\n"
+        "              lambda: perm_from_matrix_group(spec)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except GroupTooLargeError:\n"
+        "        continue\n"
+        "    sys.exit('not refused')\n"
+        "sys.exit(main(['acd', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cyclotomic.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, str(f)], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error: line 2: field of order 3^100000000")
+    assert out.stderr.count("\n") == 1
+
+
+def test_parse_error_in_a_corpus_file_names_the_file(capsys, tmp_path):
+    # the user named D, not the file that fails to parse: the error names it
+    (tmp_path / "BADM.grp").write_text("name BADM\nmat 5 1 2\ngen 7 0 0 1\n")
+    (tmp_path / "D.grp").write_text("name D\ndirect BADM BADM\n")
+    code, out, err = run(capsys, "acd", "D", "--corpus", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: BADM.grp: line 3: matrix entries must lie in 0..4\n"
+
+
+@pytest.mark.parametrize("first, second", [(6, 3), (3, 6)])
+def test_repeated_expect_key_exits_2_at_its_line(capsys, tmp_path, first,
+                                                 second):
+    # a second value would overwrite the first without a word
+    f = tmp_path / "X.grp"
+    f.write_text(f"name X\nperm 3\ngen (1 2 3)\nexpect order {first}\n"
+                 f"expect order {second}\n")
+    assert run(capsys, "acd", str(f)) == (
+        2, "", "error: line 5: second expect order line\n")
 
 
 def test_acd_rel_mod(capsys):

@@ -10,7 +10,7 @@ from chardeg.constructions import (DEFAULT_POLYS, FiniteField,
                                    direct_product, fiber_product,
                                    matrix_domain, matrix_to_perm,
                                    perm_from_matrix_group)
-from chardeg.corpusio import Catalogue, default_corpus_path, parse_group_file
+from chardeg.corpusio import default_corpus_path, parse_group_file
 from chardeg.errors import ChardegError
 from chardeg.groups import (Group, center, conjugacy_classes, is_perfect,
                             quotient_group)
@@ -177,7 +177,7 @@ def test_corpus_matrix_generators_are_pinned():
     count = 0
     for name, spec in sorted(specs.items()):
         if spec.kind == "mat":
-            pairs = [(spec, m) for m in spec.mat_gens]
+            pairs = [(spec, m) for m in spec.matrix.generators]
         elif spec.kind == "central":
             pairs = [(specs[ref], tuple(int(x) for x in payload.split()))
                      for ref, payloads in zip(spec.refs, (spec.zm, spec.zc))
@@ -185,7 +185,7 @@ def test_corpus_matrix_generators_are_pinned():
         else:
             continue
         for owner, mat in pairs:
-            perm = matrix_to_perm(Catalogue._mat_spec(owner), mat)
+            perm = matrix_to_perm(owner.matrix, mat)
             digest.update(f"{name} {perm.images}\n".encode())
             count += 1
     assert count == 28  # 26 generators of 9 mat entries, 2 payloads

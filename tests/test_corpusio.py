@@ -11,7 +11,7 @@ def test_parse_trivial():
     assert spec.name == "C1"
     assert spec.kind == "perm"
     assert spec.degree == 1
-    assert spec.perm_gens == ()
+    assert spec.perm_gens == []
 
 
 def test_parse_a5_with_expect():
@@ -46,9 +46,10 @@ expect degrees 1,2,2,3,3,4,4,5,6
 
 def test_roundtrip_all_bundled(cat):
     for name in cat.names():
-        spec = parse_group_file(
-            (cat.path / f"{name}.grp").read_text())
+        text = (cat.path / f"{name}.grp").read_text()
+        spec = parse_group_file(text)
         assert parse_group_file(serialize_group_spec(spec)) == spec
+        assert serialize_group_spec(spec) == text, name
 
 
 def test_parse_error_has_line_number():

@@ -9,6 +9,7 @@ import pytest
 
 from chardeg import groups
 from chardeg.chars import character_table, kernel_subgroup
+from chardeg.constructions import direct_product
 from chardeg.dixon import class_matrix
 from chardeg.errors import GroupTooLargeError, NotMemberError, NotNormalError
 from chardeg.groups import (Group, Subgroup, center, class_fusion,
@@ -197,6 +198,20 @@ def test_p_solvable(a5, s4):
         assert is_p_solvable(s4, p)
     with pytest.raises(ValueError):
         is_p_solvable(s4, 6)
+
+
+def test_p_solvable_steps_through_quotients(cat, a5):
+    # SL2(5) is refused at A5 after the quotient by its center; in A5 x C_61
+    # the quotient by A5 is C_61, whose own quotient is trivial
+    sl25 = cat.group("SL2_5")
+    assert [is_p_solvable(sl25, p) for p in (2, 3, 5, 7)] == [
+        False, False, False, True]
+    c7 = make(["(1 2 3 4 5 6 7)"], 7)
+    assert is_p_solvable(direct_product(a5, c7), 7)
+    c61 = Group([Permutation(list(range(1, 61)) + [0])], 61)
+    a5_c61 = direct_product(a5, c61)
+    assert is_p_solvable(a5_c61, 61)
+    assert not is_p_solvable(a5_c61, 5)
 
 
 def test_p_solvable_agrees_with_solvable(cat):

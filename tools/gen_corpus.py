@@ -15,8 +15,9 @@ from pathlib import Path
 sys.path.insert(0, "src")
 
 from chardeg.chars import character_table
-from chardeg.corpusio import (Catalogue, parse_group_file,
-                              serialize_group_spec)
+from chardeg.constructions import MatrixGroupSpec
+from chardeg.corpusio import Catalogue, GroupSpec, serialize_group_spec
+from chardeg.perms import parse_cycles
 
 OUT = Path("src/chardeg/corpus")
 
@@ -47,44 +48,19 @@ def dihedral_reflection(n, offset=0):
 
 
 def perm_entry(name, degree, gens, **expect):
-    lines = [f"name {name}", f"perm {degree}"]
-    lines += [f"gen {g}" for g in gens]
-    lines += expect_lines(expect)
-    return "\n".join(lines) + "\n"
+    return GroupSpec(name, "perm", degree=degree,
+                     perm_gens=[parse_cycles(g, degree) for g in gens],
+                     expect=expect)
 
 
 def mat_entry(name, p, k, n, gens, action="vectors", poly=None, **expect):
-    lines = [f"name {name}", f"mat {p} {k} {n}"]
-    if poly:
-        lines.append("poly " + " ".join(str(c) for c in poly))
-    lines.append(f"action {action}")
-    lines += ["gen " + " ".join(str(x) for x in g) for g in gens]
-    lines += expect_lines(expect)
-    return "\n".join(lines) + "\n"
+    matrix = MatrixGroupSpec(p, k, n, list(gens), action, poly, name)
+    return GroupSpec(name, "mat", matrix=matrix, expect=expect)
 
 
 def product_entry(name, kind, refs, zm=(), zc=(), epia=(), epib=(), **expect):
-    lines = [f"name {name}", f"{kind} " + " ".join(refs)]
-    lines += [f"zm {k} {v}" for k, v in zm]
-    lines += [f"zc {k} {v}" for k, v in zc]
-    lines += [f"epia {s}" for s in epia]
-    lines += [f"epib {s}" for s in epib]
-    lines += expect_lines(expect)
-    return "\n".join(lines) + "\n"
-
-
-def expect_lines(expect):
-    out = []
-    for key in ("order", "center", "center_cyclic", "perfect", "solvable",
-                "degrees", "quotient_center_sizes"):
-        if key in expect and expect[key] is not None:
-            v = expect[key]
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, (tuple, list)):
-                v = ",".join(str(x) for x in v)
-            out.append(f"expect {key} {v}")
-    return out
+    return GroupSpec(name, kind, refs=tuple(refs), zm=list(zm), zc=list(zc),
+                     epia=list(epia), epib=list(epib), expect=expect)
 
 
 def abelian_entries():
@@ -272,10 +248,7 @@ def main():
                              solvable=False,
                              degrees=(1, 6, 10, 10, 14, 14, 15, 21, 35))
 
-    for name, text in files.items():
-        # normalize through the parser so the on-disk form is canonical
-        spec = parse_group_file(text)
-        assert spec.name == name
+    for name, spec in files.items():
         (OUT / f"{name}.grp").write_text(serialize_group_spec(spec))
     print(f"wrote {len(files)} corpus files")
 
